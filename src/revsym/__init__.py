@@ -42,11 +42,11 @@ from .symbols import (
     NO_TRIANGLES,
     ODD_ONLY,
     TRIANGLES_ONLY,
+    CatalogEntry,
     InvalidTileSet,
     ParseError,
     Polynomial,
     ReversiveSymbol,
-    TileKind,
     TileRule,
     catalog,
     expand,
@@ -63,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ANY_TILES",
     "CapExceeded",
+    "CatalogEntry",
     "Dissection",
     "DivisibilityViolation",
     "DomainError",
@@ -79,7 +80,6 @@ __all__ = [
     "ReversiveSymbol",
     "TRIANGLES_ONLY",
     "Tile",
-    "TileKind",
     "TileRule",
     "TruncatedSeries",
     "ZeroDivisor",

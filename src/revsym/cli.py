@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Sequence
 
-from . import closed_forms
 from .closed_forms import DomainError
 from .dissection_oracle import (
     DEFAULT_CHORD_CAP,
@@ -28,6 +27,7 @@ from .dissection_oracle import (
 )
 from .power_series import NonIntegerCoefficient, lagrange_coefficients
 from .symbols import (
+    CatalogEntry,
     InvalidTileSet,
     ParseError,
     ReversiveSymbol,
@@ -39,18 +39,9 @@ from .symbols import (
     symbol_from_tile_rule,
 )
 
-__all__ = ["main", "SequenceRecord", "UnknownName", "MethodUnavailable"]
+__all__ = ["main", "UnknownName", "MethodUnavailable"]
 
 DEFAULT_COUNT = 10
-
-_CLOSED_FORMS: dict[str, Callable[[int], int]] = {
-    "trianglefree": closed_forms.triangle_free_term,
-    "oddtiles": closed_forms.odd_term,
-    "eventiles": closed_forms.even_term,
-    "schroeder": closed_forms.schroeder_term,
-    "catalan": closed_forms.catalan_term,
-    "motzkin": closed_forms.motzkin_term,
-}
 
 
 class UnknownName(ValueError):
@@ -62,24 +53,13 @@ class MethodUnavailable(ValueError):
 
 
 @dataclass(frozen=True)
-class SequenceRecord:
-    """One computed run: which sequence, which path, which terms."""
-
-    name: str
-    symbol: ReversiveSymbol
-    rule: Optional[TileRule]
-    terms: list[int]
-    provenance: str  # reversion | closed | series | oracle
-
-
-@dataclass(frozen=True)
 class Settings:
     exhaustive_cap_n: int = DEFAULT_DISSECTION_CAP
     chord_cap_p: int = DEFAULT_CHORD_CAP
     default_count: int = DEFAULT_COUNT
 
 
-_CONFIG_KEYS = ("exhaustive_cap_n", "chord_cap_p", "default_count")
+_CONFIG_KEYS = tuple(f.name for f in fields(Settings))
 
 
 def _read_config(path: str) -> dict[str, int]:
@@ -107,114 +87,98 @@ def _read_config(path: str) -> dict[str, int]:
 
 
 def _settings_from(args: argparse.Namespace) -> Settings:
-    merged = {
-        "exhaustive_cap_n": DEFAULT_DISSECTION_CAP,
-        "chord_cap_p": DEFAULT_CHORD_CAP,
-        "default_count": DEFAULT_COUNT,
-    }
+    settings = Settings()
     if args.config:
-        merged.update(_read_config(args.config))
+        settings = replace(settings, **_read_config(args.config))
     if args.exhaustive_cap_n is not None:
-        merged["exhaustive_cap_n"] = args.exhaustive_cap_n
+        settings = replace(settings, exhaustive_cap_n=args.exhaustive_cap_n)
     if args.chord_cap_p is not None:
-        merged["chord_cap_p"] = args.chord_cap_p
-    return Settings(**merged)
+        settings = replace(settings, chord_cap_p=args.chord_cap_p)
+    return settings
 
 
-def _lookup(name: str) -> tuple[ReversiveSymbol, Optional[TileRule]]:
-    for symbol, rule in catalog():
-        if symbol.name == name:
-            return symbol, rule
+def _lookup(name: str) -> CatalogEntry:
+    for entry in catalog():
+        if entry.symbol.name == name:
+            return entry
     raise UnknownName(f"unknown sequence {name!r}; try 'revsym list'")
 
 
-def _resolve(name_or_symbol: str) -> tuple[ReversiveSymbol, Optional[TileRule], bool]:
-    """Returns (symbol, rule, from_catalog)."""
+def _resolve(name_or_symbol: str) -> tuple[ReversiveSymbol, Optional[CatalogEntry]]:
+    """Returns the symbol, and its catalog entry when it is named by one."""
     if "(" in name_or_symbol or "/" in name_or_symbol:
-        return parse_symbol(name_or_symbol), None, False
-    symbol, rule = _lookup(name_or_symbol)
-    return symbol, rule, True
+        return parse_symbol(name_or_symbol), None
+    entry = _lookup(name_or_symbol)
+    return entry.symbol, entry
 
 
-def _compute_record(
+def _compute_terms(
     symbol: ReversiveSymbol,
-    rule: Optional[TileRule],
-    from_catalog: bool,
+    entry: Optional[CatalogEntry],
     count: int,
     method: str,
-) -> SequenceRecord:
+) -> list[int]:
     if method == "reversion":
-        terms = lagrange_coefficients(symbol, count - 1)
-    elif method == "closed":
-        if not from_catalog:
+        return lagrange_coefficients(symbol, count - 1)
+    if method == "closed":
+        if entry is None:
             raise MethodUnavailable("closed forms exist only for catalog sequences")
-        if symbol.name == "oddtiles":
+        if entry.closed_from > 0:
             raise MethodUnavailable(
-                "the oddtiles closed form is undefined at n=0 (boundary anomaly); "
+                f"the {symbol.name} closed form is undefined at n=0 (boundary anomaly); "
                 "use --method reversion, or 'verify' to see the annotated table"
             )
-        fn = _CLOSED_FORMS[symbol.name]
-        terms = [fn(i) for i in range(count)]
-    elif method == "series":
-        if rule is None:
+        return [entry.closed_form(i) for i in range(count)]
+    if method == "series":
+        if entry is None or entry.rule is None:
             raise MethodUnavailable(
                 "the series counter needs a tile rule; this sequence has none"
             )
-        terms = count_by_series(count - 1, rule)
-    else:  # pragma: no cover - argparse restricts choices
-        raise MethodUnavailable(f"unknown method {method!r}")
-    return SequenceRecord(symbol.name, symbol, rule, terms, method)
+        return count_by_series(count - 1, entry.rule)
+    raise MethodUnavailable(f"unknown method {method!r}")  # pragma: no cover - argparse restricts choices
 
 
-def _print_terms(record: SequenceRecord) -> None:
-    for i, value in enumerate(record.terms):
+def _print_terms(terms: list[int]) -> None:
+    for i, value in enumerate(terms):
         print(f"{i} {value}")
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    for symbol, _rule in catalog():
-        print(format_symbol(symbol))
+    for entry in catalog():
+        print(format_symbol(entry.symbol))
     return 0
 
 
 def cmd_terms(args: argparse.Namespace) -> int:
     settings = _settings_from(args)
     count = args.count if args.count is not None else settings.default_count
-    symbol, rule, from_catalog = _resolve(args.name_or_symbol)
-    record = _compute_record(symbol, rule, from_catalog, count, args.method)
-    _print_terms(record)
+    symbol, entry = _resolve(args.name_or_symbol)
+    _print_terms(_compute_terms(symbol, entry, count, args.method))
     return 0
 
 
-def _oracle_values(
-    name: str,
-    rule: Optional[TileRule],
-    count: int,
-    settings: Settings,
-) -> dict[int, int]:
-    """Exhaustive ground truth per n, for as far as the caps allow."""
-    values: dict[int, int] = {}
-    if rule is not None:
+def _oracle_values(entry: CatalogEntry, count: int, settings: Settings) -> dict[int, int]:
+    """Exhaustive ground truth per n, for as far as the caps allow.
+
+    Entries with a tile rule go to the dissection enumerator, the others to
+    the chord counter.
+    """
+    if entry.rule is not None:
         top = min(count - 1, settings.exhaustive_cap_n)
-        for i in range(top + 1):
-            values[i] = enumerate_count(i, rule, cap=settings.exhaustive_cap_n)
-    elif name == "motzkin":
-        top = min(count - 1, settings.chord_cap_p)
-        for i in range(top + 1):
-            values[i] = count_chord_diagrams(i, cap=settings.chord_cap_p)
-    return values
+        return {i: enumerate_count(i, entry.rule, cap=settings.exhaustive_cap_n) for i in range(top + 1)}
+    top = min(count - 1, settings.chord_cap_p)
+    return {i: count_chord_diagrams(i, cap=settings.chord_cap_p) for i in range(top + 1)}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     settings = _settings_from(args)
     count = args.count if args.count is not None else settings.default_count
-    symbol, rule = _lookup(args.name)
+    entry = _lookup(args.name)
+    symbol, rule = entry.symbol, entry.rule
     reversion = lagrange_coefficients(symbol, count - 1)
 
-    closed_fn = _CLOSED_FORMS[symbol.name]
-    skip_closed_at = {0} if symbol.name == "oddtiles" else set()
     series = count_by_series(count - 1, rule) if rule is not None else None
-    oracle = _oracle_values(symbol.name, rule, count, settings)
+    oracle = _oracle_values(entry, count, settings)
 
     print(f"verify {symbol.name}: {format_symbol(symbol, include_name=False)}")
     print("n a(n) closed series oracle")
@@ -222,7 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         row: list[str] = []
         mismatch: Optional[tuple[str, int]] = None
         checks = [
-            ("closed", "excluded" if i in skip_closed_at else closed_fn(i)),
+            ("closed", "excluded" if i < entry.closed_from else entry.closed_form(i)),
             ("series", series[i] if series is not None else None),
             ("oracle", oracle.get(i)),
         ]
@@ -242,33 +206,52 @@ def cmd_verify(args: argparse.Namespace) -> int:
             path, value = mismatch
             print(f"MISMATCH at n={i}: {path}={value}, reversion={expected}")
             return 1
-    if skip_closed_at:
+    if entry.closed_from > 0:
         print("note: closed form excluded at n=0 (boundary convention anomaly; reversion pins a_0 = 1)")
     print(f"ok: {symbol.name} agrees on {count} terms across all available paths")
     return 0
+
+
+def _check_sizes_fit(rule: TileRule, count: int) -> None:
+    """Refuse sizes that no counted dissection can use, before work grows with them.
+
+    a_n counts dissections of the (n+2)-gon, so no tile among the first
+    ``count`` terms has more than count+1 sides; a larger step would only
+    place the rest of the tail beyond that range.
+    """
+    limit = count + 1
+    for size in (*rule.sizes, rule.start or 0):
+        if size > limit:
+            raise InvalidTileSet(
+                f"tile size {size} exceeds count+1 = {limit}: "
+                f"no dissection among the first {count} terms has such a tile"
+            )
+    if rule.step > limit:
+        raise InvalidTileSet(f"tail step {rule.step} exceeds count+1 = {limit}")
 
 
 def cmd_from_tiles(args: argparse.Namespace) -> int:
     settings = _settings_from(args)
     count = args.count if args.count is not None else settings.default_count
     rule = parse_tile_spec(args.spec)
+    _check_sizes_fit(rule, count)
     symbol = symbol_from_tile_rule(rule)
     print(format_symbol(symbol, include_name=False))
-    record = _compute_record(symbol, rule, False, count, "reversion")
+    terms = lagrange_coefficients(symbol, count - 1)
     series = count_by_series(count - 1, rule)
-    for i, (a, b) in enumerate(zip(record.terms, series)):
+    for i, (a, b) in enumerate(zip(terms, series)):
         if a != b:
             print(f"MISMATCH at n={i}: reversion={a}, series={b}")
             return 1
-    _print_terms(record)
+    _print_terms(terms)
     return 0
 
 
 def cmd_bfile(args: argparse.Namespace) -> int:
-    symbol, rule, from_catalog = _resolve(args.name_or_symbol)
+    symbol, _entry = _resolve(args.name_or_symbol)
     if args.count > 0:
-        record = _compute_record(symbol, rule, from_catalog, args.count, "reversion")
-        lines = "".join(f"{i} {v}\n" for i, v in enumerate(record.terms))
+        terms = lagrange_coefficients(symbol, args.count - 1)
+        lines = "".join(f"{i} {v}\n" for i, v in enumerate(terms))
     else:
         lines = ""
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:

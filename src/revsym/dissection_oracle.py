@@ -8,7 +8,9 @@ machinery so it can serve as an oracle for it:
   tiles all satisfy a rule.  Exponential; capped at desk scale.
 * :func:`count_by_series` iterates the self-referential tile equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} to a fixed point on truncated
-  integer series.  Polynomial time; the fast path.
+  integer series.  Polynomial time; the fast path.  It takes the size sum
+  from :meth:`TileRule.generating_pair`, the same pair symbol synthesis
+  uses, so enumeration for n <= cap is what checks that pair.
 * :func:`count_chord_diagrams` exhaustively counts placements of pairwise
   disjoint chords (no shared endpoints, no crossings) on labelled circle
   points, the model behind the motzkin entry.
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .symbols import TileKind, TileRule
+from .symbols import TileRule
 
 __all__ = [
     "DEFAULT_DISSECTION_CAP",
@@ -199,9 +201,13 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
     cands = _candidate_diagonals(n)
     conflict = _conflict_masks(cands)
     full = (1 << len(cands)) - 1
+    ok = [False] * (n + 3)
+    for s in range(3, n + 3):
+        ok[s] = rule.allows(s)
 
-    if rule.kind is TileKind.ANY:
-        # no tile predicate to track: just count non-crossing subsets
+    if all(ok[3:]):
+        # every size up to n+2 allowed, so no tile predicate to track:
+        # just count non-crossing subsets
         total = 0
 
         def rec_any(start: int, avail: int) -> None:
@@ -217,9 +223,6 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
         rec_any(0, full)
         return total
 
-    ok = [False] * (n + 3)
-    for s in range(3, n + 3):
-        ok[s] = rule.allows(s)
     tiles: list[tuple[int, ...]] = [tuple(range(n + 2))]
     total = 0
 
@@ -259,7 +262,7 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
 #
 # Independent integer-series kernels (not shared with power_series): this
 # route is meant to cross-check the reversion machinery, so it brings its
-# own arithmetic.
+# own arithmetic.  Only the rule's generating pair is shared with symbols.
 
 def _iconv(a: list[int], b: list[int], n: int) -> list[int]:
     out = [0] * (n + 1)
@@ -274,7 +277,7 @@ def _iconv(a: list[int], b: list[int], n: int) -> list[int]:
 
 
 def _irecip_unit(q: list[int], n: int) -> list[int]:
-    # requires q[0] == 1, which holds for every rule denominator below
+    # requires q[0] == 1, which holds for every rule denominator (1 or 1 - y^step)
     out = [0] * (n + 1)
     out[0] = 1
     for m in range(1, n + 1):
@@ -295,32 +298,6 @@ def _ieval_poly(p: list[int], y: list[int], n: int) -> list[int]:
     return res
 
 
-def _rule_weight_pair(rule: TileRule) -> tuple[list[int], list[int]]:
-    """sum_{s in S} y^{s-2} as integer numerator/denominator lists."""
-    k = rule.kind
-    if k is TileKind.ANY:
-        return [0, 1], [1, -1]
-    if k is TileKind.TRIANGLES_ONLY:
-        return [0, 1], [1]
-    if k is TileKind.NO_TRIANGLES:
-        return [0, 0, 1], [1, -1]
-    if k is TileKind.ODD_ONLY:
-        return [0, 1], [1, 0, -1]
-    if k is TileKind.EVEN_ONLY:
-        return [0, 0, 1], [1, 0, -1]
-    finite, tail = rule.finite_and_tail()
-    top = max([s - 2 for s in finite] + ([tail - 2] if tail is not None else []))
-    num = [0] * (top + 1)
-    for s in finite:
-        num[s - 2] += 1
-    if tail is None:
-        return num, [1]
-    den = [1, -1]
-    num = _iconv(num, den, top + 1)
-    num[tail - 2] += 1
-    return num, den
-
-
 def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     """Coefficients a_0..a_{n_max} from the tile equation's fixed point.
 
@@ -332,7 +309,7 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    g_num, g_den = _rule_weight_pair(rule)
+    g_num, g_den = (list(p.coeffs) for p in rule.generating_pair())
     a = [1]
     for k in range(1, n_max + 1):
         xa = [0] + a[:k]

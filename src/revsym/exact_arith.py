@@ -9,21 +9,14 @@ the package depends on, and division that refuses to round.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 __all__ = [
-    "Integer",
-    "Rational",
     "DivisibilityViolation",
     "ZeroDivisor",
     "binomial",
     "exact_div",
 ]
-
-Integer = int
-Rational = Fraction
-
 
 class ZeroDivisor(ZeroDivisionError):
     """exact_div was asked to divide by zero."""

@@ -19,17 +19,18 @@ closed rational form whenever S is finite or finite plus an arithmetic tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Optional, Sequence
+import re
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
+from . import closed_forms
 from .power_series import TruncatedSeries
 
 __all__ = [
     "Polynomial",
     "ReversiveSymbol",
-    "TileKind",
     "TileRule",
+    "CatalogEntry",
     "InvalidTileSet",
     "ParseError",
     "ANY_TILES",
@@ -133,111 +134,73 @@ class ReversiveSymbol:
             raise ValueError(f"symbol {self.name!r}: expansion must have unit slope")
 
 
-class TileKind(Enum):
-    ANY = "any"
-    TRIANGLES_ONLY = "triangles"
-    NO_TRIANGLES = "notriangles"
-    ODD_ONLY = "odd"
-    EVEN_ONLY = "even"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class TileRule:
-    """Predicate on tile side-counts.
+    """Permitted tile side-counts: finite sizes plus at most one arithmetic tail.
 
-    The named kinds cover the catalog; CUSTOM takes a finite set of allowed
-    side-counts plus an optional "and every size >= all_from" tail.
+    The tail ``start, start+step, start+2*step, ...`` is stored as ``start``
+    and ``step`` (``start`` is None for a finite rule).  Construction
+    canonicalises: sizes the tail covers are dropped and sizes that extend
+    it downwards are folded into it, so rules compare equal exactly when
+    they allow the same side-counts.
     """
 
-    kind: TileKind
-    sizes: frozenset[int] = field(default_factory=frozenset)
-    all_from: Optional[int] = None
+    sizes: tuple[int, ...]
+    start: Optional[int]
+    step: int
 
-    def __post_init__(self) -> None:
-        if self.kind is not TileKind.CUSTOM:
-            if self.sizes or self.all_from is not None:
-                raise InvalidTileSet("size data is only meaningful for CUSTOM rules")
-            return
-        if not self.sizes and self.all_from is None:
-            raise InvalidTileSet("custom rule admits no side-count")
-        if any(s < 3 for s in self.sizes):
+    def __init__(self, sizes: Iterable[int] = (), start: Optional[int] = None, step: int = 1):
+        finite = set(sizes)
+        if not finite and start is None:
+            raise InvalidTileSet("tile rule admits no side-count")
+        if any(s < 3 for s in finite) or (start is not None and start < 3):
             raise InvalidTileSet("tile side-counts must be >= 3")
-        if self.all_from is not None and self.all_from < 3:
-            raise InvalidTileSet("tail threshold must be >= 3")
+        if step < 1:
+            raise InvalidTileSet("tail step must be >= 1")
+        if start is None:
+            step = 1
+        else:
+            while start - step in finite:
+                start -= step
+            finite = {s for s in finite if not self._in_tail(s, start, step)}
+        object.__setattr__(self, "sizes", tuple(sorted(finite)))
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "step", step)
 
-    @classmethod
-    def custom(cls, sizes: Iterable[int] = (), all_from: Optional[int] = None) -> TileRule:
-        return cls(TileKind.CUSTOM, frozenset(sizes), all_from)
+    @staticmethod
+    def _in_tail(side_count: int, start: Optional[int], step: int) -> bool:
+        return start is not None and side_count >= start and (side_count - start) % step == 0
 
     def allows(self, side_count: int) -> bool:
-        k = self.kind
-        if k is TileKind.ANY:
-            return True
-        if k is TileKind.TRIANGLES_ONLY:
-            return side_count == 3
-        if k is TileKind.NO_TRIANGLES:
-            return side_count != 3
-        if k is TileKind.ODD_ONLY:
-            return side_count % 2 == 1
-        if k is TileKind.EVEN_ONLY:
-            return side_count % 2 == 0
-        if side_count in self.sizes:
-            return True
-        return self.all_from is not None and side_count >= self.all_from
-
-    def finite_and_tail(self) -> tuple[tuple[int, ...], Optional[int]]:
-        """Canonical (sorted finite sizes below the tail, tail threshold)."""
-        if self.kind is not TileKind.CUSTOM:
-            raise InvalidTileSet("only CUSTOM rules carry explicit size data")
-        tail = self.all_from
-        finite = tuple(sorted(s for s in self.sizes if tail is None or s < tail))
-        return finite, tail
+        return side_count in self.sizes or self._in_tail(side_count, self.start, self.step)
 
     def label(self) -> str:
-        if self.kind is not TileKind.CUSTOM:
-            return self.kind.value
-        finite, tail = self.finite_and_tail()
-        parts = [str(s) for s in finite]
-        if tail is not None:
-            parts.append(f"{tail}+")
-        return "tiles(" + ",".join(parts) + ")"
+        """The rule as a tile spec, e.g. ``3,6+`` or ``4+2``."""
+        parts = [str(s) for s in self.sizes]
+        if self.start is not None:
+            parts.append(f"{self.start}+{self.step if self.step > 1 else ''}")
+        return ",".join(parts)
+
+    def generating_pair(self) -> tuple[Polynomial, Polynomial]:
+        """g(y) = sum of y^{s-2} over the allowed s, as (numerator, denominator).
+
+        The finite sizes give a polynomial; the tail adds y^{start-2}/(1-y^step).
+        """
+        one = Polynomial((1,))
+        finite = Polynomial(())
+        for s in self.sizes:
+            finite = finite + one.shifted(s - 2)
+        if self.start is None:
+            return finite, one
+        den = one - one.shifted(self.step)
+        return finite * den + one.shifted(self.start - 2), den
 
 
-ANY_TILES = TileRule(TileKind.ANY)
-TRIANGLES_ONLY = TileRule(TileKind.TRIANGLES_ONLY)
-NO_TRIANGLES = TileRule(TileKind.NO_TRIANGLES)
-ODD_ONLY = TileRule(TileKind.ODD_ONLY)
-EVEN_ONLY = TileRule(TileKind.EVEN_ONLY)
-
-
-def _size_generating_pair(rule: TileRule) -> tuple[Polynomial, Polynomial]:
-    """g(y) = sum_{s in S} y^{s-2} as a rational pair (numerator, denominator).
-
-    The arithmetic tails fold into geometric denominators: every size from
-    s0 up contributes y^{s0-2}/(1-y), the odd and even progressions
-    y^{1}/(1-y^2) and y^{2}/(1-y^2).
-    """
-    k = rule.kind
-    if k is TileKind.ANY:
-        return Polynomial((0, 1)), Polynomial((1, -1))
-    if k is TileKind.TRIANGLES_ONLY:
-        return Polynomial((0, 1)), Polynomial((1,))
-    if k is TileKind.NO_TRIANGLES:
-        return Polynomial((0, 0, 1)), Polynomial((1, -1))
-    if k is TileKind.ODD_ONLY:
-        return Polynomial((0, 1)), Polynomial((1, 0, -1))
-    if k is TileKind.EVEN_ONLY:
-        return Polynomial((0, 0, 1)), Polynomial((1, 0, -1))
-    finite, tail = rule.finite_and_tail()
-    finite_part = Polynomial(())
-    for s in finite:
-        finite_part = finite_part + Polynomial((1,)).shifted(s - 2)
-    if tail is None:
-        return finite_part, Polynomial((1,))
-    one_minus_y = Polynomial((1, -1))
-    num = finite_part * one_minus_y + Polynomial((1,)).shifted(tail - 2)
-    return num, one_minus_y
+ANY_TILES = TileRule(start=3)
+TRIANGLES_ONLY = TileRule({3})
+NO_TRIANGLES = TileRule(start=4)
+ODD_ONLY = TileRule(start=3, step=2)
+EVEN_ONLY = TileRule(start=4, step=2)
 
 
 def symbol_from_tile_rule(rule: TileRule) -> ReversiveSymbol:
@@ -246,9 +209,9 @@ def symbol_from_tile_rule(rule: TileRule) -> ReversiveSymbol:
     With g(y) = sum_{s in S} y^{s-2} = Ng/Dg this is
     alpha = F (Dg(F) - Ng(F)) / Dg(F).
     """
-    g_num, g_den = _size_generating_pair(rule)
+    g_num, g_den = rule.generating_pair()
     numerator = (g_den - g_num).shifted(1)
-    return ReversiveSymbol(rule.label(), numerator, g_den)
+    return ReversiveSymbol(f"tiles({rule.label()})", numerator, g_den)
 
 
 def _poly_series(p: Polynomial, precision: int) -> TruncatedSeries:
@@ -262,22 +225,42 @@ def expand(symbol: ReversiveSymbol, precision: int) -> TruncatedSeries:
     return num * den.reciprocal()
 
 
+@dataclass(frozen=True)
+class CatalogEntry:
+    """A shipped sequence and everything known about it.
+
+    ``rule`` is the tile rule the sequence counts; None means it counts
+    chord diagrams and is checked against the chord oracle instead.
+    ``closed_form`` evaluates the binomial sum for one n, which is defined
+    from ``closed_from`` on (1 where the 2-gon value is a boundary anomaly).
+    """
+
+    symbol: ReversiveSymbol
+    rule: Optional[TileRule]
+    closed_form: Callable[[int], int]
+    closed_from: int = 0
+
+
 # The six catalog entries.  Coefficient tuples are in increasing degree, so
-# e.g. schroeder is (F - 2F^2)/(1 - F).  Motzkin carries no tile rule: it
-# counts chord diagrams, not dissections, and is checked against the chord
-# oracle instead.
-_CATALOG: tuple[tuple[ReversiveSymbol, Optional[TileRule]], ...] = (
-    (ReversiveSymbol("trianglefree", Polynomial((0, 1, -1, -1)), Polynomial((1, -1))), NO_TRIANGLES),
-    (ReversiveSymbol("oddtiles", Polynomial((0, 1, -1, -1)), Polynomial((1, 0, -1))), ODD_ONLY),
-    (ReversiveSymbol("eventiles", Polynomial((0, 1, 0, -2)), Polynomial((1, 0, -1))), EVEN_ONLY),
-    (ReversiveSymbol("schroeder", Polynomial((0, 1, -2)), Polynomial((1, -1))), ANY_TILES),
-    (ReversiveSymbol("catalan", Polynomial((0, 1, -1)), Polynomial((1,))), TRIANGLES_ONLY),
-    (ReversiveSymbol("motzkin", Polynomial((0, 1, -1)), Polynomial((1, 0, 0, -1))), None),
+# e.g. schroeder is (F - 2F^2)/(1 - F).
+_CATALOG: tuple[CatalogEntry, ...] = (
+    CatalogEntry(ReversiveSymbol("trianglefree", Polynomial((0, 1, -1, -1)), Polynomial((1, -1))),
+                 NO_TRIANGLES, closed_forms.triangle_free_term),
+    CatalogEntry(ReversiveSymbol("oddtiles", Polynomial((0, 1, -1, -1)), Polynomial((1, 0, -1))),
+                 ODD_ONLY, closed_forms.odd_term, closed_from=1),
+    CatalogEntry(ReversiveSymbol("eventiles", Polynomial((0, 1, 0, -2)), Polynomial((1, 0, -1))),
+                 EVEN_ONLY, closed_forms.even_term),
+    CatalogEntry(ReversiveSymbol("schroeder", Polynomial((0, 1, -2)), Polynomial((1, -1))),
+                 ANY_TILES, closed_forms.schroeder_term),
+    CatalogEntry(ReversiveSymbol("catalan", Polynomial((0, 1, -1)), Polynomial((1,))),
+                 TRIANGLES_ONLY, closed_forms.catalan_term),
+    CatalogEntry(ReversiveSymbol("motzkin", Polynomial((0, 1, -1)), Polynomial((1, 0, 0, -1))),
+                 None, closed_forms.motzkin_term),
 )
 
 
-def catalog() -> list[tuple[ReversiveSymbol, Optional[TileRule]]]:
-    """The shipped symbols, each with its tile rule where one applies."""
+def catalog() -> list[CatalogEntry]:
+    """The shipped entries, in display order."""
     return list(_CATALOG)
 
 
@@ -303,7 +286,7 @@ def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
     n = len(terms) - 1
     a = TruncatedSeries(terms)
     xa = TruncatedSeries([0, *terms[:n]])
-    g_num, g_den = _size_generating_pair(rule)
+    g_num, g_den = rule.generating_pair()
     g = _poly_series(g_num, n).compose(xa) * _poly_series(g_den, n).compose(xa).reciprocal()
     rhs = TruncatedSeries.one(n) + a * g
     return rhs == a
@@ -353,42 +336,45 @@ def parse_symbol(text: str, default_name: str = "custom") -> ReversiveSymbol:
         raise ParseError(str(exc)) from None
 
 
+_SPEC_ENTRY = re.compile(r"(\d+)(\+(\d*))?")
 _RULE_KEYWORDS = {
-    "any": ANY_TILES,
-    "triangles": TRIANGLES_ONLY,
-    "notriangles": NO_TRIANGLES,
-    "odd": ODD_ONLY,
-    "even": EVEN_ONLY,
+    "any": "3+",
+    "triangles": "3",
+    "notriangles": "4+",
+    "odd": "3+2",
+    "even": "4+2",
 }
 
 
 def parse_tile_spec(text: str) -> TileRule:
-    """Parse a tile rule: a keyword, or ``3,5`` / ``4+`` / ``3,6+`` lists.
+    """Parse a tile rule: a keyword, or ``3,5`` / ``4+`` / ``3,6+`` / ``3+2`` lists.
 
-    A trailing ``+`` on the last entry means "and every larger size".
+    A ``k+`` on the last entry means "and every size from k on"; ``k+d``
+    means "and k, k+d, k+2d, ...".
     """
     spec = text.strip().lower()
     if not spec:
         raise ParseError("empty tile spec")
-    if spec in _RULE_KEYWORDS:
-        return _RULE_KEYWORDS[spec]
+    spec = _RULE_KEYWORDS.get(spec, spec)
     sizes: set[int] = set()
-    all_from: Optional[int] = None
+    start: Optional[int] = None
+    step = 1
     parts = spec.split(",")
     for idx, part in enumerate(parts):
         part = part.strip()
         if not part:
             raise ParseError(f"empty entry in tile spec {text!r}")
-        tail = part.endswith("+")
+        match = _SPEC_ENTRY.fullmatch(part)
+        if match is None:
+            raise ParseError(f"bad tile size {part!r}")
+        size, tail, tail_step = match.groups()
         if tail and idx != len(parts) - 1:
             raise ParseError("'+' is only allowed on the last entry")
-        digits = part[:-1] if tail else part
         try:
-            value = int(digits)
-        except ValueError:
+            if tail:
+                start, step = int(size), int(tail_step or 1)
+            else:
+                sizes.add(int(size))
+        except ValueError:  # more digits than int() accepts
             raise ParseError(f"bad tile size {part!r}") from None
-        if tail:
-            all_from = value
-        else:
-            sizes.add(value)
-    return TileRule.custom(sizes, all_from)
+    return TileRule(sizes, start, step)

@@ -13,15 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 from revsym import cli
-from revsym.closed_forms import (
-    DomainError,
-    catalan_term,
-    even_term,
-    motzkin_term,
-    odd_term,
-    schroeder_term,
-    triangle_free_term,
-)
+from revsym.closed_forms import DomainError, even_term, motzkin_term, odd_term
 from revsym.dissection_oracle import (
     count_by_series,
     count_chord_diagrams,
@@ -38,18 +30,10 @@ from revsym.symbols import (
     ReversiveSymbol,
     catalog,
     expand,
+    parse_tile_spec,
     verify_inverse,
     verify_tautological,
 )
-
-CLOSED = {
-    "trianglefree": triangle_free_term,
-    "oddtiles": odd_term,
-    "eventiles": even_term,
-    "schroeder": schroeder_term,
-    "catalan": catalan_term,
-    "motzkin": motzkin_term,
-}
 
 _cache: dict = {}
 
@@ -75,7 +59,7 @@ def criterion(num, desc):
 def test_criterion_1_lagrange_equals_direct_reversion():
     with criterion(1, "Lagrange terms = direct-reversion terms, n <= 100, all six symbols"):
         t0 = time.perf_counter()
-        for sym, _rule in catalog():
+        for sym in (e.symbol for e in catalog()):
             lag = terms_to(sym, 100)
             direct = revert_direct(expand(sym, 101))
             assert list(direct.coeffs) == [0] + lag, sym.name
@@ -84,13 +68,12 @@ def test_criterion_1_lagrange_equals_direct_reversion():
 
 def test_criterion_2_closed_forms_equal_reversion_to_200():
     with criterion(2, "closed-form term = reversion term, 1 <= n <= 200, all six sequences"):
-        for sym, _rule in catalog():
-            fn = CLOSED[sym.name]
-            rev = terms_to(sym, 200)
+        for e in catalog():
+            rev = terms_to(e.symbol, 200)
             for n in range(1, 201):
-                assert fn(n) == rev[n], (sym.name, n)
-            if sym.name != "oddtiles":
-                assert fn(0) == rev[0] == 1, sym.name
+                assert e.closed_form(n) == rev[n], (e.symbol.name, n)
+            if e.closed_from == 0:
+                assert e.closed_form(0) == rev[0] == 1, e.symbol.name
 
 
 ANCHORS = {
@@ -105,7 +88,8 @@ ANCHORS = {
 
 def test_criterion_3_exhaustive_oracle_triangle():
     with criterion(3, "enumeration = series counter = reversion for n <= 10, five rules"):
-        by_rule = {rule.kind.value: (sym, rule) for sym, rule in catalog() if rule is not None}
+        keyword_of = {parse_tile_spec(keyword): keyword for keyword in ANCHORS}
+        by_rule = {keyword_of[e.rule]: (e.symbol, e.rule) for e in catalog() if e.rule is not None}
         assert set(by_rule) == set(ANCHORS)
         for kind, (sym, rule) in by_rule.items():
             series = count_by_series(10, rule)
@@ -119,12 +103,12 @@ def test_criterion_3_exhaustive_oracle_triangle():
 
 def test_criterion_4_functional_identities():
     with criterion(4, "alpha(F(x)) = x at precision 101; tile equation at count 100; parity"):
-        for sym, rule in catalog():
-            terms = terms_to(sym, 100)
-            assert verify_inverse(sym, terms), sym.name
-            if rule is not None:
-                assert verify_tautological(rule, terms), sym.name
-        even_entry = next(sym for sym, _ in catalog() if sym.name == "eventiles")
+        for e in catalog():
+            terms = terms_to(e.symbol, 100)
+            assert verify_inverse(e.symbol, terms), e.symbol.name
+            if e.rule is not None:
+                assert verify_tautological(e.rule, terms), e.symbol.name
+        even_entry = next(e.symbol for e in catalog() if e.symbol.name == "eventiles")
         rev = terms_to(even_entry, 199)
         for n in range(1, 200, 2):
             assert even_term(n) == 0, n
@@ -145,12 +129,10 @@ def test_criterion_6_divisibility_and_integrality():
     with criterion(6, "every inner sum divides exactly; every reversion coefficient is integral"):
         # the evaluators and lagrange_coefficients raise on any violation,
         # so a clean sweep to n = 200 is the assertion
-        for sym, _rule in catalog():
-            fn = CLOSED[sym.name]
-            start = 1 if sym.name == "oddtiles" else 0
-            for n in range(start, 201):
-                fn(n)
-            terms_to(sym, 200)
+        for e in catalog():
+            for n in range(e.closed_from, 201):
+                e.closed_form(n)
+            terms_to(e.symbol, 200)
         # and the enforcement itself is live, not vacuous:
         with pytest.raises(DivisibilityViolation):
             exact_div(7, 2)
@@ -168,7 +150,7 @@ def test_criterion_7_boundary_anomaly_pinning():
         with pytest.raises(DomainError):
             odd_term(0)
         assert even_term(0) == 1
-        for sym, _rule in catalog():
+        for sym in (e.symbol for e in catalog()):
             assert terms_to(sym, 100)[0] == 1, sym.name
 
 
@@ -177,7 +159,7 @@ GOLDEN_CATALAN_6 = b"0 1\n1 1\n2 2\n3 5\n4 14\n5 42\n"
 
 def test_criterion_8_cli_contract(tmp_path, capsys):
     with criterion(8, "verify exits 0 on the catalog at count 20; catalan b-file is byte-exact"):
-        for sym, _rule in catalog():
+        for sym in (e.symbol for e in catalog()):
             rc = cli.main(["verify", sym.name, "--count", "20"])
             capsys.readouterr()
             assert rc == 0, sym.name

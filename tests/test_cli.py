@@ -1,10 +1,13 @@
 """CLI contract: output formats, exit statuses, config handling."""
 
+import dataclasses
+import time
+
 import pytest
 
-from revsym import cli
-from revsym.dissection_oracle import CapExceeded
-from revsym.symbols import TileRule, catalog
+from revsym import cli, symbols
+from revsym.dissection_oracle import CapExceeded, enumerate_count
+from revsym.symbols import TileRule, catalog, parse_tile_spec
 
 
 def run(capsys, *argv):
@@ -28,7 +31,7 @@ class TestList:
         rc, out, _ = run(capsys, "list")
         assert rc == 0
         parsed = [parse_symbol(line) for line in out.strip().splitlines()]
-        assert parsed == [sym for sym, _ in catalog()]
+        assert parsed == [e.symbol for e in catalog()]
 
 
 class TestTerms:
@@ -68,13 +71,13 @@ class TestTerms:
         assert "tile rule" in err
 
     def test_reversion_and_series_agree_on_catalog(self, capsys):
-        for sym, rule in catalog():
-            if rule is None:
+        for e in catalog():
+            if e.rule is None:
                 continue
-            rc1, out1, _ = run(capsys, "terms", sym.name, "--count", "100", "--method", "reversion")
-            rc2, out2, _ = run(capsys, "terms", sym.name, "--count", "100", "--method", "series")
+            rc1, out1, _ = run(capsys, "terms", e.symbol.name, "--count", "100", "--method", "reversion")
+            rc2, out2, _ = run(capsys, "terms", e.symbol.name, "--count", "100", "--method", "series")
             assert rc1 == rc2 == 0
-            assert out1 == out2, sym.name
+            assert out1 == out2, e.symbol.name
 
 
 class TestVerify:
@@ -101,7 +104,11 @@ class TestVerify:
         assert "unknown sequence" in err
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._CLOSED_FORMS, "catalan", lambda n: 999)
+        patched = tuple(
+            dataclasses.replace(e, closed_form=lambda n: 999) if e.symbol.name == "catalan" else e
+            for e in symbols._CATALOG
+        )
+        monkeypatch.setattr(symbols, "_CATALOG", patched)
         rc, out, _ = run(capsys, "verify", "catalan", "--count", "4")
         assert rc == 1
         assert "MISMATCH at n=0: closed=999" in out
@@ -132,14 +139,35 @@ class TestFromTiles:
         assert [line.split()[1] for line in lines[1:]] == ["1", "1", "2", "5", "14", "42"]
 
     def test_quadrilaterals_only_matches_exhaustive(self, capsys):
-        from revsym.dissection_oracle import enumerate_count
-
         rc, out, _ = run(capsys, "from-tiles", "4", "--count", "8")
         assert rc == 0
         lines = out.splitlines()
         assert lines[0] == "(0,1,0,-1)/(1)"
         values = [int(line.split()[1]) for line in lines[1:]]
-        assert values == [enumerate_count(n, TileRule.custom({4})) for n in range(8)]
+        assert values == [enumerate_count(n, TileRule({4})) for n in range(8)]
+
+    def test_stepped_tail_matches_exhaustive(self, capsys):
+        rc, out, _ = run(capsys, "from-tiles", "3+3", "--count", "9")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "(0,1,-1,0,-1)/(1,0,0,-1)"
+        values = [int(line.split()[1]) for line in lines[1:]]
+        assert values == [enumerate_count(n, parse_tile_spec("3+3")) for n in range(9)]
+
+    @pytest.mark.parametrize("spec", ["3,1000000000", "1000000000+", "3+1000000000"])
+    def test_oversized_tile_refused_quickly(self, capsys, spec):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "from-tiles", spec, "--count", "5")
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert out == ""
+        assert "1000000000" in err
+
+    def test_largest_useful_size_accepted(self, capsys):
+        # a 6-gon (n = 4, the last of five terms) is one hexagonal tile
+        rc, out, _ = run(capsys, "from-tiles", "6", "--count", "5")
+        assert rc == 0
+        assert out.splitlines()[1:] == ["0 1", "1 0", "2 0", "3 0", "4 1"]
 
     def test_bad_spec_exits_2(self, capsys):
         for spec in ("x", "2", "3+,5"):

@@ -126,29 +126,17 @@ class TestMotzkin:
             assert motzkin_term(p) == count_chord_diagrams(p)
 
 
-_TERMS = {
-    "trianglefree": triangle_free_term,
-    "oddtiles": odd_term,
-    "eventiles": even_term,
-    "schroeder": schroeder_term,
-    "catalan": catalan_term,
-    "motzkin": motzkin_term,
-}
-
-
 class TestAgainstReversion:
     def test_agreement_to_sixty(self):
-        for sym, _rule in catalog():
-            fn = _TERMS[sym.name]
-            reversion = lagrange_coefficients(sym, 60)
-            start = 1 if sym.name == "oddtiles" else 0
-            for n in range(start, 61):
-                assert fn(n) == reversion[n], (sym.name, n)
+        for entry in catalog():
+            reversion = lagrange_coefficients(entry.symbol, 60)
+            for n in range(entry.closed_from, 61):
+                assert entry.closed_form(n) == reversion[n], (entry.symbol.name, n)
 
     def test_negative_index_rejected_everywhere(self):
-        for fn in _TERMS.values():
+        for entry in catalog():
             with pytest.raises(DomainError):
-                fn(-1)
+                entry.closed_form(-1)
 
 
 def _tf_sum(n, upper):

@@ -1,6 +1,7 @@
 """Exhaustive enumeration, tile extraction, series counter, chord oracle."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revsym.dissection_oracle import (
     CapExceeded,
@@ -20,9 +21,18 @@ from revsym.symbols import (
     ODD_ONLY,
     TRIANGLES_ONLY,
     TileRule,
+    symbol_from_tile_rule,
 )
+from revsym.power_series import lagrange_coefficients
 
-ALL_RULES = [ANY_TILES, TRIANGLES_ONLY, NO_TRIANGLES, ODD_ONLY, EVEN_ONLY]
+KEYWORD_RULES = {
+    "any": ANY_TILES,
+    "triangles": TRIANGLES_ONLY,
+    "notriangles": NO_TRIANGLES,
+    "odd": ODD_ONLY,
+    "even": EVEN_ONLY,
+}
+ALL_RULES = list(KEYWORD_RULES.values())
 
 
 def _crossing_by_coordinates(p, q, n):
@@ -179,21 +189,43 @@ class TestCountBySeries:
         for rule in ALL_RULES:
             assert count_by_series(0, rule) == [1]
 
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.kind.value)
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=list(KEYWORD_RULES))
     def test_matches_enumeration_to_seven(self, rule):
         series = count_by_series(7, rule)
         for n in range(8):
             assert series[n] == enumerate_count(n, rule)
 
     def test_custom_rule_matches_enumeration(self):
-        rule = TileRule.custom({4})
+        rule = TileRule({4})
         series = count_by_series(7, rule)
         assert series == [enumerate_count(n, rule) for n in range(8)]
 
     def test_custom_tail_rule_matches_enumeration(self):
-        rule = TileRule.custom({3}, all_from=6)
+        rule = TileRule({3}, start=6)
         series = count_by_series(7, rule)
         assert series == [enumerate_count(n, rule) for n in range(8)]
+
+    def test_stepped_tail_rule_matches_enumeration(self):
+        rule = TileRule({4}, start=3, step=3)
+        series = count_by_series(7, rule)
+        assert series == [enumerate_count(n, rule) for n in range(8)]
+
+
+@st.composite
+def tile_rules(draw):
+    """Random rules: up to four sizes in 3..9, plus an optional tail."""
+    start = draw(st.none() | st.integers(3, 9))
+    sizes = draw(st.frozensets(st.integers(3, 9), min_size=0 if start else 1, max_size=4))
+    return TileRule(sizes, start, draw(st.integers(1, 3)))
+
+
+class TestRandomRules:
+    @settings(max_examples=200, deadline=None)
+    @given(tile_rules())
+    def test_reversion_series_and_enumeration_agree(self, rule):
+        series = count_by_series(30, rule)
+        assert lagrange_coefficients(symbol_from_tile_rule(rule), 30) == series
+        assert series[:7] == [enumerate_count(n, rule) for n in range(7)]
 
 
 class TestChordDiagrams:

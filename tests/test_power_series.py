@@ -126,9 +126,9 @@ class TestArithmetic:
 
 
 def _catalog_symbol(name):
-    for sym, rule in catalog():
-        if sym.name == name:
-            return sym
+    for entry in catalog():
+        if entry.symbol.name == name:
+            return entry.symbol
     raise KeyError(name)
 
 
@@ -154,13 +154,13 @@ class TestLagrange:
         assert lagrange_coefficients(_catalog_symbol("eventiles"), 6) == expected
 
     def test_n_zero_gives_single_term(self):
-        for sym, _Rule in catalog():
+        for sym in (entry.symbol for entry in catalog()):
             assert lagrange_coefficients(sym, 0) == [1]
 
     def test_incremental_equals_naive_route(self):
         # the incremental-product optimization must be bit-identical to
         # re-expanding (t/alpha)^n per n by repeated squaring
-        for sym, _rule in catalog():
+        for sym in (entry.symbol for entry in catalog()):
             assert lagrange_coefficients(sym, 25) == _lagrange_coefficients_naive(sym, 25)
 
     def test_non_integer_coefficient_raises(self):
@@ -192,14 +192,14 @@ class TestRevertDirect:
 
     def test_matches_lagrange_shifted_by_one(self):
         n = 40
-        for sym, _rule in catalog():
+        for sym in (entry.symbol for entry in catalog()):
             terms = lagrange_coefficients(sym, n - 1)
             g = revert_direct(expand(sym, n))
             assert list(g.coeffs) == [0] + terms
 
     def test_round_trip_composition(self):
         n = 40
-        for sym, _rule in catalog():
+        for sym in (entry.symbol for entry in catalog()):
             alpha = expand(sym, n)
             assert alpha.compose(revert_direct(alpha)) == TS.identity(n)
 

@@ -14,7 +14,6 @@ from revsym.symbols import (
     ParseError,
     Polynomial,
     ReversiveSymbol,
-    TileKind,
     TileRule,
     catalog,
     expand,
@@ -28,9 +27,9 @@ from revsym.symbols import (
 
 
 def entry(name):
-    for sym, rule in catalog():
-        if sym.name == name:
-            return sym, rule
+    for e in catalog():
+        if e.symbol.name == name:
+            return e.symbol, e.rule
     raise KeyError(name)
 
 
@@ -56,7 +55,7 @@ class TestCatalog:
         assert len(catalog()) == 6
 
     def test_names_in_order(self):
-        names = [sym.name for sym, _ in catalog()]
+        names = [e.symbol.name for e in catalog()]
         assert names == ["trianglefree", "oddtiles", "eventiles", "schroeder", "catalan", "motzkin"]
 
     def test_catalan_symbol(self):
@@ -115,19 +114,19 @@ class TestSymbolInvariants:
 
 
 class TestTileRule:
-    def test_named_kinds_reject_size_data(self):
-        with pytest.raises(InvalidTileSet):
-            TileRule(TileKind.ANY, frozenset({3}))
-
     def test_custom_requires_some_size(self):
         with pytest.raises(InvalidTileSet):
-            TileRule.custom()
+            TileRule()
 
     def test_custom_rejects_small_sizes(self):
         with pytest.raises(InvalidTileSet):
-            TileRule.custom({2, 4})
+            TileRule({2, 4})
         with pytest.raises(InvalidTileSet):
-            TileRule.custom({4}, all_from=2)
+            TileRule({4}, start=2)
+
+    def test_rejects_zero_step(self):
+        with pytest.raises(InvalidTileSet):
+            TileRule(start=3, step=0)
 
     def test_allows(self):
         assert ANY_TILES.allows(3) and ANY_TILES.allows(17)
@@ -135,13 +134,22 @@ class TestTileRule:
         assert NO_TRIANGLES.allows(4) and not NO_TRIANGLES.allows(3)
         assert ODD_ONLY.allows(5) and not ODD_ONLY.allows(6)
         assert EVEN_ONLY.allows(6) and not EVEN_ONLY.allows(5)
-        custom = TileRule.custom({3}, all_from=6)
+        custom = TileRule({3}, start=6)
         assert custom.allows(3) and not custom.allows(4)
         assert custom.allows(6) and custom.allows(11)
+        stepped = TileRule({4}, start=3, step=3)
+        assert stepped.allows(4) and stepped.allows(9) and not stepped.allows(7)
 
     def test_finite_and_tail_folds_overlap(self):
-        rule = TileRule.custom({5, 4, 9}, all_from=6)
-        assert rule.finite_and_tail() == ((4, 5), 6)
+        rule = TileRule({5, 3, 9}, start=7)
+        assert (rule.sizes, rule.start, rule.step) == ((3, 5), 7, 1)
+
+    @pytest.mark.parametrize("rule", [
+        ANY_TILES, TRIANGLES_ONLY, NO_TRIANGLES, ODD_ONLY, EVEN_ONLY,
+        TileRule({3, 5}), TileRule({3}, start=6), TileRule({4}, start=3, step=3),
+    ], ids=lambda r: r.label())
+    def test_label_round_trips_through_spec(self, rule):
+        assert parse_tile_spec(rule.label()) == rule
 
 
 class TestSynthesis:
@@ -161,17 +169,17 @@ class TestSynthesis:
         assert sym.denominator.coeffs == (1,)
 
     def test_single_custom_size(self):
-        sym = symbol_from_tile_rule(TileRule.custom({4}))
+        sym = symbol_from_tile_rule(TileRule({4}))
         assert sym.numerator.coeffs == (0, 1, 0, -1)
         assert sym.denominator.coeffs == (1,)
 
     def test_matches_catalog_after_cross_multiplication(self):
         # P1 Q2 == P2 Q1 identifies equal rational functions
-        for sym, rule in catalog():
-            if rule is None:
+        for e in catalog():
+            if e.rule is None:
                 continue
-            built = symbol_from_tile_rule(rule)
-            assert built.numerator * sym.denominator == sym.numerator * built.denominator
+            built = symbol_from_tile_rule(e.rule)
+            assert built.numerator * e.symbol.denominator == e.symbol.numerator * built.denominator
 
     def test_output_satisfies_symbol_invariants(self):
         rules = [
@@ -180,10 +188,11 @@ class TestSynthesis:
             NO_TRIANGLES,
             ODD_ONLY,
             EVEN_ONLY,
-            TileRule.custom({4}),
-            TileRule.custom({3, 7}),
-            TileRule.custom({5}, all_from=9),
-            TileRule.custom((), all_from=3),
+            TileRule({4}),
+            TileRule({3, 7}),
+            TileRule({5}, start=9),
+            TileRule(start=3),
+            TileRule({4}, start=3, step=3),
         ]
         for rule in rules:
             sym = symbol_from_tile_rule(rule)  # constructor re-checks invariants
@@ -192,7 +201,7 @@ class TestSynthesis:
             assert sym.numerator.coeff(1) == sym.denominator.coeff(0)
 
     def test_custom_tail_reconstructs_triangle_free(self):
-        sym = symbol_from_tile_rule(TileRule.custom((), all_from=4))
+        sym = symbol_from_tile_rule(TileRule(start=4))
         ref, _ = entry("trianglefree")
         assert sym.numerator == ref.numerator
         assert sym.denominator == ref.denominator
@@ -212,7 +221,7 @@ class TestExpand:
         assert expand(sym, 5) == TruncatedSeries([0, 1, 0, -1, 0, -1])
 
     def test_expansion_starts_with_unit_slope(self):
-        for sym, _rule in catalog():
+        for sym in (e.symbol for e in catalog()):
             s = expand(sym, 6)
             assert s[0] == 0 and s[1] == 1
 
@@ -246,16 +255,16 @@ class TestVerifiers:
         assert not verify_tautological(ANY_TILES, [1, 1, 3, 11, 46])
 
     def test_all_catalog_symbols_verify_at_depth_sixty(self):
-        for sym, rule in catalog():
-            terms = lagrange_coefficients(sym, 60)
-            assert verify_inverse(sym, terms), sym.name
-            if rule is not None:
-                assert verify_tautological(rule, terms), sym.name
+        for e in catalog():
+            terms = lagrange_coefficients(e.symbol, 60)
+            assert verify_inverse(e.symbol, terms), e.symbol.name
+            if e.rule is not None:
+                assert verify_tautological(e.rule, terms), e.symbol.name
 
     def test_custom_rule_closes_the_loop(self):
         # synthesized symbol, reversion terms, exhaustive counts and the
         # tile equation must all tell the same story
-        rule = TileRule.custom({3}, all_from=6)
+        rule = TileRule({3}, start=6)
         sym = symbol_from_tile_rule(rule)
         terms = lagrange_coefficients(sym, 7)
         assert terms == [enumerate_count(n, rule) for n in range(8)]
@@ -265,12 +274,12 @@ class TestVerifiers:
 
 class TestTextFormat:
     def test_format_known_entries(self):
-        texts = [format_symbol(sym) for sym, _ in catalog()]
+        texts = [format_symbol(e.symbol) for e in catalog()]
         assert "catalan: (0,1,-1)/(1)" in texts
         assert "schroeder: (0,1,-2)/(1,-1)" in texts
 
     def test_round_trip_all_catalog_symbols(self):
-        for sym, _ in catalog():
+        for sym in (e.symbol for e in catalog()):
             assert parse_symbol(format_symbol(sym)) == sym
 
     def test_parse_bare_symbol(self):
@@ -307,16 +316,41 @@ class TestTileSpecParsing:
         assert parse_tile_spec("odd") == ODD_ONLY
         assert parse_tile_spec("EVEN") == EVEN_ONLY
 
+    @pytest.mark.parametrize("keyword, spec", [
+        ("any", "3+"), ("triangles", "3"), ("notriangles", "4+"), ("odd", "3+2"), ("even", "4+2"),
+    ])
+    def test_keyword_equals_its_spec(self, keyword, spec):
+        assert parse_tile_spec(keyword) == parse_tile_spec(spec)
+
     def test_tail_spec(self):
-        assert parse_tile_spec("4+") == TileRule.custom((), all_from=4)
+        assert parse_tile_spec("4+") == TileRule(start=4)
 
     def test_list_spec(self):
-        assert parse_tile_spec("3,5") == TileRule.custom({3, 5})
+        assert parse_tile_spec("3,5") == TileRule({3, 5})
 
     def test_list_with_tail(self):
-        assert parse_tile_spec("3,6+") == TileRule.custom({3}, all_from=6)
+        assert parse_tile_spec("3,6+") == TileRule({3}, start=6)
 
-    @pytest.mark.parametrize("text", ["", "3,,5", "3+,5", "x", "3;5"])
+    def test_stepped_tail(self):
+        assert parse_tile_spec("4,3+3") == TileRule({4}, start=3, step=3)
+        assert parse_tile_spec("3+1") == ANY_TILES
+
+    @pytest.mark.parametrize("spec, equal", [
+        ("3,5,4+", "3+"),
+        ("4,6+2", "4+2"),
+        ("5,3,7+2", "odd"),
+        ("6,4,5,7+", "4+"),
+        ("5,3", "3,5"),
+    ])
+    def test_canonical_equality(self, spec, equal):
+        assert parse_tile_spec(spec) == parse_tile_spec(equal)
+
+    def test_canonical_equality_with_constructor(self):
+        assert parse_tile_spec("3,5,4+") == TileRule({3}, start=4)
+        assert parse_tile_spec("4,7+2") == TileRule({4, 7}, start=9, step=2) != TileRule(start=4, step=2)
+        assert TileRule({3}, step=5) == TRIANGLES_ONLY
+
+    @pytest.mark.parametrize("text", ["", "3,,5", "3+,5", "x", "3;5", "3+x", "3++2", "3+2,5"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             parse_tile_spec(text)
