@@ -5,7 +5,8 @@ machinery so it can serve as an oracle for it:
 
 * :func:`enumerate_count` literally generates every non-crossing diagonal
   set of the labelled (n+2)-gon by backtracking and keeps those whose
-  tiles all satisfy a rule.  Exponential; capped at desk scale.
+  tiles all satisfy a rule.  Faces are vertex bitmasks, split as each
+  diagonal is added.  Exponential; capped at desk scale.
 * :func:`count_by_series` iterates the self-referential tile equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} to a fixed point on truncated
   integer series.  Polynomial time; the fast path.  It takes the size sum
@@ -22,7 +23,7 @@ as diagonal sets, with no quotient by rotation or reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .symbols import TileRule
 
@@ -51,6 +52,11 @@ class CapExceeded(ValueError):
 def _crosses(a: int, b: int, c: int, d: int) -> bool:
     """Open-interior crossing of chords {a,b}, {c,d} with a<b, c<d."""
     return a < c < b < d or c < a < d < b
+
+
+def _touches_or_crosses(a: int, b: int, c: int, d: int) -> bool:
+    """Chords {a,b}, {c,d} share an endpoint or cross in the interior."""
+    return a in (c, d) or b in (c, d) or _crosses(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -148,12 +154,15 @@ def _candidate_diagonals(n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _conflict_masks(cands: list[tuple[int, int]]) -> list[int]:
+def _conflict_masks(
+    cands: list[tuple[int, int]], clash: Callable[[int, int, int, int], bool]
+) -> list[int]:
+    """Per candidate, the bitmask of candidates it may not be chosen with."""
     masks = [0] * len(cands)
     for x, (a, b) in enumerate(cands):
         for y in range(x + 1, len(cands)):
             c, d = cands[y]
-            if _crosses(a, b, c, d):
+            if clash(a, b, c, d):
                 masks[x] |= 1 << y
                 masks[y] |= 1 << x
     return masks
@@ -166,7 +175,7 @@ def iter_dissections(n: int, cap: int = DEFAULT_DISSECTION_CAP) -> Iterator[Diss
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
     cands = _candidate_diagonals(n)
-    conflict = _conflict_masks(cands)
+    conflict = _conflict_masks(cands, _crosses)
     chosen: list[tuple[int, int]] = []
 
     def rec(start: int, avail: int) -> Iterator[Dissection]:
@@ -188,9 +197,12 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
 
     Backtracks over candidate diagonals in lexicographic order, pruning with
     precomputed crossing masks; tiles are maintained incrementally (adding a
-    diagonal splits exactly one face in two).  The undissected polygon
-    counts iff n+2 itself satisfies the rule; n = 0 returns 1 by convention
-    since the 2-gon has no tiles to test.
+    diagonal splits exactly one face in two).  A face is the bitmask of its
+    vertices: the face holding diagonal (a, b) is the one that has both
+    ends, its part on the a..b side keeps the vertices a..b, the other part
+    drops a+1..b-1, and a face's side count is its bit count.  The
+    undissected polygon counts iff n+2 itself satisfies the rule; n = 0
+    returns 1 by convention since the 2-gon has no tiles to test.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -199,63 +211,38 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
     cands = _candidate_diagonals(n)
-    conflict = _conflict_masks(cands)
-    full = (1 << len(cands)) - 1
-    ok = [False] * (n + 3)
-    for s in range(3, n + 3):
-        ok[s] = rule.allows(s)
+    conflict = _conflict_masks(cands, _crosses)
+    ends = [1 << a | 1 << b for a, b in cands]
+    inside = [(1 << b + 1) - (1 << a) for a, b in cands]
+    outside = [~((1 << b) - (1 << a + 1)) for a, b in cands]
+    # bad[s] is 1 where the rule forbids s-sided tiles; nbad counts such faces
+    bad = [0] * 3 + [0 if rule.allows(s) else 1 for s in range(3, n + 3)]
+    faces = [(1 << n + 2) - 1]
 
-    if all(ok[3:]):
-        # every size up to n+2 allowed, so no tile predicate to track:
-        # just count non-crossing subsets
-        total = 0
-
-        def rec_any(start: int, avail: int) -> None:
-            nonlocal total
-            total += 1
-            x = avail >> start << start
-            while x:
-                low = x & -x
-                i = low.bit_length() - 1
-                x ^= low
-                rec_any(i + 1, avail & ~conflict[i])
-
-        rec_any(0, full)
-        return total
-
-    tiles: list[tuple[int, ...]] = [tuple(range(n + 2))]
-    total = 0
-
-    def rec(start: int, avail: int, nbad: int) -> None:
-        nonlocal total
-        if nbad == 0:
-            total += 1
+    def rec(start: int, avail: int, nbad: int) -> int:
+        count = 0 if nbad else 1
         x = avail >> start << start
         while x:
             low = x & -x
             i = low.bit_length() - 1
             x ^= low
-            a, b = cands[i]
             # a compatible diagonal lies inside exactly one current face
-            for ti, t in enumerate(tiles):
-                if a in t and b in t:
-                    break
-            ia = t.index(a)
-            ib = t.index(b)
-            if ia > ib:
-                ia, ib = ib, ia
-            t1 = t[ia:ib + 1]
-            t2 = t[ib:] + t[:ia + 1]
-            # bad-tile count change, with ok[] as 0/1
-            delta = ok[len(t)] - ok[len(t1)] - ok[len(t2)] + 1
-            tiles[ti] = t1
-            tiles.append(t2)
-            rec(i + 1, avail & ~conflict[i], nbad + delta)
-            tiles.pop()
-            tiles[ti] = t
+            e = ends[i]
+            j = 0
+            while faces[j] & e != e:
+                j += 1
+            f = faces[j]
+            f1 = f & inside[i]
+            f2 = f & outside[i]
+            faces[j] = f1
+            faces.append(f2)
+            count += rec(i + 1, avail & ~conflict[i],
+                         nbad - bad[f.bit_count()] + bad[f1.bit_count()] + bad[f2.bit_count()])
+            faces.pop()
+            faces[j] = f
+        return count
 
-    rec(0, full, 0 if ok[n + 2] else 1)
-    return total
+    return rec(0, (1 << len(cands)) - 1, bad[n + 2])
 
 
 # --- series counter ------------------------------------------------------
@@ -334,14 +321,7 @@ def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:
     if p > cap:
         raise CapExceeded(f"p = {p} exceeds the exhaustive cap {cap}")
     cands = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    m = len(cands)
-    conflict = [0] * m
-    for x, (a, b) in enumerate(cands):
-        for y in range(x + 1, m):
-            c, d = cands[y]
-            if a in (c, d) or b in (c, d) or _crosses(a, b, c, d):
-                conflict[x] |= 1 << y
-                conflict[y] |= 1 << x
+    conflict = _conflict_masks(cands, _touches_or_crosses)
     total = 0
 
     def rec(start: int, avail: int) -> None:
@@ -354,7 +334,7 @@ def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:
             x ^= low
             rec(i + 1, avail & ~conflict[i])
 
-    rec(0, (1 << m) - 1)
+    rec(0, (1 << len(cands)) - 1)
     return total
 
 

@@ -86,21 +86,9 @@ def _recip_raw(q: Sequence[Coeff], n: int) -> list[Coeff]:
     q0 = q[0]
     if q0 == 0:
         raise NonUnitSeries("reciprocal requires a nonzero constant term")
-    out: list[Coeff]
-    if q0 == 1 or q0 == -1:
-        # unit constant term: everything stays in the ground ring
-        out = [0] * (n + 1)
-        out[0] = q0
-        for m in range(1, n + 1):
-            s = 0
-            for k in range(1, min(m, len(q) - 1) + 1):
-                qk = q[k]
-                if qk:
-                    s += qk * out[m - k]
-            out[m] = -s * q0
-        return out
-    inv = Fraction(1, 1) / q0
-    out = [0] * (n + 1)
+    # a unit constant term is its own inverse, so everything stays in the ground ring
+    inv: Coeff = q0 if q0 in (1, -1) else Fraction(1, q0)
+    out: list[Coeff] = [0] * (n + 1)
     out[0] = inv
     for m in range(1, n + 1):
         s = 0

@@ -33,6 +33,7 @@ KEYWORD_RULES = {
     "even": EVEN_ONLY,
 }
 ALL_RULES = list(KEYWORD_RULES.values())
+CUSTOM_RULES = [TileRule({4}), TileRule({3}, start=6), TileRule({4}, start=3, step=3)]
 
 
 def _crossing_by_coordinates(p, q, n):
@@ -114,6 +115,7 @@ class TestEnumeratorInvariants:
     def test_bookkeeping_and_crossing_soundness(self, n):
         seen = set()
         count = 0
+        sizes = []
         for d in iter_dissections(n):
             count += 1
             assert d.diagonals not in seen, "duplicate dissection"
@@ -126,7 +128,12 @@ class TestEnumeratorInvariants:
             m = len(diags)
             assert len(tiles) == m + 1
             assert sum(t.side_count for t in tiles) == (n + 2) + 2 * m
+            sizes.append({t.side_count for t in tiles})
         assert count == enumerate_count(n, ANY_TILES)
+        # the bitmask walk against the tuple faces of tiles_of, rule by rule
+        for rule in ALL_RULES + CUSTOM_RULES:
+            expected = sum(1 for used in sizes if all(rule.allows(s) for s in used))
+            assert enumerate_count(n, rule) == expected, rule.label()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_catalan_counts_maximal_diagonal_sets(self, n):
