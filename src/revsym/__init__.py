@@ -2,9 +2,13 @@
 
 A reversive symbol is a small rational function alpha(F) whose compositional
 inverse, divided by x, generates a dissection-counting sequence.  The package
-computes such sequences four independent ways (Lagrange inversion, direct
-series reversion, closed binomial sums, and brute-force enumeration) and
-cross-checks them against each other.
+computes such sequences five ways (Lagrange inversion, direct series
+reversion, closed binomial sums, the tile-equation series counter, and
+brute-force enumeration) and cross-checks them against each other.  The
+three series routes share the exact product, reciprocal and composition
+kernels of :mod:`revsym.power_series`; the closed forms, the two brute-force
+counters and the benchmark's own counter (``perfbench/reference.py``) use
+none of them.
 """
 
 from .closed_forms import (

@@ -1,20 +1,25 @@
 """Ground-truth combinatorics for restricted polygon dissections.
 
-Everything here is deliberately independent of the series-reversion
-machinery so it can serve as an oracle for it:
+Three counters that check the series-reversion routes from other sides:
 
 * :func:`enumerate_count` literally generates every non-crossing diagonal
   set of the labelled (n+2)-gon by backtracking and keeps those whose
   tiles all satisfy a rule.  Faces are vertex bitmasks, split as each
-  diagonal is added.  Exponential; capped at desk scale.
+  diagonal is added.  Exponential; capped at desk scale.  It uses no
+  series arithmetic at all.
 * :func:`count_by_series` iterates the self-referential tile equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} to a fixed point on truncated
-  integer series.  Polynomial time; the fast path.  It takes the size sum
-  from :meth:`TileRule.generating_pair`, the same pair symbol synthesis
-  uses, so enumeration for n <= cap is what checks that pair.
+  integer series.  Polynomial time; the fast path.  It is a different
+  algorithm from reversion but runs on the same product, reciprocal and
+  composition kernels as :mod:`power_series`; the two algorithms feed the
+  kernels different operands, so a kernel defect makes them disagree, and
+  the enumeration checks both.  It takes the size sum from
+  :meth:`TileRule.generating_pair`, the same pair symbol synthesis uses,
+  so enumeration for n <= cap is what checks that pair.
 * :func:`count_chord_diagrams` exhaustively counts placements of pairwise
   disjoint chords (no shared endpoints, no crossings) on labelled circle
-  points, the model behind the motzkin entry.
+  points, the model behind the motzkin entry.  It too uses no series
+  arithmetic.
 
 Vertices are labelled 0..n+1 in convex position; dissections are distinct
 as diagonal sets, with no quotient by rotation or reflection.
@@ -25,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from .power_series import _compose_raw, _conv, _recip_raw
 from .symbols import TileRule
 
 __all__ = [
@@ -245,46 +251,6 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
     return rec(0, (1 << len(cands)) - 1, bad[n + 2])
 
 
-# --- series counter ------------------------------------------------------
-#
-# Independent integer-series kernels (not shared with power_series): this
-# route is meant to cross-check the reversion machinery, so it brings its
-# own arithmetic.  Only the rule's generating pair is shared with symbols.
-
-def _iconv(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > n:
-            continue
-        hi = min(n - i, len(b) - 1)
-        for j in range(hi + 1):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
-def _irecip_unit(q: list[int], n: int) -> list[int]:
-    # requires q[0] == 1, which holds for every rule denominator (1 or 1 - y^step)
-    out = [0] * (n + 1)
-    out[0] = 1
-    for m in range(1, n + 1):
-        s = 0
-        for k in range(1, min(m, len(q) - 1) + 1):
-            if q[k]:
-                s += q[k] * out[m - k]
-        out[m] = -s
-    return out
-
-
-def _ieval_poly(p: list[int], y: list[int], n: int) -> list[int]:
-    res = [0] * (n + 1)
-    res[0] = p[-1]
-    for c in reversed(p[:-1]):
-        res = _iconv(res, y, n)
-        res[0] += c
-    return res
-
-
 def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     """Coefficients a_0..a_{n_max} from the tile equation's fixed point.
 
@@ -296,14 +262,15 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    g_num, g_den = (list(p.coeffs) for p in rule.generating_pair())
+    g_num, g_den = (p.coeffs for p in rule.generating_pair())
     a = [1]
     for k in range(1, n_max + 1):
         xa = [0] + a[:k]
-        num_y = _ieval_poly(g_num, xa, k)
-        den_y = _ieval_poly(g_den, xa, k)
-        weight = _iconv(num_y, _irecip_unit(den_y, k), k)
-        nxt = _iconv(a, weight, k)
+        num_y = _compose_raw(g_num, xa, k)
+        den_y = _compose_raw(g_den, xa, k)
+        # den_y[0] == 1 (every rule denominator is 1 or 1 - y^step), so this stays in int
+        weight = _conv(num_y, _recip_raw(den_y, k), k)
+        nxt = _conv(a, weight, k)
         nxt[0] += 1
         a = nxt
     return a

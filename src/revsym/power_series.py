@@ -22,6 +22,7 @@ Two independent reversion routes are provided:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -124,10 +125,11 @@ def _compose_raw(outer: Sequence[Coeff], inner: Sequence[Coeff], n: int) -> list
     return res
 
 
+@dataclass(frozen=True, slots=True)
 class TruncatedSeries:
     """Immutable truncated power series c_0 + c_1 x + ... + c_N x^N."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Coeff, ...]
 
     def __init__(self, coeffs: Iterable[Coeff]):
         cs = tuple(_norm(c) for c in coeffs)
@@ -163,14 +165,6 @@ class TruncatedSeries:
         if precision > self.precision:
             raise ValueError("cannot extend a series beyond its known precision")
         return TruncatedSeries(self.coeffs[: precision + 1])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import closed_forms
-from .power_series import TruncatedSeries
+from .power_series import TruncatedSeries, _conv
 
 __all__ = [
     "Polynomial",
@@ -96,12 +96,7 @@ class Polynomial:
     def __mul__(self, other: Polynomial) -> Polynomial:
         if self.is_zero() or other.is_zero():
             return Polynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(_conv(self.coeffs, other.coeffs, self.degree + other.degree))
 
     def shifted(self, k: int) -> Polynomial:
         """Multiply by y^k."""

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from revsym import cli, symbols
+from revsym import cli, dissection_oracle, power_series, symbols
 from revsym.dissection_oracle import CapExceeded, enumerate_count
 from revsym.symbols import TileRule, catalog, parse_tile_spec
 
@@ -14,6 +14,25 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _break_shared_conv(monkeypatch):
+    """Patch the one product kernel, wherever it is bound, with a defect.
+
+    The defect adds 2520 = lcm(1..10) to the top coefficient from degree 6
+    on, so every Lagrange division by n <= 10 stays exact and only the
+    cross-checks can catch it.
+    """
+    real = power_series._conv
+
+    def faulty(a, b, n):
+        out = real(a, b, n)
+        if n >= 6:
+            out[n] += 2520
+        return out
+
+    for module in (power_series, dissection_oracle, symbols):
+        monkeypatch.setattr(module, "_conv", faulty)
 
 
 class TestList:
@@ -113,6 +132,12 @@ class TestVerify:
         assert rc == 1
         assert "MISMATCH at n=0: closed=999" in out
 
+    def test_shared_kernel_defect_exits_1(self, capsys, monkeypatch):
+        _break_shared_conv(monkeypatch)
+        rc, out, _ = run(capsys, "verify", "catalan", "--count", "10", "--exhaustive-cap-n", "8")
+        assert rc == 1
+        assert "MISMATCH at n=9: closed=" in out
+
     def test_cap_exceeded_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise CapExceeded("forced for the exit-status contract")
@@ -168,6 +193,14 @@ class TestFromTiles:
         rc, out, _ = run(capsys, "from-tiles", "6", "--count", "5")
         assert rc == 0
         assert out.splitlines()[1:] == ["0 1", "1 0", "2 0", "3 0", "4 1"]
+
+    def test_shared_kernel_defect_exits_1(self, capsys, monkeypatch):
+        # reversion and the series counter use the kernel on different operands
+        _break_shared_conv(monkeypatch)
+        rc, out, _ = run(capsys, "from-tiles", "3,5,7+", "--count", "10")
+        assert rc == 1
+        _, mismatch = out.splitlines()  # the symbol line, then no term lines
+        assert mismatch.startswith("MISMATCH at n=9: reversion=")
 
     def test_bad_spec_exits_2(self, capsys):
         for spec in ("x", "2", "3+,5"):

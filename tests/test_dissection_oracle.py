@@ -231,6 +231,7 @@ class TestRandomRules:
     @given(tile_rules())
     def test_reversion_series_and_enumeration_agree(self, rule):
         series = count_by_series(30, rule)
+        assert all(type(v) is int for v in series)
         assert lagrange_coefficients(symbol_from_tile_rule(rule), 30) == series
         assert series[:7] == [enumerate_count(n, rule) for n in range(7)]
 

@@ -38,6 +38,7 @@ small_fraction = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 small_series = st.lists(small_fraction, min_size=1, max_size=6).map(TS)
+small_inner = st.lists(small_fraction, max_size=5).map(lambda cs: TS([0, *cs]))
 
 
 class TestArithmetic:
@@ -98,6 +99,14 @@ class TestArithmetic:
     def test_compose_nonzero_constant_raises(self):
         with pytest.raises(NonZeroInnerConstant):
             series(1, 1).compose(series(1, 1))
+
+    @given(small_series, small_inner)
+    def test_compose_is_sum_of_powers(self, s, t):
+        n = min(s.precision, t.precision)
+        expected = TS.zero(n)
+        for k in range(n + 1):
+            expected = expected + TS(s[k] * c for c in (t.truncate(n) ** k).coeffs)
+        assert s.compose(t) == expected
 
     @given(small_series, small_series)
     def test_mul_commutative(self, s, t):
@@ -230,3 +239,10 @@ class TestSeriesBasics:
     def test_index_beyond_precision_raises(self):
         with pytest.raises(IndexError):
             series(1, 2)[5]
+
+    def test_assignment_raises_and_keeps_hash(self):
+        s = series(1, 2)
+        d = {s: "kept"}
+        with pytest.raises(AttributeError):
+            s.coeffs = (5,)
+        assert s in d and d[s] == "kept"
