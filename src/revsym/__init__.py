@@ -4,11 +4,12 @@ A reversive symbol is a small rational function alpha(F) whose compositional
 inverse, divided by x, generates a dissection-counting sequence.  The package
 computes such sequences five ways (Lagrange inversion, direct series
 reversion, closed binomial sums, the tile-equation series counter, and
-brute-force enumeration) and cross-checks them against each other.  The
-three series routes share the exact product, reciprocal and composition
-kernels of :mod:`revsym.power_series`; the closed forms, the two brute-force
-counters and the benchmark's own counter (``perfbench/reference.py``) use
-none of them.
+brute-force enumeration) and cross-checks them against each other.
+Lagrange inversion and the series counter share the exact product,
+reciprocal and composition kernels of :mod:`revsym.power_series`; direct
+reversion runs its own integer recurrence on the symbol's coefficients, and
+the closed forms, the two brute-force counters and the benchmark's own
+counter (``perfbench/reference.py``) use none of those kernels.
 """
 
 from .closed_forms import (
@@ -35,7 +36,6 @@ from .power_series import (
     NonIntegerCoefficient,
     NonUnitSeries,
     NonZeroInnerConstant,
-    NotRevertible,
     TruncatedSeries,
     lagrange_coefficients,
     revert_direct,
@@ -77,7 +77,6 @@ __all__ = [
     "NonIntegerCoefficient",
     "NonUnitSeries",
     "NonZeroInnerConstant",
-    "NotRevertible",
     "ODD_ONLY",
     "ParseError",
     "Polynomial",

@@ -10,14 +10,15 @@ Coefficients are Python ints whenever the value is integral and
 integers for the (common) integer-coefficient case without giving up
 exactness anywhere.
 
-Two independent reversion routes are provided:
+Two independent reversion routes take a reversive symbol alpha = P/Q and
+return the inverse-series coefficients a_0..a_N, certifying that every one
+is an integer:
 
-* :func:`lagrange_coefficients` extracts the inverse-series coefficients
-  a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n  directly from a reversive
-  symbol, certifying that every coefficient is an integer.
-* :func:`revert_direct` solves the triangular linear system
-  [x^n] alpha(G(x)) = delta_{n,1} coefficient by coefficient, without the
-  Lagrange formula, and serves as a cross-check on the first route.
+* :func:`lagrange_coefficients` extracts
+  a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n.
+* :func:`revert_direct` solves [x^n] alpha(F(x)) = delta_{n,1} coefficient
+  by coefficient, written as P(F) = x Q(F), without the Lagrange formula,
+  and serves as a cross-check on the first route.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "NonUnitSeries",
     "NonZeroInnerConstant",
     "NonIntegerCoefficient",
-    "NotRevertible",
     "lagrange_coefficients",
     "revert_direct",
 ]
@@ -53,10 +53,6 @@ class NonZeroInnerConstant(ValueError):
 
 class NonIntegerCoefficient(ArithmeticError):
     """A reversion coefficient failed the exact-integrality check."""
-
-
-class NotRevertible(ValueError):
-    """Direct reversion of a series without the shape x + O(x^2)-with-unit."""
 
 
 def _norm(c: Coeff) -> Coeff:
@@ -211,16 +207,11 @@ def _symbol_ratio_raw(alpha: "ReversiveSymbol", n: int) -> list[Coeff]:
     return _conv(den, _recip_raw(shifted, n), n)
 
 
-def _certify_integer(value: Coeff, n: int) -> int:
-    """value / n as an exact int, for the Lagrange prefactor 1/n."""
-    if isinstance(value, Fraction):
-        q = value / n
-        if q.denominator != 1:
-            raise NonIntegerCoefficient(f"a_{n - 1} = {value}/{n} is not an integer")
-        return q.numerator
-    q, r = divmod(value, n)
+def _exact_term(value: Coeff, divisor: int, index: int) -> int:
+    """a_index = value / divisor as an exact int, or NonIntegerCoefficient."""
+    q, r = divmod(value, divisor)
     if r != 0:
-        raise NonIntegerCoefficient(f"a_{n - 1} = {value}/{n} is not an integer")
+        raise NonIntegerCoefficient(f"a_{index} = {Fraction(value) / divisor} is not an integer")
     return q
 
 
@@ -229,11 +220,7 @@ def lagrange_coefficients(alpha: "ReversiveSymbol", N: int) -> list[int]:
 
     a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n for n = 1..N+1, each division
     checked exact.  F(x) = sum a_n x^{n+1} then satisfies alpha(F(x)) = x.
-
-    The powers are built incrementally (R^n = R^{n-1} * R at full
-    precision), which yields bit-identical values to re-expanding
-    (t/alpha)^n from scratch for each n; the naive route is kept in
-    :func:`_lagrange_coefficients_naive` and pinned to this one by tests.
+    The powers are built incrementally, R^n = R^{n-1} * R at full precision.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -241,64 +228,41 @@ def lagrange_coefficients(alpha: "ReversiveSymbol", N: int) -> list[int]:
     out: list[int] = []
     power = ratio
     for n in range(1, N + 2):
-        out.append(_certify_integer(power[n - 1], n))
+        out.append(_exact_term(power[n - 1], n, n - 1))
         if n <= N:
             power = _conv(power, ratio, N)
     return out
 
 
-def _lagrange_coefficients_naive(alpha: "ReversiveSymbol", N: int) -> list[int]:
-    """Reference route: expand (t/alpha)^n freshly per n by repeated squaring."""
-    out: list[int] = []
-    for n in range(1, N + 2):
-        ratio = _symbol_ratio_raw(alpha, n - 1)
-        power = _pow_raw(ratio, n, n - 1)
-        out.append(_certify_integer(power[n - 1], n))
-    return out
+def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
+    """Inverse-series coefficients a_0..a_N of a reversive symbol, no Lagrange formula.
 
+    Same contract as :func:`lagrange_coefficients`.  With alpha = P/Q and
+    F = f_1 x + f_2 x^2 + ... (a_n = f_{n+1}), the condition
+    [x^n] alpha(F) = delta_{n,1} is [x^n] P(F) = [x^{n-1}] Q(F), i.e.
 
-def revert_direct(alpha_series: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse G of a truncated series, no Lagrange formula.
+        p_1 f_n = sum_k q_k [x^{n-1}] F^k - sum_{k>=2} p_k [x^n] F^k,
 
-    Requires alpha_series = s_1 x + s_2 x^2 + ... with s_1 != 0.  Writing
-    G = g_1 x + g_2 x^2 + ..., the condition [x^n] alpha(G) = delta_{n,1}
-    is triangular in the g_n: the coefficient [x^n] G^m for m >= 2 only
-    involves g_1..g_{n-1}.  The table W[m][j] = [x^j] G^m is filled one
-    column at a time, giving
-
-        g_n = (delta_{n,1} - sum_{m>=2} s_m W[m][n]) / s_1.
-
-    Cost is O(N^3) coefficient operations for precision N.
+    where every term on the right involves only f_1..f_{n-1} (F^k starts
+    at x^k).  Only the rows [x^j] F^k for k <= d = max(deg P, deg Q) are
+    kept, filled one column j at a time, so N terms cost O(d N^2) integer
+    operations and O(d N) memory.
     """
-    N = alpha_series.precision
-    s = alpha_series.coeffs
-    if N < 1 or s[0] != 0 or s[1] == 0:
-        raise NotRevertible("need constant term 0 and a nonzero linear coefficient")
-    s1 = s[1]
-    unit = s1 == 1 or s1 == -1
-    inv1: Coeff = s1 if unit else Fraction(1, 1) / s1
-
-    g: list[Coeff] = [0] * (N + 1)
-    # W[m][j] = [x^j] G^m; rows 0 and 1 are the scalar 1 and G itself.
-    W: list[list[Coeff]] = [[0] * (N + 1) for _ in range(N + 1)]
-    g[1] = inv1
-    W[1][1] = inv1
-    M = len(s) - 1
-    for n in range(2, N + 1):
-        for m in range(2, n + 1):
-            acc: Coeff = 0
-            prev = W[m - 1]
-            for i in range(1, n - m + 2):
-                gi = g[i]
-                if gi:
-                    acc += gi * prev[n - i]
-            W[m][n] = acc
-        c: Coeff = 0
-        for m in range(2, min(n, M) + 1):
-            sm = s[m]
-            if sm:
-                c += sm * W[m][n]
-        gn = -c * inv1
-        g[n] = gn
-        W[1][n] = gn
-    return TruncatedSeries(g)
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    # F^k starts at x^k, so coefficients above degree N+1 never reach a_N
+    p = alpha.numerator.coeffs[: N + 2]
+    q = alpha.denominator.coeffs[: N + 2]
+    d = max(len(p), len(q)) - 1
+    # rows[k][j] = [x^j] F^k; row 0 is the constant 1 and row 1 is F itself
+    rows = [[0] * (N + 2) for _ in range(d + 1)]
+    rows[0][0] = 1
+    f = rows[1]
+    for n in range(1, N + 2):
+        for k in range(2, d + 1):
+            prev = rows[k - 1]
+            rows[k][n] = sum(f[i] * prev[n - i] for i in range(1, n - k + 2))
+        rhs = sum(qk * row[n - 1] for qk, row in zip(q, rows))
+        rhs -= sum(pk * row[n] for pk, row in zip(p[2:], rows[2:]))
+        f[n] = _exact_term(rhs, p[1], n - 1)
+    return f[1:]

@@ -74,6 +74,13 @@ class TestTerms:
         assert rc == 2
         assert "error:" in err
 
+    def test_non_integer_term_reports_reduced_value(self, capsys):
+        # a_1 = (1/2) [t] (3/(3-t))^2 = 1/3
+        rc, out, err = run(capsys, "terms", "(0,3,-1)/(3)", "--count", "4")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: a_1 = 1/3 is not an integer\n"
+
     def test_closed_needs_catalog_name(self, capsys):
         rc, _, err = run(capsys, "terms", "(0,1,-1)/(1)", "--count", "3", "--method", "closed")
         assert rc == 2

@@ -23,7 +23,7 @@ from revsym.symbols import (
     TileRule,
     symbol_from_tile_rule,
 )
-from revsym.power_series import lagrange_coefficients
+from revsym.power_series import lagrange_coefficients, revert_direct
 
 KEYWORD_RULES = {
     "any": ANY_TILES,
@@ -233,6 +233,7 @@ class TestRandomRules:
         series = count_by_series(30, rule)
         assert all(type(v) is int for v in series)
         assert lagrange_coefficients(symbol_from_tile_rule(rule), 30) == series
+        assert revert_direct(symbol_from_tile_rule(rule), 30) == series
         assert series[:7] == [enumerate_count(n, rule) for n in range(7)]
 
 

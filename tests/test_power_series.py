@@ -9,9 +9,7 @@ from revsym.power_series import (
     NonIntegerCoefficient,
     NonUnitSeries,
     NonZeroInnerConstant,
-    NotRevertible,
     TruncatedSeries,
-    _lagrange_coefficients_naive,
     lagrange_coefficients,
     revert_direct,
 )
@@ -23,7 +21,8 @@ from revsym.symbols import (
     Polynomial,
     ReversiveSymbol,
     catalog,
-    expand,
+    parse_symbol,
+    verify_inverse,
 )
 from revsym.dissection_oracle import enumerate_count
 
@@ -39,6 +38,16 @@ small_fraction = st.fractions(
 )
 small_series = st.lists(small_fraction, min_size=1, max_size=6).map(TS)
 small_inner = st.lists(small_fraction, max_size=5).map(lambda cs: TS([0, *cs]))
+
+
+@st.composite
+def random_symbols(draw):
+    """Valid symbols of degree <= 4 with p_1 = q_0 in {+-1, +-2, +-3}."""
+    unit = draw(st.sampled_from([1, -1, 2, -2, 3, -3]))
+    small = st.integers(min_value=-3, max_value=3)
+    num = (0, unit, *draw(st.lists(small, max_size=3)))
+    den = (unit, *draw(st.lists(small, max_size=4)))
+    return ReversiveSymbol("fuzz", Polynomial(num), Polynomial(den))
 
 
 class TestArithmetic:
@@ -164,59 +173,44 @@ class TestLagrange:
 
     def test_n_zero_gives_single_term(self):
         for sym in (entry.symbol for entry in catalog()):
-            assert lagrange_coefficients(sym, 0) == [1]
-
-    def test_incremental_equals_naive_route(self):
-        # the incremental-product optimization must be bit-identical to
-        # re-expanding (t/alpha)^n per n by repeated squaring
-        for sym in (entry.symbol for entry in catalog()):
-            assert lagrange_coefficients(sym, 25) == _lagrange_coefficients_naive(sym, 25)
+            assert lagrange_coefficients(sym, 0) == revert_direct(sym, 0) == [1]
 
     def test_non_integer_coefficient_raises(self):
         # unit slope (2/2), but the inverse series is not integral
         bad = ReversiveSymbol("bad", Polynomial((0, 2, -1)), Polynomial((2,)))
-        with pytest.raises(NonIntegerCoefficient):
-            lagrange_coefficients(bad, 3)
+        for route in (lagrange_coefficients, revert_direct):
+            with pytest.raises(NonIntegerCoefficient, match=r"^a_1 = 1/2 is not an integer$"):
+                route(bad, 3)
 
 
 class TestRevertDirect:
     def test_catalan_shifted(self):
-        g = revert_direct(TS([0, 1, -1, 0, 0]))
-        assert g == TS([0, 1, 1, 2, 5])
+        assert revert_direct(_catalog_symbol("catalan"), 3) == [1, 1, 2, 5]
 
     def test_identity(self):
-        assert revert_direct(TS([0, 1])) == TS([0, 1])
-
-    def test_rejects_constant_term(self):
-        with pytest.raises(NotRevertible):
-            revert_direct(TS([1, 1]))
-
-    def test_rejects_zero_slope(self):
-        with pytest.raises(NotRevertible):
-            revert_direct(TS([0, 0, 1]))
-
-    def test_rejects_precision_zero(self):
-        with pytest.raises(NotRevertible):
-            revert_direct(TS([0]))
+        assert revert_direct(parse_symbol("(0,1)/(1)"), 4) == [1, 0, 0, 0, 0]
 
     def test_matches_lagrange_shifted_by_one(self):
         n = 40
         for sym in (entry.symbol for entry in catalog()):
-            terms = lagrange_coefficients(sym, n - 1)
-            g = revert_direct(expand(sym, n))
-            assert list(g.coeffs) == [0] + terms
+            assert revert_direct(sym, n) == lagrange_coefficients(sym, n), sym.name
 
     def test_round_trip_composition(self):
-        n = 40
         for sym in (entry.symbol for entry in catalog()):
-            alpha = expand(sym, n)
-            assert alpha.compose(revert_direct(alpha)) == TS.identity(n)
+            assert verify_inverse(sym, revert_direct(sym, 40)), sym.name
 
-    def test_non_unit_slope_fraction_path(self):
-        alpha = TS([0, 2, 1, 0, 0])
-        g = revert_direct(alpha)
-        assert g[1] == Fraction(1, 2)
-        assert alpha.compose(g) == TS.identity(4)
+    @settings(max_examples=300, deadline=None)
+    @given(random_symbols())
+    def test_random_symbols_agree_with_lagrange(self, sym):
+        outcomes = []
+        for route in (revert_direct, lagrange_coefficients):
+            try:
+                outcomes.append(route(sym, 20))
+            except NonIntegerCoefficient as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], list):
+            assert verify_inverse(sym, outcomes[0])
 
 
 class TestSeriesBasics:
