@@ -5,11 +5,13 @@ inverse, divided by x, generates a dissection-counting sequence.  The package
 computes such sequences five ways (Lagrange inversion, direct series
 reversion, closed binomial sums, the tile-equation series counter, and
 brute-force enumeration) and cross-checks them against each other.
-Lagrange inversion and the series counter share the exact product,
-reciprocal and composition kernels of :mod:`revsym.power_series`; direct
-reversion runs its own integer recurrence on the symbol's coefficients, and
-the closed forms, the two brute-force counters and the benchmark's own
-counter (``perfbench/reference.py``) use none of those kernels.
+Lagrange inversion and the series counter share the integer product,
+exact-division and composition kernels of :mod:`revsym.power_series`;
+direct reversion runs its own integer recurrence on the symbol's
+coefficients, and the closed forms, the two brute-force counters and the
+benchmark's own counter (``perfbench/reference.py``) use none of those
+kernels.  Every value is a Python ``int``; a division that is not exact
+raises instead of rounding.
 """
 
 from .closed_forms import (

@@ -10,8 +10,8 @@ Three counters that check the series-reversion routes from other sides:
 * :func:`count_by_series` iterates the self-referential tile equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} to a fixed point on truncated
   integer series.  Polynomial time; the fast path.  It is a different
-  algorithm from reversion but runs on the same product, reciprocal and
-  composition kernels as :mod:`power_series`; the two algorithms feed the
+  algorithm from reversion but runs on the same product, exact-division
+  and composition kernels as :mod:`power_series`; the two algorithms feed the
   kernels different operands, so a kernel defect makes them disagree, and
   the enumeration checks both.  It takes the size sum from
   :meth:`TileRule.generating_pair`, the same pair symbol synthesis uses,
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .power_series import _compose_raw, _conv, _recip_raw
+from .power_series import _compose_raw, _conv, _div_raw
 from .symbols import TileRule
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "enumerate_count",
     "count_by_series",
     "count_chord_diagrams",
-    "dissection_line",
 ]
 
 DEFAULT_DISSECTION_CAP = 12
@@ -268,8 +267,8 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
         xa = [0] + a[:k]
         num_y = _compose_raw(g_num, xa, k)
         den_y = _compose_raw(g_den, xa, k)
-        # den_y[0] == 1 (every rule denominator is 1 or 1 - y^step), so this stays in int
-        weight = _conv(num_y, _recip_raw(den_y, k), k)
+        # den_y[0] == 1 (every rule denominator is 1 or 1 - y^step), so every division is exact
+        weight = _div_raw(num_y, den_y, k)
         nxt = _conv(a, weight, k)
         nxt[0] += 1
         a = nxt
@@ -304,9 +303,3 @@ def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:
     rec(0, (1 << len(cands)) - 1)
     return total
 
-
-def dissection_line(d: Dissection) -> str:
-    """Debug dump: ``n=<n> diagonals=(i,j);(k,l) tiles=[s1,s2,...]``."""
-    diags = ";".join(f"({i},{j})" for i, j in sorted(d.diagonals))
-    sides = ",".join(str(t.side_count) for t in tiles_of(d))
-    return f"n={d.n} diagonals={diags} tiles=[{sides}]"

@@ -1,10 +1,9 @@
 """Exact scalar arithmetic: generalized binomials and checked division.
 
-Python's built-in ``int`` is already an arbitrary-precision integer and
-``fractions.Fraction`` an always-normalized rational (positive denominator,
-reduced to lowest terms), so these are used directly as the scalar types.
-What this module adds is the binomial-coefficient convention the rest of
-the package depends on, and division that refuses to round.
+Python's built-in ``int`` is already an arbitrary-precision integer, so it
+is used directly as the one scalar type.  What this module adds is the
+binomial-coefficient convention the rest of the package depends on, and
+division that refuses to round.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series over the integers.
 
 A series here is a finite coefficient vector c_0..c_N ("precision N"); all
 identities hold modulo x^{N+1}.  Binary operations truncate to the smaller
 precision of their operands and never extend a series with invented
 coefficients.
 
-Coefficients are Python ints whenever the value is integral and
-``fractions.Fraction`` otherwise, so the convolution kernels run on machine
-integers for the (common) integer-coefficient case without giving up
-exactness anywhere.
+Coefficients are Python ints.  The one division, :func:`_div_raw`, divides
+each step exactly by the divisor's constant term and raises
+:class:`NonIntegerCoefficient` where the quotient would leave the integers,
+so nothing is ever rounded.
 
 Two independent reversion routes take a reversive symbol alpha = P/Q and
 return the inverse-series coefficients a_0..a_N, certifying that every one
@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .symbols import ReversiveSymbol
 
 __all__ = [
-    "Coeff",
     "TruncatedSeries",
     "NonUnitSeries",
     "NonZeroInnerConstant",
@@ -40,11 +39,9 @@ __all__ = [
     "revert_direct",
 ]
 
-Coeff = Union[int, Fraction]
-
 
 class NonUnitSeries(ValueError):
-    """Reciprocal of a series whose constant term is zero."""
+    """Division by a series whose constant term is zero."""
 
 
 class NonZeroInnerConstant(ValueError):
@@ -52,21 +49,20 @@ class NonZeroInnerConstant(ValueError):
 
 
 class NonIntegerCoefficient(ArithmeticError):
-    """A reversion coefficient failed the exact-integrality check."""
+    """A series or reversion coefficient failed the exact-integrality check."""
 
 
-def _norm(c: Coeff) -> Coeff:
-    """Canonical scalar: plain int when integral, Fraction otherwise."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
-    raise TypeError(f"series coefficients must be int or Fraction, got {type(c).__name__}")
+def _exact_term(value: int, divisor: int, index: int, name: str = "a") -> int:
+    """<name>_<index> = value / divisor as an exact int, or NonIntegerCoefficient."""
+    q, r = divmod(value, divisor)
+    if r != 0:
+        raise NonIntegerCoefficient(f"{name}_{index} = {Fraction(value, divisor)} is not an integer")
+    return q
 
 
-def _conv(a: Sequence[Coeff], b: Sequence[Coeff], n: int) -> list[Coeff]:
+def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """Cauchy product of coefficient lists, truncated at degree n."""
-    out: list[Coeff] = [0] * (n + 1)
+    out = [0] * (n + 1)
     for i, ai in enumerate(a):
         if ai == 0 or i > n:
             continue
@@ -78,28 +74,25 @@ def _conv(a: Sequence[Coeff], b: Sequence[Coeff], n: int) -> list[Coeff]:
     return out
 
 
-def _recip_raw(q: Sequence[Coeff], n: int) -> list[Coeff]:
-    """1/q mod x^{n+1} via the standard triangular recurrence."""
+def _div_raw(p: Sequence[int], q: Sequence[int], n: int) -> list[int]:
+    """p/q mod x^{n+1} by the triangular recurrence, each step divided exactly by q[0]."""
     q0 = q[0]
     if q0 == 0:
-        raise NonUnitSeries("reciprocal requires a nonzero constant term")
-    # a unit constant term is its own inverse, so everything stays in the ground ring
-    inv: Coeff = q0 if q0 in (1, -1) else Fraction(1, q0)
-    out: list[Coeff] = [0] * (n + 1)
-    out[0] = inv
-    for m in range(1, n + 1):
-        s = 0
+        raise NonUnitSeries("division requires a nonzero constant term")
+    out = [0] * (n + 1)
+    for m in range(n + 1):
+        s = p[m] if m < len(p) else 0
         for k in range(1, min(m, len(q) - 1) + 1):
             qk = q[k]
             if qk:
-                s += qk * out[m - k]
-        out[m] = -s * inv
+                s -= qk * out[m - k]
+        out[m] = _exact_term(s, q0, m, "quotient")
     return out
 
 
-def _pow_raw(base: Sequence[Coeff], e: int, n: int) -> list[Coeff]:
+def _pow_raw(base: Sequence[int], e: int, n: int) -> list[int]:
     """base**e mod x^{n+1} by repeated squaring; e >= 0."""
-    res: list[Coeff] = [0] * (n + 1)
+    res = [0] * (n + 1)
     res[0] = 1
     b = list(base[: n + 1])
     while e:
@@ -111,9 +104,9 @@ def _pow_raw(base: Sequence[Coeff], e: int, n: int) -> list[Coeff]:
     return res
 
 
-def _compose_raw(outer: Sequence[Coeff], inner: Sequence[Coeff], n: int) -> list[Coeff]:
+def _compose_raw(outer: Sequence[int], inner: Sequence[int], n: int) -> list[int]:
     """outer(inner(x)) mod x^{n+1} by Horner; inner[0] must be 0."""
-    res: list[Coeff] = [0] * (n + 1)
+    res = [0] * (n + 1)
     res[0] = outer[-1]
     for c in reversed(outer[:-1]):
         res = _conv(res, inner, n)
@@ -123,14 +116,17 @@ def _compose_raw(outer: Sequence[Coeff], inner: Sequence[Coeff], n: int) -> list
 
 @dataclass(frozen=True, slots=True)
 class TruncatedSeries:
-    """Immutable truncated power series c_0 + c_1 x + ... + c_N x^N."""
+    """Immutable truncated power series c_0 + c_1 x + ... + c_N x^N, integer coefficients."""
 
-    coeffs: tuple[Coeff, ...]
+    coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[Coeff]):
-        cs = tuple(_norm(c) for c in coeffs)
+    def __init__(self, coeffs: Iterable[int]):
+        cs = tuple(coeffs)
         if not cs:
             raise ValueError("a truncated series needs at least the constant coefficient")
+        for c in cs:
+            if not isinstance(c, int):
+                raise TypeError(f"series coefficients must be int, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", cs)
 
     @property
@@ -152,7 +148,7 @@ class TruncatedSeries:
             raise ValueError("identity series needs precision >= 1")
         return cls([0, 1] + [0] * (precision - 1))
 
-    def __getitem__(self, i: int) -> Coeff:
+    def __getitem__(self, i: int) -> int:
         if not 0 <= i <= self.precision:
             raise IndexError(f"coefficient {i} is beyond precision {self.precision}")
         return self.coeffs[i]
@@ -188,8 +184,11 @@ class TruncatedSeries:
         return TruncatedSeries(_pow_raw(self.coeffs, e, self.precision))
 
     def reciprocal(self) -> TruncatedSeries:
-        """Multiplicative inverse r with self * r = 1 to this precision."""
-        return TruncatedSeries(_recip_raw(self.coeffs, self.precision))
+        """Multiplicative inverse r with self * r = 1 to this precision.
+
+        Raises NonIntegerCoefficient where r would not be integral.
+        """
+        return TruncatedSeries(_div_raw((1,), self.coeffs, self.precision))
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """self(inner(x)), truncated to the smaller precision."""
@@ -199,36 +198,29 @@ class TruncatedSeries:
         return TruncatedSeries(_compose_raw(self.coeffs[: n + 1], inner.coeffs[: n + 1], n))
 
 
-def _symbol_ratio_raw(alpha: "ReversiveSymbol", n: int) -> list[Coeff]:
-    """Coefficients of t/alpha(t) = Q(t) / (P(t)/t) to precision n."""
-    num = alpha.numerator.coeffs
-    den = alpha.denominator.coeffs
-    shifted = list(num[1:])  # P/t; valid because P(0) = 0
-    return _conv(den, _recip_raw(shifted, n), n)
-
-
-def _exact_term(value: Coeff, divisor: int, index: int) -> int:
-    """a_index = value / divisor as an exact int, or NonIntegerCoefficient."""
-    q, r = divmod(value, divisor)
-    if r != 0:
-        raise NonIntegerCoefficient(f"a_{index} = {Fraction(value) / divisor} is not an integer")
-    return q
-
-
 def lagrange_coefficients(alpha: "ReversiveSymbol", N: int) -> list[int]:
     """Inverse-series coefficients a_0..a_N of a reversive symbol.
 
     a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n for n = 1..N+1, each division
     checked exact.  F(x) = sum a_n x^{n+1} then satisfies alpha(F(x)) = x.
-    The powers are built incrementally, R^n = R^{n-1} * R at full precision.
+
+    With c = p_1 = q_0, the ratio R(t) = t/alpha(t) = Q(t) / (P(t)/t) is
+    taken as S(u) = R(cu) = (Q(cu)/c) / (P(cu)/(c^2 u)): both quotients have
+    constant term 1 and coefficients q_k c^{k-1} and p_{k+1} c^{k-1}, so S is
+    integral and a_{n-1} = [u^{n-1}] S^n / (n c^{n-1}).  The powers are
+    built incrementally, S^n = S^{n-1} * S at full precision.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    ratio = _symbol_ratio_raw(alpha, N)
+    c = alpha.denominator.coeffs[0]
+    num = alpha.numerator.coeffs[1 : N + 2]  # P/t; valid because P(0) = 0
+    den = alpha.denominator.coeffs[: N + 1]
+    ratio = _div_raw([qk * c**k // c for k, qk in enumerate(den)],
+                     [pk * c**k // c for k, pk in enumerate(num)], N)
     out: list[int] = []
     power = ratio
     for n in range(1, N + 2):
-        out.append(_exact_term(power[n - 1], n, n - 1))
+        out.append(_exact_term(power[n - 1], n * c ** (n - 1), n - 1))
         if n <= N:
             power = _conv(power, ratio, N)
     return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import closed_forms
-from .power_series import TruncatedSeries, _conv
+from .power_series import TruncatedSeries, _conv, _div_raw
 
 __all__ = [
     "Polynomial",
@@ -214,10 +214,11 @@ def _poly_series(p: Polynomial, precision: int) -> TruncatedSeries:
 
 
 def expand(symbol: ReversiveSymbol, precision: int) -> TruncatedSeries:
-    """Taylor coefficients of numerator/denominator to the given precision."""
-    num = _poly_series(symbol.numerator, precision)
-    den = _poly_series(symbol.denominator, precision)
-    return num * den.reciprocal()
+    """Taylor coefficients of numerator/denominator to the given precision.
+
+    Raises NonIntegerCoefficient where a coefficient is not an integer.
+    """
+    return TruncatedSeries(_div_raw(symbol.numerator.coeffs, symbol.denominator.coeffs, precision))
 
 
 @dataclass(frozen=True)
@@ -260,13 +261,18 @@ def catalog() -> list[CatalogEntry]:
 
 
 def verify_inverse(symbol: ReversiveSymbol, terms: Sequence[int]) -> bool:
-    """Check alpha(F(x)) = x to precision N+1 for F = sum terms[n] x^{n+1}."""
+    """Check alpha(F(x)) = x to precision N+1 for F = sum terms[n] x^{n+1}.
+
+    Checked as P(F) = x Q(F), which is equivalent because Q(F) has the
+    nonzero constant term q_0, and needs no division.
+    """
     if not terms:
         raise ValueError("need at least a_0")
     n = len(terms)  # precision N+1
     inverse = TruncatedSeries([0, *terms])
-    alpha = expand(symbol, n)
-    return alpha.compose(inverse) == TruncatedSeries.identity(n)
+    p_of_f = _poly_series(symbol.numerator, n).compose(inverse)
+    q_of_f = _poly_series(symbol.denominator, n).compose(inverse)
+    return p_of_f == TruncatedSeries([0, *q_of_f.coeffs[:n]])
 
 
 def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
@@ -281,8 +287,8 @@ def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
     n = len(terms) - 1
     a = TruncatedSeries(terms)
     xa = TruncatedSeries([0, *terms[:n]])
-    g_num, g_den = rule.generating_pair()
-    g = _poly_series(g_num, n).compose(xa) * _poly_series(g_den, n).compose(xa).reciprocal()
+    num_xa, den_xa = (_poly_series(p, n).compose(xa).coeffs for p in rule.generating_pair())
+    g = TruncatedSeries(_div_raw(num_xa, den_xa, n))
     rhs = TruncatedSeries.one(n) + a * g
     return rhs == a
 

@@ -3,8 +3,8 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 PASS/FAIL lines as they complete.  The final criterion drives the CLI's
 ``verify`` across the whole catalog at count 20 with default caps, which
-enumerates dissections up to the n = 12 cap and therefore takes a few
-minutes; everything else finishes in seconds.
+enumerates dissections up to the n = 12 cap and therefore takes about
+100 s; everything else finishes in seconds.
 """
 
 import time

@@ -1,13 +1,17 @@
 """CLI contract: output formats, exit statuses, config handling."""
 
+import contextlib
 import dataclasses
+import io
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revsym import cli, dissection_oracle, power_series, symbols
 from revsym.dissection_oracle import CapExceeded, enumerate_count
-from revsym.symbols import TileRule, catalog, parse_tile_spec
+from revsym.power_series import NonIntegerCoefficient, revert_direct
+from revsym.symbols import TileRule, catalog, parse_symbol, parse_tile_spec
 
 
 def run(capsys, *argv):
@@ -33,6 +37,16 @@ def _break_shared_conv(monkeypatch):
 
     for module in (power_series, dissection_oracle, symbols):
         monkeypatch.setattr(module, "_conv", faulty)
+
+
+@st.composite
+def non_unit_symbol_texts(draw):
+    """Symbol text of degree <= 4 with p_1 = q_0 in {+-2, +-3}."""
+    c = draw(st.sampled_from([2, -2, 3, -3]))
+    small = st.integers(min_value=-3, max_value=3)
+    num = [0, c, *draw(st.lists(small, max_size=3))]
+    den = [c, *draw(st.lists(small, max_size=4))]
+    return f"({','.join(map(str, num))})/({','.join(map(str, den))})"
 
 
 class TestList:
@@ -80,6 +94,30 @@ class TestTerms:
         assert rc == 2
         assert out == ""
         assert err == "error: a_1 = 1/3 is not an integer\n"
+
+    def test_scaled_symbol_runs_in_integers(self, capsys):
+        # schroeder with P and Q doubled: the same terms, without rational arithmetic
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "terms", "(0,2,-4)/(2,-2)", "--count", "201")
+        elapsed = time.perf_counter() - t0
+        assert (rc, err) == (0, "")
+        assert elapsed < 6.0
+        _, expected, _ = run(capsys, "terms", "schroeder", "--count", "201")
+        assert out == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(non_unit_symbol_texts())
+    def test_exit_status_follows_direct_reversion(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["terms", text, "--count", "12"])
+        try:
+            terms = revert_direct(parse_symbol(text), 11)
+        except NonIntegerCoefficient as exc:
+            assert (rc, out.getvalue(), err.getvalue()) == (2, "", f"error: {exc}\n")
+        else:
+            assert (rc, err.getvalue()) == (0, "")
+            assert out.getvalue() == "".join(f"{i} {v}\n" for i, v in enumerate(terms))
 
     def test_closed_needs_catalog_name(self, capsys):
         rc, _, err = run(capsys, "terms", "(0,1,-1)/(1)", "--count", "3", "--method", "closed")

@@ -9,7 +9,6 @@ from revsym.dissection_oracle import (
     Tile,
     count_by_series,
     count_chord_diagrams,
-    dissection_line,
     enumerate_count,
     iter_dissections,
     tiles_of,
@@ -258,11 +257,3 @@ class TestChordDiagrams:
         with pytest.raises(ValueError):
             count_chord_diagrams(-1)
 
-
-class TestDumpFormat:
-    def test_line(self):
-        d = Dissection(4, [(0, 3), (1, 3)])
-        assert dissection_line(d) == "n=4 diagonals=(0,3);(1,3) tiles=[3,4,3]"
-
-    def test_line_empty(self):
-        assert dissection_line(Dissection(1)) == "n=1 diagonals= tiles=[3]"

@@ -10,6 +10,8 @@ from revsym.power_series import (
     NonUnitSeries,
     NonZeroInnerConstant,
     TruncatedSeries,
+    _conv,
+    _div_raw,
     lagrange_coefficients,
     revert_direct,
 )
@@ -33,11 +35,11 @@ def series(*coeffs):
     return TS(coeffs)
 
 
-small_fraction = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
-)
-small_series = st.lists(small_fraction, min_size=1, max_size=6).map(TS)
-small_inner = st.lists(small_fraction, max_size=5).map(lambda cs: TS([0, *cs]))
+small_int = st.integers(min_value=-4, max_value=4)
+small_series = st.lists(small_int, min_size=1, max_size=6).map(TS)
+small_inner = st.lists(small_int, max_size=5).map(lambda cs: TS([0, *cs]))
+unit_series = small_series.filter(lambda s: s.coeffs[0] in (1, -1))
+non_unit_constant = st.sampled_from([2, -2, 3, -3])
 
 
 @st.composite
@@ -89,7 +91,8 @@ class TestArithmetic:
         assert series(1, -1, 0, 0).reciprocal() == series(1, 1, 1, 1)
 
     def test_reciprocal_constant(self):
-        assert series(2).reciprocal() == TS([Fraction(1, 2)])
+        with pytest.raises(NonIntegerCoefficient, match=r"^quotient_0 = 1/2 is not an integer$"):
+            series(2).reciprocal()
 
     def test_reciprocal_nonunit_raises(self):
         with pytest.raises(NonUnitSeries):
@@ -134,13 +137,31 @@ class TestArithmetic:
         rhs = s * t + s * u
         assert lhs.truncate(n) == rhs.truncate(n)
 
-    @given(small_series.filter(lambda s: s.coeffs[0] != 0))
+    @given(unit_series)
     def test_reciprocal_involution(self, s):
         assert s.reciprocal().reciprocal() == s
 
-    @given(small_series.filter(lambda s: s.coeffs[0] != 0))
+    @given(unit_series)
     def test_reciprocal_is_inverse(self, s):
         assert s * s.reciprocal() == TS.one(s.precision)
+
+    @given(st.lists(small_int, min_size=1, max_size=6), non_unit_constant, st.lists(small_int, max_size=5))
+    def test_division_undoes_product(self, p, q0, q_rest):
+        q = [q0, *q_rest]
+        n = len(p) - 1
+        assert _div_raw(_conv(p, q, n), q, n) == p
+
+    @given(st.lists(small_int, min_size=1, max_size=6), non_unit_constant, st.lists(small_int, max_size=5),
+           st.data())
+    def test_division_that_is_not_exact_raises(self, p, q0, q_rest, data):
+        # (p*q + x^m) / q = p + x^m/q, whose first non-integral coefficient is 1/q0 at x^m
+        q = [q0, *q_rest]
+        n = len(p) - 1
+        m = data.draw(st.integers(min_value=0, max_value=n))
+        dividend = _conv(p, q, n)
+        dividend[m] += 1
+        with pytest.raises(NonIntegerCoefficient, match=rf"^quotient_{m} = "):
+            _div_raw(dividend, q, n)
 
 
 def _catalog_symbol(name):
@@ -226,9 +247,9 @@ class TestSeriesBasics:
         with pytest.raises(ValueError):
             series(1, 2).truncate(5)
 
-    def test_coefficients_normalize_to_int(self):
-        s = TS([Fraction(4, 2), Fraction(1, 3)])
-        assert s.coeffs == (2, Fraction(1, 3))
+    def test_constructor_rejects_fractions(self):
+        with pytest.raises(TypeError):
+            TS([1, Fraction(4, 2)])
 
     def test_index_beyond_precision_raises(self):
         with pytest.raises(IndexError):

@@ -3,7 +3,7 @@
 import pytest
 
 from revsym.dissection_oracle import enumerate_count
-from revsym.power_series import TruncatedSeries, lagrange_coefficients
+from revsym.power_series import NonIntegerCoefficient, TruncatedSeries, lagrange_coefficients
 from revsym.symbols import (
     ANY_TILES,
     EVEN_ONLY,
@@ -225,6 +225,11 @@ class TestExpand:
             s = expand(sym, 6)
             assert s[0] == 0 and s[1] == 1
 
+    def test_non_integral_expansion_raises(self):
+        # (2F - F^2)/2 = F - F^2/2
+        with pytest.raises(NonIntegerCoefficient, match=r"^quotient_2 = -1/2 is not an integer$"):
+            expand(parse_symbol("(0,2,-1)/(2)"), 3)
+
 
 class TestVerifiers:
     def test_verify_inverse_accepts_exhaustive_catalan_counts(self):
@@ -242,6 +247,13 @@ class TestVerifiers:
         terms = [enumerate_count(n, rule) for n in range(5)]
         assert terms == [1, 1, 3, 11, 45]
         assert verify_inverse(sym, terms)
+
+    def test_verify_inverse_needs_no_division(self):
+        # schroeder with P and Q doubled has the same inverse; (2F - F^2)/2 has no integral one
+        doubled = parse_symbol("(0,2,-4)/(2,-2)")
+        assert verify_inverse(doubled, [1, 1, 3, 11, 45])
+        assert not verify_inverse(doubled, [1, 1, 3, 11, 46])
+        assert not verify_inverse(parse_symbol("(0,2,-1)/(2)"), [1, 0, 0])
 
     def test_verify_tautological_accepts_exhaustive_counts(self):
         terms = [enumerate_count(n, NO_TRIANGLES) for n in range(6)]
