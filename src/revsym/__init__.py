@@ -10,8 +10,9 @@ exact-division and composition kernels of :mod:`revsym.power_series`;
 direct reversion runs its own integer recurrence on the symbol's
 coefficients, and the closed forms, the two brute-force counters and the
 benchmark's own counter (``perfbench/reference.py``) use none of those
-kernels.  Every value is a Python ``int``; a division that is not exact
-raises instead of rounding.
+kernels.  A series is a plain list of Python ``int`` coefficients, and
+every division goes through :func:`revsym.exact_arith.exact_div`, which
+raises :class:`NonIntegerCoefficient` instead of rounding.
 """
 
 from .closed_forms import (
@@ -33,15 +34,8 @@ from .dissection_oracle import (
     iter_dissections,
     tiles_of,
 )
-from .exact_arith import DivisibilityViolation, ZeroDivisor, binomial, exact_div
-from .power_series import (
-    NonIntegerCoefficient,
-    NonUnitSeries,
-    NonZeroInnerConstant,
-    TruncatedSeries,
-    lagrange_coefficients,
-    revert_direct,
-)
+from .exact_arith import NonIntegerCoefficient, binomial, exact_div
+from .power_series import lagrange_coefficients, revert_direct
 from .symbols import (
     ANY_TILES,
     EVEN_ONLY,
@@ -71,14 +65,11 @@ __all__ = [
     "CapExceeded",
     "CatalogEntry",
     "Dissection",
-    "DivisibilityViolation",
     "DomainError",
     "EVEN_ONLY",
     "InvalidTileSet",
     "NO_TRIANGLES",
     "NonIntegerCoefficient",
-    "NonUnitSeries",
-    "NonZeroInnerConstant",
     "ODD_ONLY",
     "ParseError",
     "Polynomial",
@@ -86,8 +77,6 @@ __all__ = [
     "TRIANGLES_ONLY",
     "Tile",
     "TileRule",
-    "TruncatedSeries",
-    "ZeroDivisor",
     "binomial",
     "catalan_term",
     "catalog",

@@ -25,7 +25,8 @@ from .dissection_oracle import (
     count_chord_diagrams,
     enumerate_count,
 )
-from .power_series import NonIntegerCoefficient, lagrange_coefficients
+from .exact_arith import NonIntegerCoefficient
+from .power_series import lagrange_coefficients
 from .symbols import (
     CatalogEntry,
     InvalidTileSet,
@@ -64,25 +65,29 @@ _CONFIG_KEYS = tuple(f.name for f in fields(Settings))
 
 def _read_config(path: str) -> dict[str, int]:
     values: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
-            try:
-                number = int(value)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: {key} needs an integer, got {value!r}") from None
-            if number < 0 or (key == "default_count" and number < 1):
-                raise ParseError(f"{path}:{lineno}: {key} out of range: {number}")
-            values[key] = number
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
+        try:
+            number = int(value)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: {key} needs an integer, got {value!r}") from None
+        if number < 0 or (key == "default_count" and number < 1):
+            raise ParseError(f"{path}:{lineno}: {key} out of range: {number}")
+        values[key] = number
     return values
 
 

@@ -2,10 +2,10 @@
 
 Each function evaluates its summation formula exactly as written, over
 exact integers, with the 1/(n+1) (or 1/(2m+1)) prefactor enforced as an
-exact division: a remainder raises DivisibilityViolation instead of ever
-rounding.  All binomials follow the convention of
-:func:`revsym.exact_arith.binomial` (zero for negative lower argument,
-falling-factorial form for any integer upper argument).
+exact division: a remainder raises NonIntegerCoefficient, naming a_n and
+its reduced value, instead of ever rounding.  All binomials follow the
+convention of :func:`revsym.exact_arith.binomial` (zero for negative lower
+argument, falling-factorial form for any integer upper argument).
 
 Boundary conventions, pinned by the reversion ground truth a_0 = 1 that
 every unit-slope symbol forces:
@@ -54,7 +54,7 @@ def triangle_free_term(n: int) -> int:
         return 1
     upper = (n - 1 + 1) // 2  # ceil((n-1)/2) for n >= 1
     total = sum(binomial(n + k, k) * binomial(n - k - 1, k - 1) for k in range(upper + 1))
-    return exact_div(total, n + 1)
+    return exact_div(total, n + 1, n)
 
 
 def odd_term(n: int) -> int:
@@ -68,7 +68,7 @@ def odd_term(n: int) -> int:
         raise DomainError("odd-tile formula is only defined for n >= 1")
     upper = (n + 2) // 2  # ceil((n+1)/2)
     total = sum(binomial(2 * n - 2 * k, n - 2 * k) * binomial(n - k - 1, k) for k in range(upper + 1))
-    return exact_div(total, n + 1)
+    return exact_div(total, n + 1, n)
 
 
 def even_term(n: int) -> int:
@@ -88,7 +88,7 @@ def even_term(n: int) -> int:
         return 0
     m = n // 2
     total = sum(binomial(2 * m + k, k) * binomial(m - 1, k - 1) for k in range(m + 1))
-    return exact_div(total, 2 * m + 1)
+    return exact_div(total, 2 * m + 1, n)
 
 
 def schroeder_term(n: int) -> int:
@@ -104,14 +104,14 @@ def schroeder_term(n: int) -> int:
     if n == 0:
         return 1
     total = sum(binomial(2 * n - k, n) * binomial(n - 1, k) for k in range(n + 2))
-    return exact_div(total, n + 1)
+    return exact_div(total, n + 1, n)
 
 
 def catalan_term(n: int) -> int:
     """Triangulations of the (n+2)-gon: C(2n, n)/(n+1)."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    return exact_div(binomial(2 * n, n), n + 1)
+    return exact_div(binomial(2 * n, n), n + 1, n)
 
 
 def motzkin_term(n: int) -> int:
@@ -122,4 +122,4 @@ def motzkin_term(n: int) -> int:
     if n < 0:
         raise DomainError("n must be >= 0")
     total = sum(binomial(n + 1, k) * binomial(k, 2 * k - n - 2) for k in range(n + 2))
-    return exact_div(total, n + 1)
+    return exact_div(total, n + 1, n)

@@ -1,32 +1,31 @@
-"""Exact scalar arithmetic: generalized binomials and checked division.
+"""Exact scalar arithmetic: generalized binomials and the one checked division.
 
 Python's built-in ``int`` is already an arbitrary-precision integer, so it
 is used directly as the one scalar type.  What this module adds is the
 binomial-coefficient convention the rest of the package depends on, and
-division that refuses to round.
+:func:`exact_div`, the division that refuses to round.  The closed forms,
+the series division kernel and both reversion routes divide through it, so
+every non-integral quotient raises the same :class:`NonIntegerCoefficient`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 __all__ = [
-    "DivisibilityViolation",
-    "ZeroDivisor",
+    "NonIntegerCoefficient",
     "binomial",
     "exact_div",
 ]
 
-class ZeroDivisor(ZeroDivisionError):
-    """exact_div was asked to divide by zero."""
 
-
-class DivisibilityViolation(ArithmeticError):
+class NonIntegerCoefficient(ArithmeticError):
     """A quotient that must be an integer is not one.
 
     Raised instead of rounding: every sequence term in this package is an
     exact integer, so a failed division signals a formula or convention bug
-    rather than a numeric edge case.
+    or a symbol whose inverse series is not integral.
     """
 
 
@@ -49,11 +48,13 @@ def binomial(r: int, k: int) -> int:
     return sign * comb(k - r - 1, k)
 
 
-def exact_div(a: int, b: int) -> int:
-    """Return a // b, insisting that b divides a exactly."""
-    if b == 0:
-        raise ZeroDivisor(f"exact_div({a}, 0)")
-    q, r = divmod(a, b)
+def exact_div(value: int, divisor: int, index: int, name: str = "a") -> int:
+    """<name>_<index> = value / divisor as an exact int.
+
+    Raises NonIntegerCoefficient, with the reduced value, where divisor does
+    not divide value, and ZeroDivisionError for a zero divisor.
+    """
+    q, r = divmod(value, divisor)
     if r != 0:
-        raise DivisibilityViolation(f"{b} does not divide {a}")
+        raise NonIntegerCoefficient(f"{name}_{index} = {Fraction(value, divisor)} is not an integer")
     return q

@@ -1,14 +1,15 @@
-"""Truncated formal power series over the integers.
+"""Truncated power-series kernels on plain ``int`` lists, and series reversion.
 
-A series here is a finite coefficient vector c_0..c_N ("precision N"); all
-identities hold modulo x^{N+1}.  Binary operations truncate to the smaller
-precision of their operands and never extend a series with invented
-coefficients.
+A series is a list of coefficients c_0..c_N; every kernel takes the degree
+n to truncate at and returns exactly n + 1 coefficients, so all identities
+hold modulo x^{n+1}.  There is no series class: the kernels are the
+truncated product :func:`_conv`, the exact quotient :func:`_div_raw` and
+the composition :func:`_compose_raw`.
 
 Coefficients are Python ints.  The one division, :func:`_div_raw`, divides
-each step exactly by the divisor's constant term and raises
-:class:`NonIntegerCoefficient` where the quotient would leave the integers,
-so nothing is ever rounded.
+each step exactly by the divisor's constant term through
+:func:`revsym.exact_arith.exact_div`, which raises ``NonIntegerCoefficient``
+where the quotient would leave the integers, so nothing is ever rounded.
 
 Two independent reversion routes take a reversive symbol alpha = P/Q and
 return the inverse-series coefficients a_0..a_N, certifying that every one
@@ -23,41 +24,17 @@ is an integer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+from .exact_arith import exact_div
 
 if TYPE_CHECKING:
     from .symbols import ReversiveSymbol
 
 __all__ = [
-    "TruncatedSeries",
-    "NonUnitSeries",
-    "NonZeroInnerConstant",
-    "NonIntegerCoefficient",
     "lagrange_coefficients",
     "revert_direct",
 ]
-
-
-class NonUnitSeries(ValueError):
-    """Division by a series whose constant term is zero."""
-
-
-class NonZeroInnerConstant(ValueError):
-    """Composition with an inner series whose constant term is nonzero."""
-
-
-class NonIntegerCoefficient(ArithmeticError):
-    """A series or reversion coefficient failed the exact-integrality check."""
-
-
-def _exact_term(value: int, divisor: int, index: int, name: str = "a") -> int:
-    """<name>_<index> = value / divisor as an exact int, or NonIntegerCoefficient."""
-    q, r = divmod(value, divisor)
-    if r != 0:
-        raise NonIntegerCoefficient(f"{name}_{index} = {Fraction(value, divisor)} is not an integer")
-    return q
 
 
 def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -75,10 +52,11 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
 
 def _div_raw(p: Sequence[int], q: Sequence[int], n: int) -> list[int]:
-    """p/q mod x^{n+1} by the triangular recurrence, each step divided exactly by q[0]."""
+    """p/q mod x^{n+1} by the triangular recurrence, each step divided exactly by q[0].
+
+    A zero q[0] raises ZeroDivisionError.
+    """
     q0 = q[0]
-    if q0 == 0:
-        raise NonUnitSeries("division requires a nonzero constant term")
     out = [0] * (n + 1)
     for m in range(n + 1):
         s = p[m] if m < len(p) else 0
@@ -86,22 +64,8 @@ def _div_raw(p: Sequence[int], q: Sequence[int], n: int) -> list[int]:
             qk = q[k]
             if qk:
                 s -= qk * out[m - k]
-        out[m] = _exact_term(s, q0, m, "quotient")
+        out[m] = exact_div(s, q0, m, "quotient")
     return out
-
-
-def _pow_raw(base: Sequence[int], e: int, n: int) -> list[int]:
-    """base**e mod x^{n+1} by repeated squaring; e >= 0."""
-    res = [0] * (n + 1)
-    res[0] = 1
-    b = list(base[: n + 1])
-    while e:
-        if e & 1:
-            res = _conv(res, b, n)
-        e >>= 1
-        if e:
-            b = _conv(b, b, n)
-    return res
 
 
 def _compose_raw(outer: Sequence[int], inner: Sequence[int], n: int) -> list[int]:
@@ -112,90 +76,6 @@ def _compose_raw(outer: Sequence[int], inner: Sequence[int], n: int) -> list[int
         res = _conv(res, inner, n)
         res[0] += c
     return res
-
-
-@dataclass(frozen=True, slots=True)
-class TruncatedSeries:
-    """Immutable truncated power series c_0 + c_1 x + ... + c_N x^N, integer coefficients."""
-
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs: Iterable[int]):
-        cs = tuple(coeffs)
-        if not cs:
-            raise ValueError("a truncated series needs at least the constant coefficient")
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"series coefficients must be int, got {type(c).__name__}")
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def precision(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, precision: int) -> TruncatedSeries:
-        return cls([0] * (precision + 1))
-
-    @classmethod
-    def one(cls, precision: int) -> TruncatedSeries:
-        return cls([1] + [0] * precision)
-
-    @classmethod
-    def identity(cls, precision: int) -> TruncatedSeries:
-        """The series x (requires precision >= 1)."""
-        if precision < 1:
-            raise ValueError("identity series needs precision >= 1")
-        return cls([0, 1] + [0] * (precision - 1))
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i <= self.precision:
-            raise IndexError(f"coefficient {i} is beyond precision {self.precision}")
-        return self.coeffs[i]
-
-    def truncate(self, precision: int) -> TruncatedSeries:
-        if precision > self.precision:
-            raise ValueError("cannot extend a series beyond its known precision")
-        return TruncatedSeries(self.coeffs[: precision + 1])
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(-c for c in self.coeffs)
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.precision, other.precision)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(a[i] + b[i] for i in range(n + 1))
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.precision, other.precision)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(a[i] - b[i] for i in range(n + 1))
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(_conv(self.coeffs, other.coeffs, n))
-
-    def __pow__(self, e: int) -> TruncatedSeries:
-        if e < 0:
-            raise ValueError("negative powers: use reciprocal() first")
-        return TruncatedSeries(_pow_raw(self.coeffs, e, self.precision))
-
-    def reciprocal(self) -> TruncatedSeries:
-        """Multiplicative inverse r with self * r = 1 to this precision.
-
-        Raises NonIntegerCoefficient where r would not be integral.
-        """
-        return TruncatedSeries(_div_raw((1,), self.coeffs, self.precision))
-
-    def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
-        """self(inner(x)), truncated to the smaller precision."""
-        if inner.coeffs[0] != 0:
-            raise NonZeroInnerConstant("composition needs inner constant term 0")
-        n = min(self.precision, inner.precision)
-        return TruncatedSeries(_compose_raw(self.coeffs[: n + 1], inner.coeffs[: n + 1], n))
 
 
 def lagrange_coefficients(alpha: "ReversiveSymbol", N: int) -> list[int]:
@@ -220,7 +100,7 @@ def lagrange_coefficients(alpha: "ReversiveSymbol", N: int) -> list[int]:
     out: list[int] = []
     power = ratio
     for n in range(1, N + 2):
-        out.append(_exact_term(power[n - 1], n * c ** (n - 1), n - 1))
+        out.append(exact_div(power[n - 1], n * c ** (n - 1), n - 1))
         if n <= N:
             power = _conv(power, ratio, N)
     return out
@@ -256,5 +136,5 @@ def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
             rows[k][n] = sum(f[i] * prev[n - i] for i in range(1, n - k + 2))
         rhs = sum(qk * row[n - 1] for qk, row in zip(q, rows))
         rhs -= sum(pk * row[n] for pk, row in zip(p[2:], rows[2:]))
-        f[n] = _exact_term(rhs, p[1], n - 1)
+        f[n] = exact_div(rhs, p[1], n - 1)
     return f[1:]

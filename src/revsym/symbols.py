@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import closed_forms
-from .power_series import TruncatedSeries, _conv, _div_raw
+from .power_series import _compose_raw, _conv, _div_raw
 
 __all__ = [
     "Polynomial",
@@ -209,16 +209,12 @@ def symbol_from_tile_rule(rule: TileRule) -> ReversiveSymbol:
     return ReversiveSymbol(f"tiles({rule.label()})", numerator, g_den)
 
 
-def _poly_series(p: Polynomial, precision: int) -> TruncatedSeries:
-    return TruncatedSeries(p.coeff(i) for i in range(precision + 1))
-
-
-def expand(symbol: ReversiveSymbol, precision: int) -> TruncatedSeries:
-    """Taylor coefficients of numerator/denominator to the given precision.
+def expand(symbol: ReversiveSymbol, precision: int) -> list[int]:
+    """Taylor coefficients c_0..c_precision of numerator/denominator, as a list.
 
     Raises NonIntegerCoefficient where a coefficient is not an integer.
     """
-    return TruncatedSeries(_div_raw(symbol.numerator.coeffs, symbol.denominator.coeffs, precision))
+    return _div_raw(symbol.numerator.coeffs, symbol.denominator.coeffs, precision)
 
 
 @dataclass(frozen=True)
@@ -269,10 +265,10 @@ def verify_inverse(symbol: ReversiveSymbol, terms: Sequence[int]) -> bool:
     if not terms:
         raise ValueError("need at least a_0")
     n = len(terms)  # precision N+1
-    inverse = TruncatedSeries([0, *terms])
-    p_of_f = _poly_series(symbol.numerator, n).compose(inverse)
-    q_of_f = _poly_series(symbol.denominator, n).compose(inverse)
-    return p_of_f == TruncatedSeries([0, *q_of_f.coeffs[:n]])
+    inverse = [0, *terms]
+    p_of_f, q_of_f = (_compose_raw(p.coeffs[: n + 1], inverse, n)
+                      for p in (symbol.numerator, symbol.denominator))
+    return p_of_f == [0, *q_of_f[:n]]
 
 
 def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
@@ -285,12 +281,11 @@ def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
     if not terms:
         raise ValueError("need at least a_0")
     n = len(terms) - 1
-    a = TruncatedSeries(terms)
-    xa = TruncatedSeries([0, *terms[:n]])
-    num_xa, den_xa = (_poly_series(p, n).compose(xa).coeffs for p in rule.generating_pair())
-    g = TruncatedSeries(_div_raw(num_xa, den_xa, n))
-    rhs = TruncatedSeries.one(n) + a * g
-    return rhs == a
+    xa = [0, *terms[:n]]
+    num_xa, den_xa = (_compose_raw(p.coeffs[: n + 1], xa, n) for p in rule.generating_pair())
+    rhs = _conv(terms, _div_raw(num_xa, den_xa, n), n)
+    rhs[0] += 1
+    return rhs == list(terms)
 
 
 def format_symbol(symbol: ReversiveSymbol, include_name: bool = True) -> str:

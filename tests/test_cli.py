@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from revsym import cli, dissection_oracle, power_series, symbols
 from revsym.dissection_oracle import CapExceeded, enumerate_count
-from revsym.power_series import NonIntegerCoefficient, revert_direct
+from revsym.exact_arith import NonIntegerCoefficient, exact_div
+from revsym.power_series import revert_direct
 from revsym.symbols import TileRule, catalog, parse_symbol, parse_tile_spec
 
 
@@ -123,6 +124,16 @@ class TestTerms:
         rc, _, err = run(capsys, "terms", "(0,1,-1)/(1)", "--count", "3", "--method", "closed")
         assert rc == 2
         assert "catalog" in err
+
+    def test_closed_form_divisibility_failure_exits_2(self, capsys, monkeypatch):
+        patched = tuple(
+            dataclasses.replace(e, closed_form=lambda n: exact_div(7, 2, n)) if e.symbol.name == "catalan" else e
+            for e in symbols._CATALOG
+        )
+        monkeypatch.setattr(symbols, "_CATALOG", patched)
+        rc, out, err = run(capsys, "terms", "catalan", "--method", "closed", "--count", "3")
+        assert (rc, out) == (2, "")
+        assert err == "error: a_0 = 7/2 is not an integer\n"
 
     def test_closed_refuses_oddtiles_range_with_zero(self, capsys):
         rc, _, err = run(capsys, "terms", "oddtiles", "--count", "5", "--method", "closed")
@@ -336,6 +347,13 @@ class TestConfig:
         rc, _, err = run(capsys, "terms", "catalan", "--config", str(tmp_path / "nope.conf"))
         assert rc == 2
         assert "nope.conf" in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_bytes(b"\xff\xfedefault_count=3\n")
+        rc, out, err = run(capsys, "terms", "catalan", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert err == f"error: {cfg}: not UTF-8 text (byte 0)\n"
 
 
 class TestUsageErrors:

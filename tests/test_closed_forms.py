@@ -190,9 +190,9 @@ class TestUpperLimitRobustness:
 
     def test_sums_reproduce_terms(self):
         for n in range(1, 40):
-            assert triangle_free_term(n) == exact_div(_tf_sum(n, n // 2), n + 1)
-            assert odd_term(n) == exact_div(_odd_sum(n, (n + 2) // 2), n + 1)
-            assert schroeder_term(n) == exact_div(_schroeder_sum(n, n + 1), n + 1)
-            assert motzkin_term(n) == exact_div(_motzkin_sum(n, n + 1), n + 1)
+            assert triangle_free_term(n) == exact_div(_tf_sum(n, n // 2), n + 1, n)
+            assert odd_term(n) == exact_div(_odd_sum(n, (n + 2) // 2), n + 1, n)
+            assert schroeder_term(n) == exact_div(_schroeder_sum(n, n + 1), n + 1, n)
+            assert motzkin_term(n) == exact_div(_motzkin_sum(n, n + 1), n + 1, n)
         for m in range(1, 20):
-            assert even_term(2 * m) == exact_div(_even_sum(m, m), 2 * m + 1)
+            assert even_term(2 * m) == exact_div(_even_sum(m, m), 2 * m + 1, 2 * m)

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from revsym.exact_arith import DivisibilityViolation, ZeroDivisor, binomial, exact_div
+from revsym.exact_arith import NonIntegerCoefficient, binomial, exact_div
 
 
 class TestBinomial:
@@ -54,26 +54,28 @@ class TestBinomial:
 
 class TestExactDiv:
     def test_plain(self):
-        assert exact_div(20, 5) == 4
+        assert exact_div(20, 5, 0) == 4
 
     def test_schroeder_prefactor(self):
         # 44 is the raw inner sum of the n=3 dissection formula; dividing by
         # n+1 = 4 must give the 11 pentagon dissections counted exhaustively
-        assert exact_div(44, 4) == 11
+        assert exact_div(44, 4, 3) == 11
 
     def test_negative_operands(self):
-        assert exact_div(-20, 5) == -4
-        assert exact_div(20, -5) == -4
-        assert exact_div(-20, -5) == 4
+        assert exact_div(-20, 5, 0) == -4
+        assert exact_div(20, -5, 0) == -4
+        assert exact_div(-20, -5, 0) == 4
 
     def test_indivisible_raises(self):
-        with pytest.raises(DivisibilityViolation):
-            exact_div(7, 2)
+        with pytest.raises(NonIntegerCoefficient, match=r"^a_3 = 7/2 is not an integer$"):
+            exact_div(7, 2, 3)
+        with pytest.raises(NonIntegerCoefficient, match=r"^quotient_0 = -1/3 is not an integer$"):
+            exact_div(2, -6, 0, "quotient")
 
     def test_zero_divisor_raises(self):
-        with pytest.raises(ZeroDivisor):
-            exact_div(7, 0)
+        with pytest.raises(ZeroDivisionError):
+            exact_div(7, 0, 0)
 
     @given(st.integers(-10**12, 10**12), st.integers(-10**6, 10**6).filter(lambda b: b != 0))
     def test_round_trip(self, a, b):
-        assert exact_div(a * b, b) == a
+        assert exact_div(a * b, b, 0) == a

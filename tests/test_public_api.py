@@ -1,0 +1,44 @@
+"""The package's public names and the README's library example agree."""
+
+import ast
+import re
+from pathlib import Path
+
+import revsym
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_block():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^## Library\n.*?^```python\n(.*?)^```", text, re.M | re.S)
+    assert match, "README has no python block under '## Library'"
+    return match.group(1)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in revsym.__all__ if not hasattr(revsym, name)]
+    assert missing == []
+
+
+def test_readme_library_block_runs_and_imports_only_public_names():
+    block = _library_block()
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "revsym"
+        for alias in node.names
+    }
+    assert imported and imported <= set(revsym.__all__)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    # a line `expr  # literal` documents the value of expr
+    for line in block.splitlines():
+        code, sep, comment = line.partition("#")
+        if not sep or not code.strip():
+            continue
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            continue
+        assert eval(code, namespace) == expected, line

@@ -3,7 +3,8 @@
 import pytest
 
 from revsym.dissection_oracle import enumerate_count
-from revsym.power_series import NonIntegerCoefficient, TruncatedSeries, lagrange_coefficients
+from revsym.exact_arith import NonIntegerCoefficient
+from revsym.power_series import lagrange_coefficients
 from revsym.symbols import (
     ANY_TILES,
     EVEN_ONLY,
@@ -210,15 +211,15 @@ class TestSynthesis:
 class TestExpand:
     def test_schroeder_expansion(self):
         sym, _ = entry("schroeder")
-        assert expand(sym, 4) == TruncatedSeries([0, 1, -1, -1, -1])
+        assert expand(sym, 4) == [0, 1, -1, -1, -1]
 
     def test_catalan_is_polynomial(self):
         sym, _ = entry("catalan")
-        assert expand(sym, 4) == TruncatedSeries([0, 1, -1, 0, 0])
+        assert expand(sym, 4) == [0, 1, -1, 0, 0]
 
     def test_even_expansion(self):
         sym, _ = entry("eventiles")
-        assert expand(sym, 5) == TruncatedSeries([0, 1, 0, -1, 0, -1])
+        assert expand(sym, 5) == [0, 1, 0, -1, 0, -1]
 
     def test_expansion_starts_with_unit_slope(self):
         for sym in (e.symbol for e in catalog()):
