@@ -10,9 +10,11 @@ exact-division and composition kernels of :mod:`revsym.power_series`;
 direct reversion runs its own integer recurrence on the symbol's
 coefficients, and the closed forms, the two brute-force counters and the
 benchmark's own counter (``perfbench/reference.py``) use none of those
-kernels.  A series is a plain list of Python ``int`` coefficients, and
-every division goes through :func:`revsym.exact_arith.exact_div`, which
-raises :class:`NonIntegerCoefficient` instead of rounding.
+kernels.  A series is a plain list of Python ``int`` coefficients and a
+polynomial, such as a symbol's numerator or denominator, a plain tuple of
+them, both lowest degree first.  Every division goes through
+:func:`revsym.exact_arith.exact_div`, which raises
+:class:`NonIntegerCoefficient` instead of rounding.
 """
 
 from .closed_forms import (
@@ -45,7 +47,6 @@ from .symbols import (
     CatalogEntry,
     InvalidTileSet,
     ParseError,
-    Polynomial,
     ReversiveSymbol,
     TileRule,
     catalog,
@@ -72,7 +73,6 @@ __all__ = [
     "NonIntegerCoefficient",
     "ODD_ONLY",
     "ParseError",
-    "Polynomial",
     "ReversiveSymbol",
     "TRIANGLES_ONLY",
     "Tile",

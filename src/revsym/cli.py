@@ -143,9 +143,26 @@ def _compute_terms(
     raise MethodUnavailable(f"unknown method {method!r}")  # pragma: no cover - argparse restricts choices
 
 
+def _decimal(value: int) -> str:
+    """A term in decimal, however many digits it has.
+
+    The interpreter's int-to-str digit limit, which guards the parsing of
+    input, is lifted for this one conversion and then restored.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return str(value)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _print_terms(terms: list[int]) -> None:
     for i, value in enumerate(terms):
-        print(f"{i} {value}")
+        print(f"{i} {_decimal(value)}")
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -203,13 +220,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             elif value == expected:
                 row.append("ok")
             else:
-                row.append(str(value))
+                row.append(_decimal(value))
                 if mismatch is None:
                     mismatch = (path, value)
-        print(f"{i} {expected} " + " ".join(row))
+        print(f"{i} {_decimal(expected)} " + " ".join(row))
         if mismatch is not None:
             path, value = mismatch
-            print(f"MISMATCH at n={i}: {path}={value}, reversion={expected}")
+            print(f"MISMATCH at n={i}: {path}={_decimal(value)}, reversion={_decimal(expected)}")
             return 1
     if entry.closed_from > 0:
         print("note: closed form excluded at n=0 (boundary convention anomaly; reversion pins a_0 = 1)")
@@ -246,7 +263,7 @@ def cmd_from_tiles(args: argparse.Namespace) -> int:
     series = count_by_series(count - 1, rule)
     for i, (a, b) in enumerate(zip(terms, series)):
         if a != b:
-            print(f"MISMATCH at n={i}: reversion={a}, series={b}")
+            print(f"MISMATCH at n={i}: reversion={_decimal(a)}, series={_decimal(b)}")
             return 1
     _print_terms(terms)
     return 0
@@ -256,7 +273,7 @@ def cmd_bfile(args: argparse.Namespace) -> int:
     symbol, _entry = _resolve(args.name_or_symbol)
     if args.count > 0:
         terms = lagrange_coefficients(symbol, args.count - 1)
-        lines = "".join(f"{i} {v}\n" for i, v in enumerate(terms))
+        lines = "".join(f"{i} {_decimal(v)}\n" for i, v in enumerate(terms))
     else:
         lines = ""
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:

@@ -15,7 +15,8 @@ Three counters that check the series-reversion routes from other sides:
   kernels different operands, so a kernel defect makes them disagree, and
   the enumeration checks both.  It takes the size sum from
   :meth:`TileRule.generating_pair`, the same pair symbol synthesis uses,
-  so enumeration for n <= cap is what checks that pair.
+  and builds the equation's right side with the same code as
+  :func:`verify_tautological`.
 * :func:`count_chord_diagrams` exhaustively counts placements of pairwise
   disjoint chords (no shared endpoints, no crossings) on labelled circle
   points, the model behind the motzkin entry.  It too uses no series
@@ -30,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .power_series import _compose_raw, _conv, _div_raw
-from .symbols import TileRule
+from .symbols import TileRule, _tile_equation_rhs
 
 __all__ = [
     "DEFAULT_DISSECTION_CAP",
@@ -261,17 +261,11 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    g_num, g_den = (p.coeffs for p in rule.generating_pair())
+    pair = rule.generating_pair()
     a = [1]
     for k in range(1, n_max + 1):
-        xa = [0] + a[:k]
-        num_y = _compose_raw(g_num, xa, k)
-        den_y = _compose_raw(g_den, xa, k)
-        # den_y[0] == 1 (every rule denominator is 1 or 1 - y^step), so every division is exact
-        weight = _div_raw(num_y, den_y, k)
-        nxt = _conv(a, weight, k)
-        nxt[0] += 1
-        a = nxt
+        # every rule denominator is 1 or 1 - y^step, so every division is exact
+        a = _tile_equation_rhs(pair, a, k)
     return a
 
 

@@ -92,9 +92,9 @@ def lagrange_coefficients(alpha: "ReversiveSymbol", N: int) -> list[int]:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    c = alpha.denominator.coeffs[0]
-    num = alpha.numerator.coeffs[1 : N + 2]  # P/t; valid because P(0) = 0
-    den = alpha.denominator.coeffs[: N + 1]
+    c = alpha.denominator[0]
+    num = alpha.numerator[1 : N + 2]  # P/t; valid because P(0) = 0
+    den = alpha.denominator[: N + 1]
     ratio = _div_raw([qk * c**k // c for k, qk in enumerate(den)],
                      [pk * c**k // c for k, pk in enumerate(num)], N)
     out: list[int] = []
@@ -123,8 +123,8 @@ def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
     if N < 0:
         raise ValueError("N must be >= 0")
     # F^k starts at x^k, so coefficients above degree N+1 never reach a_N
-    p = alpha.numerator.coeffs[: N + 2]
-    q = alpha.denominator.coeffs[: N + 2]
+    p = alpha.numerator[: N + 2]
+    q = alpha.denominator[: N + 2]
     d = max(len(p), len(q)) - 1
     # rows[k][j] = [x^j] F^k; row 0 is the constant 1 and row 1 is F itself
     rows = [[0] * (N + 2) for _ in range(d + 1)]

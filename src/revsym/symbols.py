@@ -1,11 +1,13 @@
 """Reversive symbols: rational functions that encode dissection counts.
 
 A reversive symbol is a rational function alpha(F) = P(F)/Q(F) with integer
-coefficients, P(0) = 0 and unit slope; the compositional inverse of alpha is
-x * A(x) where A is the generating function of the counting sequence the
-symbol stands for.  This module holds the symbol and tile-rule types, the
-six-entry catalog, synthesis of a symbol from a tile-size rule, the two
-functional-equation verifiers, and the one-line text format used by the CLI.
+coefficients, P(0) = 0 and unit slope; the compositional inverse of alpha
+is x * A(x) where A is the generating function of the counting sequence the
+symbol stands for.  P and Q, like every polynomial here, are plain ``int``
+tuples, lowest degree first; there is no polynomial class.  This module
+holds the symbol and tile-rule types, the six-entry catalog, synthesis of a
+symbol from a tile-size rule, the two functional-equation verifiers, and
+the one-line text format used by the CLI.
 
 A tile rule S (a set of permitted tile side-counts, each >= 3) turns into a
 symbol through the root-edge decomposition of a dissection: a tile with s
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import closed_forms
 from .power_series import _compose_raw, _conv, _div_raw
 
 __all__ = [
-    "Polynomial",
     "ReversiveSymbol",
     "TileRule",
     "CatalogEntry",
@@ -57,75 +59,47 @@ class ParseError(ValueError):
     """Malformed symbol text or tile-rule spec."""
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Integer-coefficient polynomial, coeffs[i] the coefficient of degree i.
+def _int_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:
+    """Polynomial coefficients, lowest degree first, with trailing zeros trimmed.
 
-    Trailing zero coefficients are trimmed; the zero polynomial is ().
+    The zero polynomial is ().  Raises TypeError for a coefficient that is
+    not an int.
     """
-
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs: Iterable[int]):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError("polynomial coefficients must be int")
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.coeff(i) + other.coeff(i) for i in range(n))
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.coeff(i) - other.coeff(i) for i in range(n))
-
-    def __mul__(self, other: Polynomial) -> Polynomial:
-        if self.is_zero() or other.is_zero():
-            return Polynomial(())
-        return Polynomial(_conv(self.coeffs, other.coeffs, self.degree + other.degree))
-
-    def shifted(self, k: int) -> Polynomial:
-        """Multiply by y^k."""
-        if self.is_zero():
-            return self
-        return Polynomial((0,) * k + self.coeffs)
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not all(isinstance(c, int) for c in cs):
+        raise TypeError("polynomial coefficients must be int")
+    return tuple(cs)
 
 
 @dataclass(frozen=True)
 class ReversiveSymbol:
     """Named rational function alpha(F) = numerator/denominator.
 
-    Invariants, checked at construction: numerator has no constant term,
-    the denominator has a nonzero constant term, and the expanded series
-    has linear coefficient exactly 1 (unit slope), which forces the
-    inverse series to start x + ... , i.e. a_0 = 1.
+    The two polynomials are int tuples, lowest degree first, trimmed of
+    trailing zeros at construction.  Invariants, also checked at
+    construction: numerator has no constant term, the denominator has a
+    nonzero constant term, and the expanded series has linear coefficient
+    exactly 1 (unit slope), which forces the inverse series to start
+    x + ... , i.e. a_0 = 1.
     """
 
     name: str
-    numerator: Polynomial
-    denominator: Polynomial
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.numerator.coeff(0) != 0:
+        num, den = _int_tuple(self.numerator), _int_tuple(self.denominator)
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
+        p0, p1 = (*num, 0, 0)[:2]
+        q0 = (*den, 0)[0]
+        if p0 != 0:
             raise ValueError(f"symbol {self.name!r}: numerator must vanish at 0")
-        q0 = self.denominator.coeff(0)
         if q0 == 0:
             raise ValueError(f"symbol {self.name!r}: denominator must not vanish at 0")
-        if self.numerator.coeff(1) != q0:
+        if p1 != q0:
             raise ValueError(f"symbol {self.name!r}: expansion must have unit slope")
 
 
@@ -176,19 +150,22 @@ class TileRule:
             parts.append(f"{self.start}+{self.step if self.step > 1 else ''}")
         return ",".join(parts)
 
-    def generating_pair(self) -> tuple[Polynomial, Polynomial]:
+    def generating_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """g(y) = sum of y^{s-2} over the allowed s, as (numerator, denominator).
 
-        The finite sizes give a polynomial; the tail adds y^{start-2}/(1-y^step).
+        Each finite size adds y^{s-2}.  With a tail, g is taken over the
+        common denominator 1 - y^step: each finite size also subtracts
+        y^{s-2+step}, and the tail adds y^{start-2}.
         """
-        one = Polynomial((1,))
-        finite = Polynomial(())
+        num = [0] * (max((*self.sizes, self.start or 0)) + self.step)
         for s in self.sizes:
-            finite = finite + one.shifted(s - 2)
+            num[s - 2] += 1
+            if self.start is not None:
+                num[s - 2 + self.step] -= 1
         if self.start is None:
-            return finite, one
-        den = one - one.shifted(self.step)
-        return finite * den + one.shifted(self.start - 2), den
+            return _int_tuple(num), (1,)
+        num[self.start - 2] += 1
+        return _int_tuple(num), (1, *[0] * (self.step - 1), -1)
 
 
 ANY_TILES = TileRule(start=3)
@@ -205,7 +182,7 @@ def symbol_from_tile_rule(rule: TileRule) -> ReversiveSymbol:
     alpha = F (Dg(F) - Ng(F)) / Dg(F).
     """
     g_num, g_den = rule.generating_pair()
-    numerator = (g_den - g_num).shifted(1)
+    numerator = (0, *(d - n for d, n in zip_longest(g_den, g_num, fillvalue=0)))
     return ReversiveSymbol(f"tiles({rule.label()})", numerator, g_den)
 
 
@@ -214,7 +191,7 @@ def expand(symbol: ReversiveSymbol, precision: int) -> list[int]:
 
     Raises NonIntegerCoefficient where a coefficient is not an integer.
     """
-    return _div_raw(symbol.numerator.coeffs, symbol.denominator.coeffs, precision)
+    return _div_raw(symbol.numerator, symbol.denominator, precision)
 
 
 @dataclass(frozen=True)
@@ -236,17 +213,17 @@ class CatalogEntry:
 # The six catalog entries.  Coefficient tuples are in increasing degree, so
 # e.g. schroeder is (F - 2F^2)/(1 - F).
 _CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry(ReversiveSymbol("trianglefree", Polynomial((0, 1, -1, -1)), Polynomial((1, -1))),
+    CatalogEntry(ReversiveSymbol("trianglefree", (0, 1, -1, -1), (1, -1)),
                  NO_TRIANGLES, closed_forms.triangle_free_term),
-    CatalogEntry(ReversiveSymbol("oddtiles", Polynomial((0, 1, -1, -1)), Polynomial((1, 0, -1))),
+    CatalogEntry(ReversiveSymbol("oddtiles", (0, 1, -1, -1), (1, 0, -1)),
                  ODD_ONLY, closed_forms.odd_term, closed_from=1),
-    CatalogEntry(ReversiveSymbol("eventiles", Polynomial((0, 1, 0, -2)), Polynomial((1, 0, -1))),
+    CatalogEntry(ReversiveSymbol("eventiles", (0, 1, 0, -2), (1, 0, -1)),
                  EVEN_ONLY, closed_forms.even_term),
-    CatalogEntry(ReversiveSymbol("schroeder", Polynomial((0, 1, -2)), Polynomial((1, -1))),
+    CatalogEntry(ReversiveSymbol("schroeder", (0, 1, -2), (1, -1)),
                  ANY_TILES, closed_forms.schroeder_term),
-    CatalogEntry(ReversiveSymbol("catalan", Polynomial((0, 1, -1)), Polynomial((1,))),
+    CatalogEntry(ReversiveSymbol("catalan", (0, 1, -1), (1,)),
                  TRIANGLES_ONLY, closed_forms.catalan_term),
-    CatalogEntry(ReversiveSymbol("motzkin", Polynomial((0, 1, -1)), Polynomial((1, 0, 0, -1))),
+    CatalogEntry(ReversiveSymbol("motzkin", (0, 1, -1), (1, 0, 0, -1)),
                  None, closed_forms.motzkin_term),
 )
 
@@ -266,9 +243,23 @@ def verify_inverse(symbol: ReversiveSymbol, terms: Sequence[int]) -> bool:
         raise ValueError("need at least a_0")
     n = len(terms)  # precision N+1
     inverse = [0, *terms]
-    p_of_f, q_of_f = (_compose_raw(p.coeffs[: n + 1], inverse, n)
+    p_of_f, q_of_f = (_compose_raw(p[: n + 1], inverse, n)
                       for p in (symbol.numerator, symbol.denominator))
     return p_of_f == [0, *q_of_f[:n]]
+
+
+def _tile_equation_rhs(pair: tuple[Sequence[int], Sequence[int]], a: Sequence[int],
+                       n: int) -> list[int]:
+    """1 + A g(xA) mod x^{n+1}, the tile equation's right side, for g = pair[0]/pair[1].
+
+    g is a rule's generating pair, so A g(xA) = sum_{s in S} x^{s-2} A^{s-1};
+    g is cut at degree n, since xA starts at x.
+    """
+    xa = [0, *a[:n]]
+    num_xa, den_xa = (_compose_raw(p[: n + 1], xa, n) for p in pair)
+    rhs = _conv(a, _div_raw(num_xa, den_xa, n), n)
+    rhs[0] += 1
+    return rhs
 
 
 def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
@@ -280,18 +271,13 @@ def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
     """
     if not terms:
         raise ValueError("need at least a_0")
-    n = len(terms) - 1
-    xa = [0, *terms[:n]]
-    num_xa, den_xa = (_compose_raw(p.coeffs[: n + 1], xa, n) for p in rule.generating_pair())
-    rhs = _conv(terms, _div_raw(num_xa, den_xa, n), n)
-    rhs[0] += 1
-    return rhs == list(terms)
+    return _tile_equation_rhs(rule.generating_pair(), terms, len(terms) - 1) == list(terms)
 
 
 def format_symbol(symbol: ReversiveSymbol, include_name: bool = True) -> str:
     """Render as ``name: (p0,p1,...)/(q0,q1,...)`` (or bare, without name)."""
-    num = ",".join(str(c) for c in symbol.numerator.coeffs)
-    den = ",".join(str(c) for c in symbol.denominator.coeffs)
+    num = ",".join(str(c) for c in symbol.numerator)
+    den = ",".join(str(c) for c in symbol.denominator)
     body = f"({num})/({den})"
     return f"{symbol.name}: {body}" if include_name else body
 
@@ -327,7 +313,7 @@ def parse_symbol(text: str, default_name: str = "custom") -> ReversiveSymbol:
     num = _parse_int_list(num_part[1:-1], "numerator")
     den = _parse_int_list(den_part[1:-1], "denominator")
     try:
-        return ReversiveSymbol(name, Polynomial(num), Polynomial(den))
+        return ReversiveSymbol(name, num, den)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -22,7 +22,6 @@ from revsym.dissection_oracle import (
 from revsym.exact_arith import NonIntegerCoefficient, exact_div
 from revsym.power_series import lagrange_coefficients, revert_direct
 from revsym.symbols import (
-    Polynomial,
     ReversiveSymbol,
     catalog,
     parse_tile_spec,
@@ -131,7 +130,7 @@ def test_criterion_6_divisibility_and_integrality():
         with pytest.raises(NonIntegerCoefficient):
             exact_div(7, 2, 0)
         with pytest.raises(NonIntegerCoefficient):
-            bad = ReversiveSymbol("bad", Polynomial((0, 2, -1)), Polynomial((2,)))
+            bad = ReversiveSymbol("bad", (0, 2, -1), (2,))
             lagrange_coefficients(bad, 3)
 
 

@@ -3,12 +3,13 @@
 import contextlib
 import dataclasses
 import io
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revsym import cli, dissection_oracle, power_series, symbols
+from revsym import cli, power_series, symbols
 from revsym.dissection_oracle import CapExceeded, enumerate_count
 from revsym.exact_arith import NonIntegerCoefficient, exact_div
 from revsym.power_series import revert_direct
@@ -36,7 +37,7 @@ def _break_shared_conv(monkeypatch):
             out[n] += 2520
         return out
 
-    for module in (power_series, dissection_oracle, symbols):
+    for module in (power_series, symbols):
         monkeypatch.setattr(module, "_conv", faulty)
 
 
@@ -105,6 +106,28 @@ class TestTerms:
         assert elapsed < 6.0
         _, expected, _ = run(capsys, "terms", "schroeder", "--count", "201")
         assert out == expected
+
+    def test_terms_beyond_the_str_digit_limit_print(self, capsys):
+        # a_2 = 2 X^2 has 8,001 digits, more than the interpreter converts by default
+        limit = sys.get_int_max_str_digits()
+        rc, out, err = run(capsys, "terms", f"(0,1,-{'9' * 4000})/(1)", "--count", "3")
+        assert (rc, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit  # restored for in-process callers
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"2 {2 * (10**4000 - 1) ** 2}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert out.splitlines()[2] == expected
+
+    @pytest.mark.parametrize("argv", [
+        ("terms", f"(0,1,-{'9' * 5000})/(1)"),
+        ("from-tiles", f"3,{'9' * 5000}"),
+    ], ids=["symbol", "tile-spec"])
+    def test_input_beyond_the_str_digit_limit_exits_2(self, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--count", "3")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:")
 
     @settings(max_examples=200, deadline=None)
     @given(non_unit_symbol_texts())

@@ -1,10 +1,11 @@
 """Symbol catalog, tile-rule synthesis, verifiers, and the text format."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from revsym.dissection_oracle import enumerate_count
 from revsym.exact_arith import NonIntegerCoefficient
-from revsym.power_series import lagrange_coefficients
+from revsym.power_series import _conv, _div_raw, lagrange_coefficients
 from revsym.symbols import (
     ANY_TILES,
     EVEN_ONLY,
@@ -13,7 +14,6 @@ from revsym.symbols import (
     TRIANGLES_ONLY,
     InvalidTileSet,
     ParseError,
-    Polynomial,
     ReversiveSymbol,
     TileRule,
     catalog,
@@ -27,28 +27,22 @@ from revsym.symbols import (
 )
 
 
+@st.composite
+def random_rules(draw):
+    """Sizes 3..14 plus an optional tail with start 3..14 and step 1..4."""
+    sizes = draw(st.sets(st.integers(min_value=3, max_value=14), max_size=5))
+    tail = draw(st.none() | st.tuples(st.integers(min_value=3, max_value=14),
+                                       st.integers(min_value=1, max_value=4)))
+    if tail is None:
+        return TileRule(sizes or {3})
+    return TileRule(sizes, *tail)
+
+
 def entry(name):
     for e in catalog():
         if e.symbol.name == name:
             return e.symbol, e.rule
     raise KeyError(name)
-
-
-class TestPolynomial:
-    def test_trims_trailing_zeros(self):
-        assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
-        assert Polynomial((0, 0)).coeffs == ()
-
-    def test_degree(self):
-        assert Polynomial((1, 0, 3)).degree == 2
-        assert Polynomial(()).degree == -1
-
-    def test_mul(self):
-        assert (Polynomial((1, 1)) * Polynomial((1, -1))).coeffs == (1, 0, -1)
-
-    def test_rejects_non_int(self):
-        with pytest.raises(TypeError):
-            Polynomial((1.5,))
 
 
 class TestCatalog:
@@ -61,57 +55,66 @@ class TestCatalog:
 
     def test_catalan_symbol(self):
         sym, rule = entry("catalan")
-        assert sym.numerator.coeffs == (0, 1, -1)
-        assert sym.denominator.coeffs == (1,)
+        assert sym.numerator == (0, 1, -1)
+        assert sym.denominator == (1,)
         assert rule == TRIANGLES_ONLY
 
     def test_triangle_free_symbol(self):
         sym, rule = entry("trianglefree")
-        assert sym.numerator.coeffs == (0, 1, -1, -1)
-        assert sym.denominator.coeffs == (1, -1)
+        assert sym.numerator == (0, 1, -1, -1)
+        assert sym.denominator == (1, -1)
         assert rule == NO_TRIANGLES
 
     def test_odd_symbol(self):
         sym, rule = entry("oddtiles")
-        assert sym.numerator.coeffs == (0, 1, -1, -1)
-        assert sym.denominator.coeffs == (1, 0, -1)
+        assert sym.numerator == (0, 1, -1, -1)
+        assert sym.denominator == (1, 0, -1)
         assert rule == ODD_ONLY
 
     def test_even_symbol(self):
         sym, rule = entry("eventiles")
-        assert sym.numerator.coeffs == (0, 1, 0, -2)
-        assert sym.denominator.coeffs == (1, 0, -1)
+        assert sym.numerator == (0, 1, 0, -2)
+        assert sym.denominator == (1, 0, -1)
         assert rule == EVEN_ONLY
 
     def test_schroeder_symbol(self):
         sym, rule = entry("schroeder")
-        assert sym.numerator.coeffs == (0, 1, -2)
-        assert sym.denominator.coeffs == (1, -1)
+        assert sym.numerator == (0, 1, -2)
+        assert sym.denominator == (1, -1)
         assert rule == ANY_TILES
 
     def test_motzkin_symbol_has_no_rule(self):
         sym, rule = entry("motzkin")
-        assert sym.numerator.coeffs == (0, 1, -1)
-        assert sym.denominator.coeffs == (1, 0, 0, -1)
+        assert sym.numerator == (0, 1, -1)
+        assert sym.denominator == (1, 0, 0, -1)
         assert rule is None
 
 
 class TestSymbolInvariants:
     def test_rejects_constant_term_in_numerator(self):
         with pytest.raises(ValueError):
-            ReversiveSymbol("x", Polynomial((1, 1)), Polynomial((1,)))
+            ReversiveSymbol("x", (1, 1), (1,))
 
     def test_rejects_vanishing_denominator(self):
         with pytest.raises(ValueError):
-            ReversiveSymbol("x", Polynomial((0, 1)), Polynomial((0, 1)))
+            ReversiveSymbol("x", (0, 1), (0, 1))
 
     def test_rejects_non_unit_slope(self):
         with pytest.raises(ValueError):
-            ReversiveSymbol("x", Polynomial((0, 2, -1)), Polynomial((1,)))
+            ReversiveSymbol("x", (0, 2, -1), (1,))
 
     def test_accepts_scaled_unit_slope(self):
         # slope p1/q0 = 2/2 = 1 is allowed even though p1 != 1
-        ReversiveSymbol("x", Polynomial((0, 2, -1)), Polynomial((2,)))
+        ReversiveSymbol("x", (0, 2, -1), (2,))
+
+    def test_trims_trailing_zeros(self):
+        sym = ReversiveSymbol("c", (0, 1, -1, 0), (1, 0))
+        catalan, _ = entry("catalan")
+        assert (sym.numerator, sym.denominator) == (catalan.numerator, catalan.denominator)
+
+    def test_rejects_non_int(self):
+        with pytest.raises(TypeError):
+            ReversiveSymbol("x", (0, 1.5), (1,))
 
 
 class TestTileRule:
@@ -152,27 +155,34 @@ class TestTileRule:
     def test_label_round_trips_through_spec(self, rule):
         assert parse_tile_spec(rule.label()) == rule
 
+    @given(random_rules())
+    def test_generating_pair_expands_to_the_allowed_sizes(self, rule):
+        # g(y) = sum of y^{s-2} over the allowed s
+        num, den = rule.generating_pair()
+        assert num[-1] != 0
+        assert _div_raw(num, den, 40) == [0] + [int(rule.allows(s)) for s in range(3, 43)]
+
 
 class TestSynthesis:
     def test_no_triangles(self):
         sym = symbol_from_tile_rule(NO_TRIANGLES)
-        assert sym.numerator.coeffs == (0, 1, -1, -1)
-        assert sym.denominator.coeffs == (1, -1)
+        assert sym.numerator == (0, 1, -1, -1)
+        assert sym.denominator == (1, -1)
 
     def test_odd_only(self):
         sym = symbol_from_tile_rule(ODD_ONLY)
-        assert sym.numerator.coeffs == (0, 1, -1, -1)
-        assert sym.denominator.coeffs == (1, 0, -1)
+        assert sym.numerator == (0, 1, -1, -1)
+        assert sym.denominator == (1, 0, -1)
 
     def test_triangles_only(self):
         sym = symbol_from_tile_rule(TRIANGLES_ONLY)
-        assert sym.numerator.coeffs == (0, 1, -1)
-        assert sym.denominator.coeffs == (1,)
+        assert sym.numerator == (0, 1, -1)
+        assert sym.denominator == (1,)
 
     def test_single_custom_size(self):
         sym = symbol_from_tile_rule(TileRule({4}))
-        assert sym.numerator.coeffs == (0, 1, 0, -1)
-        assert sym.denominator.coeffs == (1,)
+        assert sym.numerator == (0, 1, 0, -1)
+        assert sym.denominator == (1,)
 
     def test_matches_catalog_after_cross_multiplication(self):
         # P1 Q2 == P2 Q1 identifies equal rational functions
@@ -180,7 +190,9 @@ class TestSynthesis:
             if e.rule is None:
                 continue
             built = symbol_from_tile_rule(e.rule)
-            assert built.numerator * e.symbol.denominator == e.symbol.numerator * built.denominator
+            n = len(built.numerator) + len(e.symbol.denominator)
+            assert (_conv(built.numerator, e.symbol.denominator, n)
+                    == _conv(e.symbol.numerator, built.denominator, n))
 
     def test_output_satisfies_symbol_invariants(self):
         rules = [
@@ -197,9 +209,9 @@ class TestSynthesis:
         ]
         for rule in rules:
             sym = symbol_from_tile_rule(rule)  # constructor re-checks invariants
-            assert sym.numerator.coeff(0) == 0
-            assert sym.denominator.coeff(0) != 0
-            assert sym.numerator.coeff(1) == sym.denominator.coeff(0)
+            assert sym.numerator[0] == 0
+            assert sym.denominator[0] != 0
+            assert sym.numerator[1] == sym.denominator[0]
 
     def test_custom_tail_reconstructs_triangle_free(self):
         sym = symbol_from_tile_rule(TileRule(start=4))
@@ -298,12 +310,12 @@ class TestTextFormat:
     def test_parse_bare_symbol(self):
         sym = parse_symbol("(0,1,-1)/(1)")
         assert sym.name == "custom"
-        assert sym.numerator.coeffs == (0, 1, -1)
+        assert sym.numerator == (0, 1, -1)
 
     def test_parse_tolerates_spaces(self):
         sym = parse_symbol("cat: (0, 1, -1) / (1)")
         assert sym.name == "cat"
-        assert sym.denominator.coeffs == (1,)
+        assert sym.denominator == (1,)
 
     @pytest.mark.parametrize("text", [
         "",
