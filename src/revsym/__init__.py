@@ -29,7 +29,6 @@ from .closed_forms import (
 from .dissection_oracle import (
     CapExceeded,
     Dissection,
-    Tile,
     count_by_series,
     count_chord_diagrams,
     enumerate_count,
@@ -75,7 +74,6 @@ __all__ = [
     "ParseError",
     "ReversiveSymbol",
     "TRIANGLES_ONLY",
-    "Tile",
     "TileRule",
     "binomial",
     "catalan_term",

@@ -25,7 +25,7 @@ from .dissection_oracle import (
     count_chord_diagrams,
     enumerate_count,
 )
-from .exact_arith import NonIntegerCoefficient
+from .exact_arith import NonIntegerCoefficient, _decimal
 from .power_series import lagrange_coefficients
 from .symbols import (
     CatalogEntry,
@@ -95,9 +95,10 @@ def _settings_from(args: argparse.Namespace) -> Settings:
     settings = Settings()
     if args.config:
         settings = replace(settings, **_read_config(args.config))
-    if args.exhaustive_cap_n is not None:
+    # the cap flags exist only on the subcommands that run an oracle
+    if getattr(args, "exhaustive_cap_n", None) is not None:
         settings = replace(settings, exhaustive_cap_n=args.exhaustive_cap_n)
-    if args.chord_cap_p is not None:
+    if getattr(args, "chord_cap_p", None) is not None:
         settings = replace(settings, chord_cap_p=args.chord_cap_p)
     return settings
 
@@ -128,11 +129,6 @@ def _compute_terms(
     if method == "closed":
         if entry is None:
             raise MethodUnavailable("closed forms exist only for catalog sequences")
-        if entry.closed_from > 0:
-            raise MethodUnavailable(
-                f"the {symbol.name} closed form is undefined at n=0 (boundary anomaly); "
-                "use --method reversion, or 'verify' to see the annotated table"
-            )
         return [entry.closed_form(i) for i in range(count)]
     if method == "series":
         if entry is None or entry.rule is None:
@@ -141,23 +137,6 @@ def _compute_terms(
             )
         return count_by_series(count - 1, entry.rule)
     raise MethodUnavailable(f"unknown method {method!r}")  # pragma: no cover - argparse restricts choices
-
-
-def _decimal(value: int) -> str:
-    """A term in decimal, however many digits it has.
-
-    The interpreter's int-to-str digit limit, which guards the parsing of
-    input, is lifted for this one conversion and then restored.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        return str(value)
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _print_terms(terms: list[int]) -> None:
@@ -204,11 +183,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     print(f"verify {symbol.name}: {format_symbol(symbol, include_name=False)}")
     print("n a(n) closed series oracle")
+    excluded = False
     for i, expected in enumerate(reversion):
         row: list[str] = []
         mismatch: Optional[tuple[str, int]] = None
+        try:
+            closed: object = entry.closed_form(i)
+        except DomainError:
+            closed, excluded = "excluded", True
         checks = [
-            ("closed", "excluded" if i < entry.closed_from else entry.closed_form(i)),
+            ("closed", closed),
             ("series", series[i] if series is not None else None),
             ("oracle", oracle.get(i)),
         ]
@@ -228,7 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             path, value = mismatch
             print(f"MISMATCH at n={i}: {path}={_decimal(value)}, reversion={_decimal(expected)}")
             return 1
-    if entry.closed_from > 0:
+    if excluded:
         print("note: closed form excluded at n=0 (boundary convention anomaly; reversion pins a_0 = 1)")
     print(f"ok: {symbol.name} agrees on {count} terms across all available paths")
     return 0
@@ -296,12 +280,13 @@ def _non_negative(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key=value settings file")
-    common.add_argument("--exhaustive-cap-n", type=_non_negative, metavar="N",
-                        help=f"max n for exhaustive dissection runs (default {DEFAULT_DISSECTION_CAP})")
-    common.add_argument("--chord-cap-p", type=_non_negative, metavar="P",
-                        help=f"max points for exhaustive chord runs (default {DEFAULT_CHORD_CAP})")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", help="key=value settings file")
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument("--exhaustive-cap-n", type=_non_negative, metavar="N",
+                      help=f"max n for exhaustive dissection runs (default {DEFAULT_DISSECTION_CAP})")
+    caps.add_argument("--chord-cap-p", type=_non_negative, metavar="P",
+                      help=f"max points for exhaustive chord runs (default {DEFAULT_CHORD_CAP})")
 
     parser = argparse.ArgumentParser(
         prog="revsym",
@@ -309,28 +294,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("list", parents=[common], help="print the symbol catalog")
+    p = sub.add_parser("list", help="print the symbol catalog")
     p.set_defaults(func=cmd_list)
 
-    p = sub.add_parser("terms", parents=[common], help="print sequence terms")
+    p = sub.add_parser("terms", parents=[config], help="print sequence terms")
     p.add_argument("name_or_symbol", help="catalog name or (p0,p1,..)/(q0,q1,..)")
     p.add_argument("--count", type=_positive, help="number of terms (n = 0..count-1)")
     p.add_argument("--method", choices=("reversion", "closed", "series"), default="reversion")
     p.set_defaults(func=cmd_terms)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[config, caps],
                        help="cross-check every computation path for a catalog entry")
     p.add_argument("name", help="catalog name")
     p.add_argument("--count", type=_positive, help="number of terms to verify")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("from-tiles", parents=[common],
+    p = sub.add_parser("from-tiles", parents=[config],
                        help="synthesize a symbol from a tile rule and print its terms")
     p.add_argument("spec", help="odd|even|any|triangles|notriangles or sizes like 3,5 or 4+")
     p.add_argument("--count", type=_positive, help="number of terms")
     p.set_defaults(func=cmd_from_tiles)
 
-    p = sub.add_parser("bfile", parents=[common], help="export terms in b-file format")
+    p = sub.add_parser("bfile", help="export terms in b-file format")
     p.add_argument("name_or_symbol", help="catalog name or symbol text")
     p.add_argument("--count", type=_non_negative, required=True, help="number of terms")
     p.add_argument("--out", required=True, metavar="PATH", help="output file")

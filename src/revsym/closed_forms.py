@@ -20,6 +20,9 @@ every unit-slope symbol forces:
   (and this module's convention happens to make the raw sum +1 as well).
   Rather than silently pick a side, the boundary term is excluded from the
   formula path; callers that need a_0 use the reversion route.
+
+A DomainError is the one record of where a formula is undefined; the
+CLI's ``verify`` table prints ``excluded`` wherever it is raised.
 """
 
 from __future__ import annotations
@@ -64,8 +67,10 @@ def odd_term(n: int) -> int:
 
     Defined for n >= 1 only; see the module notes on the n = 0 anomaly.
     """
-    if n < 1:
-        raise DomainError("odd-tile formula is only defined for n >= 1")
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    if n == 0:
+        raise DomainError("the odd-tile closed form is undefined at n=0 (boundary anomaly)")
     upper = (n + 2) // 2  # ceil((n+1)/2)
     total = sum(binomial(2 * n - 2 * k, n - 2 * k) * binomial(n - k - 1, k) for k in range(upper + 1))
     return exact_div(total, n + 1, n)

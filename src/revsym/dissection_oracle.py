@@ -38,7 +38,6 @@ __all__ = [
     "DEFAULT_CHORD_CAP",
     "CapExceeded",
     "Dissection",
-    "Tile",
     "tiles_of",
     "iter_dissections",
     "enumerate_count",
@@ -62,21 +61,6 @@ def _crosses(a: int, b: int, c: int, d: int) -> bool:
 def _touches_or_crosses(a: int, b: int, c: int, d: int) -> bool:
     """Chords {a,b}, {c,d} share an endpoint or cross in the interior."""
     return a in (c, d) or b in (c, d) or _crosses(a, b, c, d)
-
-
-@dataclass(frozen=True)
-class Tile:
-    """A diagonal-free face, as its vertex labels in cyclic order."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
-            raise ValueError("a tile has at least 3 sides")
-
-    @property
-    def side_count(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -124,8 +108,12 @@ def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[i:] + cycle[:i]
 
 
-def tiles_of(d: Dissection) -> list[Tile]:
-    """The m+1 faces of the subdivision, split recursively along diagonals."""
+def tiles_of(d: Dissection) -> list[tuple[int, ...]]:
+    """The m+1 faces of the subdivision, split recursively along diagonals.
+
+    Each face is its vertex labels in cyclic order, starting from the
+    smallest, so its side count is its length; the list is sorted.
+    """
     diags = sorted(d.diagonals)
     pending = [tuple(range(d.n + 2))]
     faces: list[tuple[int, ...]] = []
@@ -146,7 +134,7 @@ def tiles_of(d: Dissection) -> list[Tile]:
         else:
             faces.append(_canonical_cycle(region))
     faces.sort()
-    return [Tile(f) for f in faces]
+    return faces
 
 
 def _candidate_diagonals(n: int) -> list[tuple[int, int]]:

@@ -2,16 +2,17 @@
 
 Python's built-in ``int`` is already an arbitrary-precision integer, so it
 is used directly as the one scalar type.  What this module adds is the
-binomial-coefficient convention the rest of the package depends on, and
-:func:`exact_div`, the division that refuses to round.  The closed forms,
-the series division kernel and both reversion routes divide through it, so
+binomial-coefficient convention the rest of the package depends on,
+:func:`exact_div`, the division that refuses to round, and the decimal
+text of an integer of any length.  The closed forms, the series division
+kernel and both reversion routes divide through :func:`exact_div`, so
 every non-integral quotient raises the same :class:`NonIntegerCoefficient`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+import sys
+from math import comb, gcd
 
 __all__ = [
     "NonIntegerCoefficient",
@@ -56,5 +57,25 @@ def exact_div(value: int, divisor: int, index: int, name: str = "a") -> int:
     """
     q, r = divmod(value, divisor)
     if r != 0:
-        raise NonIntegerCoefficient(f"{name}_{index} = {Fraction(value, divisor)} is not an integer")
+        g = gcd(value, divisor) if divisor > 0 else -gcd(value, divisor)
+        raise NonIntegerCoefficient(
+            f"{name}_{index} = {_decimal(value // g)}/{_decimal(divisor // g)} is not an integer"
+        )
     return q
+
+
+def _decimal(value: int) -> str:
+    """An integer in decimal, however many digits it has.
+
+    The interpreter's int-to-str digit limit, which guards the parsing of
+    input, is lifted for this one conversion and then restored.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return str(value)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -200,14 +200,14 @@ class CatalogEntry:
 
     ``rule`` is the tile rule the sequence counts; None means it counts
     chord diagrams and is checked against the chord oracle instead.
-    ``closed_form`` evaluates the binomial sum for one n, which is defined
-    from ``closed_from`` on (1 where the 2-gon value is a boundary anomaly).
+    ``closed_form`` evaluates the binomial sum for one n, and raises
+    :class:`~revsym.closed_forms.DomainError` where it is undefined (odd
+    tiles at n = 0, a boundary anomaly).
     """
 
     symbol: ReversiveSymbol
     rule: Optional[TileRule]
     closed_form: Callable[[int], int]
-    closed_from: int = 0
 
 
 # The six catalog entries.  Coefficient tuples are in increasing degree, so
@@ -216,7 +216,7 @@ _CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry(ReversiveSymbol("trianglefree", (0, 1, -1, -1), (1, -1)),
                  NO_TRIANGLES, closed_forms.triangle_free_term),
     CatalogEntry(ReversiveSymbol("oddtiles", (0, 1, -1, -1), (1, 0, -1)),
-                 ODD_ONLY, closed_forms.odd_term, closed_from=1),
+                 ODD_ONLY, closed_forms.odd_term),
     CatalogEntry(ReversiveSymbol("eventiles", (0, 1, 0, -2), (1, 0, -1)),
                  EVEN_ONLY, closed_forms.even_term),
     CatalogEntry(ReversiveSymbol("schroeder", (0, 1, -2), (1, -1)),
@@ -320,11 +320,11 @@ def parse_symbol(text: str, default_name: str = "custom") -> ReversiveSymbol:
 
 _SPEC_ENTRY = re.compile(r"(\d+)(\+(\d*))?")
 _RULE_KEYWORDS = {
-    "any": "3+",
-    "triangles": "3",
-    "notriangles": "4+",
-    "odd": "3+2",
-    "even": "4+2",
+    "any": ANY_TILES,
+    "triangles": TRIANGLES_ONLY,
+    "notriangles": NO_TRIANGLES,
+    "odd": ODD_ONLY,
+    "even": EVEN_ONLY,
 }
 
 
@@ -337,7 +337,8 @@ def parse_tile_spec(text: str) -> TileRule:
     spec = text.strip().lower()
     if not spec:
         raise ParseError("empty tile spec")
-    spec = _RULE_KEYWORDS.get(spec, spec)
+    if spec in _RULE_KEYWORDS:
+        return _RULE_KEYWORDS[spec]
     sizes: set[int] = set()
     start: Optional[int] = None
     step = 1

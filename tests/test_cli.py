@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revsym import cli, power_series, symbols
+from revsym.closed_forms import DomainError
 from revsym.dissection_oracle import CapExceeded, enumerate_count
 from revsym.exact_arith import NonIntegerCoefficient, exact_div
 from revsym.power_series import revert_direct
@@ -96,6 +97,13 @@ class TestTerms:
         assert rc == 2
         assert out == ""
         assert err == "error: a_1 = 1/3 is not an integer\n"
+
+    def test_non_integer_term_beyond_the_str_digit_limit_exits_2(self, capsys):
+        # a_2 = (2 p_2 + ...)/4 has about 3,000 digits as a reduced fraction,
+        # but its unreduced numerator passes the 4,300-digit limit on the way
+        rc, out, err = run(capsys, "terms", f"(0,2,{'9' * 2999}8,1)/(2)", "--count", "4")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: a_2 = ")
 
     def test_scaled_symbol_runs_in_integers(self, capsys):
         # schroeder with P and Q doubled: the same terms, without rational arithmetic
@@ -195,6 +203,24 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[2].startswith("0 1 excluded")
         assert any(line.startswith("note: closed form excluded at n=0") for line in lines)
+
+    def test_excluded_column_follows_domain_error(self, capsys, monkeypatch):
+        def undefined_at_zero(n):
+            if n == 0:
+                raise DomainError("undefined at n=0")
+            return real(n)
+
+        real = next(e.closed_form for e in symbols._CATALOG if e.symbol.name == "catalan")
+        patched = tuple(
+            dataclasses.replace(e, closed_form=undefined_at_zero) if e.symbol.name == "catalan" else e
+            for e in symbols._CATALOG
+        )
+        monkeypatch.setattr(symbols, "_CATALOG", patched)
+        rc, out, _ = run(capsys, "verify", "catalan", "--count", "4")
+        lines = out.splitlines()
+        assert rc == 0
+        assert lines[2] == "0 1 excluded ok ok"
+        assert "note: closed form excluded at n=0 (boundary convention anomaly; reversion pins a_0 = 1)" in lines
 
     def test_unknown_name_exits_2(self, capsys):
         rc, _, err = run(capsys, "verify", "nosuch", "--count", "5")
@@ -384,6 +410,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["terms", "catalan", "--count", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        [*sub, flag, value]
+        for sub in (["list"], ["bfile", "catalan", "--count", "3", "--out", "b.txt"])
+        for flag, value in (("--config", "missing.conf"), ("--exhaustive-cap-n", "3"), ("--chord-cap-p", "3"))
+    ] + [
+        [*sub, flag, "3"]
+        for sub in (["terms", "catalan"], ["from-tiles", "odd"])
+        for flag in ("--exhaustive-cap-n", "--chord-cap-p")
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_rejected_where_no_subcommand_reads_it(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

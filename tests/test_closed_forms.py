@@ -128,10 +128,15 @@ class TestMotzkin:
 
 class TestAgainstReversion:
     def test_agreement_to_sixty(self):
+        excluded = []
         for entry in catalog():
             reversion = lagrange_coefficients(entry.symbol, 60)
-            for n in range(entry.closed_from, 61):
-                assert entry.closed_form(n) == reversion[n], (entry.symbol.name, n)
+            for n in range(61):
+                try:
+                    assert entry.closed_form(n) == reversion[n], (entry.symbol.name, n)
+                except DomainError:
+                    excluded.append((entry.symbol.name, n))
+        assert excluded == [("oddtiles", 0)]
 
     def test_negative_index_rejected_everywhere(self):
         for entry in catalog():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from revsym.dissection_oracle import (
     CapExceeded,
     Dissection,
-    Tile,
     count_by_series,
     count_chord_diagrams,
     enumerate_count,
@@ -87,26 +86,19 @@ class TestDissectionType:
 
 class TestTilesOf:
     def test_empty_dissection_is_one_tile(self):
-        tiles = tiles_of(Dissection(2))
-        assert len(tiles) == 1
-        assert tiles[0].side_count == 4
+        assert tiles_of(Dissection(2)) == [(0, 1, 2, 3)]
 
     def test_square_single_diagonal(self):
-        tiles = tiles_of(Dissection(2, [(0, 2)]))
-        assert [t.vertices for t in tiles] == [(0, 1, 2), (0, 2, 3)]
+        assert tiles_of(Dissection(2, [(0, 2)])) == [(0, 1, 2), (0, 2, 3)]
 
     def test_hexagon_long_diagonal(self):
         tiles = tiles_of(Dissection(4, [(0, 3)]))
-        assert sorted(t.side_count for t in tiles) == [4, 4]
+        assert tiles == [(0, 1, 2, 3), (0, 3, 4, 5)]
 
     def test_fan_triangulation(self):
         tiles = tiles_of(Dissection(4, [(0, 2), (0, 3), (0, 4)]))
-        assert all(t.side_count == 3 for t in tiles)
+        assert all(len(face) == 3 for face in tiles)
         assert len(tiles) == 4
-
-    def test_tile_requires_three_sides(self):
-        with pytest.raises(ValueError):
-            Tile((0, 1))
 
 
 class TestEnumeratorInvariants:
@@ -126,8 +118,9 @@ class TestEnumeratorInvariants:
             tiles = tiles_of(d)
             m = len(diags)
             assert len(tiles) == m + 1
-            assert sum(t.side_count for t in tiles) == (n + 2) + 2 * m
-            sizes.append({t.side_count for t in tiles})
+            assert all(type(face) is tuple for face in tiles)
+            assert sum(len(face) for face in tiles) == (n + 2) + 2 * m
+            sizes.append({len(face) for face in tiles})
         assert count == enumerate_count(n, ANY_TILES)
         # the bitmask walk against the tuple faces of tiles_of, rule by rule
         for rule in ALL_RULES + CUSTOM_RULES:

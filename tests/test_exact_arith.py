@@ -1,6 +1,7 @@
 """Binomial convention and checked division."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +72,12 @@ class TestExactDiv:
             exact_div(7, 2, 3)
         with pytest.raises(NonIntegerCoefficient, match=r"^quotient_0 = -1/3 is not an integer$"):
             exact_div(2, -6, 0, "quotient")
+        # a 5,000-digit numerator, beyond the interpreter's default str() digit limit
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(NonIntegerCoefficient) as exc:
+            exact_div(-(10**5000 - 1) * 3, 6, 7)
+        assert sys.get_int_max_str_digits() == limit
+        assert str(exc.value) == f"a_7 = -{'9' * 5000}/2 is not an integer"
 
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):

@@ -1,6 +1,8 @@
 """The package's public names and the README's library example agree."""
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -17,7 +19,13 @@ def _library_block():
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in revsym.__all__ if not hasattr(revsym, name)]
+    modules = [revsym] + [
+        importlib.import_module(f"revsym.{info.name}") for info in pkgutil.iter_modules(revsym.__path__)
+    ]
+    assert len(modules) > 1
+    missing = [
+        f"{module.__name__}.{name}" for module in modules for name in module.__all__ if not hasattr(module, name)
+    ]
     assert missing == []
 
 
