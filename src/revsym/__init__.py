@@ -5,14 +5,18 @@ inverse, divided by x, generates a dissection-counting sequence.  The package
 computes such sequences five ways (Lagrange inversion, direct series
 reversion, closed binomial sums, the tile-equation series counter, and
 brute-force enumeration) and cross-checks them against each other.
-Lagrange inversion and the series counter share the integer product,
-exact-division and composition kernels of :mod:`revsym.power_series`;
-direct reversion runs its own integer recurrence on the symbol's
-coefficients, and the closed forms, the two brute-force counters and the
-benchmark's own counter (``perfbench/reference.py``) use none of those
-kernels.  A series is a plain list of Python ``int`` coefficients and a
-polynomial, such as a symbol's numerator or denominator, a plain tuple of
-them, both lowest degree first.  Every division goes through
+Commands that list terms run direct reversion, whose count of integer
+operations is quadratic in the number of terms; ``verify`` checks the
+other routes against Lagrange inversion.  The series counter solves the
+tile equation by Newton iteration.  Lagrange inversion and the series
+counter share the integer product, exact-division and composition
+kernels of :mod:`revsym.power_series`; direct reversion runs its own
+integer recurrence on the symbol's coefficients, and the closed forms,
+the two brute-force counters and the benchmark's own counter
+(``perfbench/reference.py``) use none of those kernels.  A series is a
+plain list of Python ``int`` coefficients and a polynomial, such as a
+symbol's numerator or denominator, a plain tuple of them, both lowest
+degree first.  Every division goes through
 :func:`revsym.exact_arith.exact_div`, which raises
 :class:`NonIntegerCoefficient` instead of rounding.
 """

@@ -4,6 +4,11 @@ Subcommands: ``list``, ``terms``, ``verify``, ``from-tiles``, ``bfile``.
 Exit status: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 exhaustive-enumeration cap exceeded.
 
+``terms`` (by its default method), ``bfile`` and ``from-tiles`` take their
+terms from direct reversion, and ``from-tiles`` checks them against the
+tile-equation counter.  ``verify`` takes its ``a(n)`` column from Lagrange
+inversion, the independent route, and checks the others against it.
+
 Settings come from built-in defaults, optionally overridden by a plain
 ``key=value`` config file (keys ``exhaustive_cap_n``, ``chord_cap_p``,
 ``default_count``), overridden in turn by command flags.
@@ -26,7 +31,7 @@ from .dissection_oracle import (
     enumerate_count,
 )
 from .exact_arith import NonIntegerCoefficient, _decimal
-from .power_series import lagrange_coefficients
+from .power_series import lagrange_coefficients, revert_direct
 from .symbols import (
     CatalogEntry,
     InvalidTileSet,
@@ -125,7 +130,7 @@ def _compute_terms(
     method: str,
 ) -> list[int]:
     if method == "reversion":
-        return lagrange_coefficients(symbol, count - 1)
+        return revert_direct(symbol, count - 1)
     if method == "closed":
         if entry is None:
             raise MethodUnavailable("closed forms exist only for catalog sequences")
@@ -243,7 +248,7 @@ def cmd_from_tiles(args: argparse.Namespace) -> int:
     _check_sizes_fit(rule, count)
     symbol = symbol_from_tile_rule(rule)
     print(format_symbol(symbol, include_name=False))
-    terms = lagrange_coefficients(symbol, count - 1)
+    terms = revert_direct(symbol, count - 1)
     series = count_by_series(count - 1, rule)
     for i, (a, b) in enumerate(zip(terms, series)):
         if a != b:
@@ -256,7 +261,7 @@ def cmd_from_tiles(args: argparse.Namespace) -> int:
 def cmd_bfile(args: argparse.Namespace) -> int:
     symbol, _entry = _resolve(args.name_or_symbol)
     if args.count > 0:
-        terms = lagrange_coefficients(symbol, args.count - 1)
+        terms = revert_direct(symbol, args.count - 1)
         lines = "".join(f"{i} {_decimal(v)}\n" for i, v in enumerate(terms))
     else:
         lines = ""

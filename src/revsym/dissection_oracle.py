@@ -7,13 +7,15 @@ Three counters that check the series-reversion routes from other sides:
   tiles all satisfy a rule.  Faces are vertex bitmasks, split as each
   diagonal is added.  Exponential; capped at desk scale.  It uses no
   series arithmetic at all.
-* :func:`count_by_series` iterates the self-referential tile equation
-  A = 1 + sum_{s in S} x^{s-2} A^{s-1} to a fixed point on truncated
-  integer series.  Polynomial time; the fast path.  It is a different
-  algorithm from reversion but runs on the same product, exact-division
-  and composition kernels as :mod:`power_series`; the two algorithms feed the
-  kernels different operands, so a kernel defect makes them disagree, and
-  the enumeration checks both.  It takes the size sum from
+* :func:`count_by_series` solves the self-referential tile equation
+  A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration on truncated
+  integer series, doubling the precision each step: O(d N^2) integer
+  operations for N terms, d the degree of the rule's generating pair.
+  It is a different algorithm from either reversion route but runs on
+  the same product, exact-division and composition kernels as Lagrange
+  inversion in :mod:`power_series`; the two algorithms feed the kernels
+  different operands, so a kernel defect makes them disagree, and the
+  enumeration checks both.  It takes the size sum from
   :meth:`TileRule.generating_pair`, the same pair symbol synthesis uses,
   and builds the equation's right side with the same code as
   :func:`verify_tautological`.
@@ -29,9 +31,10 @@ as diagonal sets, with no quotient by rotation or reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .symbols import TileRule, _tile_equation_rhs
+from .power_series import _compose_raw, _conv, _div_raw
+from .symbols import TileRule, _int_tuple, _tile_equation_rhs
 
 __all__ = [
     "DEFAULT_DISSECTION_CAP",
@@ -238,22 +241,58 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
     return rec(0, (1 << len(cands)) - 1, bad[n + 2])
 
 
-def count_by_series(n_max: int, rule: TileRule) -> list[int]:
-    """Coefficients a_0..a_{n_max} from the tile equation's fixed point.
+def _derivative(p: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
 
-    Starts from A = 1 and substitutes A into
-    1 + sum_{s in S} x^{s-2} A^{s-1} repeatedly; coefficients 0..k are
-    stable after k substitutions, so pass k runs at truncation order k.
-    The size sum is applied in its closed rational form (sizes with
-    s-2 > k vanish under truncation either way).
+
+def _jacobian_pair(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """J(y) = 1 - g(y) - y g'(y) as the polynomials (Jn, Dg^2), for g = Ng/Dg.
+
+    g' is taken in rational form (Ng' Dg - Ng Dg') / Dg^2, so
+    Jn = Dg^2 - Ng Dg - y (Ng' Dg - Ng Dg').  Ng(0) = 0 and Dg(0) = 1, so
+    Jn(0) = 1.
+    """
+    num, den = pair
+    top = 2 * max(len(num), len(den)) - 2  # bounds the degree of every product below
+    slope = [u - v for u, v in zip(_conv(_derivative(num), den, top),
+                                   _conv(num, _derivative(den), top))]
+    den_sq = _conv(den, den, top)
+    jac = [d - m - s for d, m, s in zip(den_sq, _conv(num, den, top), [0, *slope])]
+    # trimmed, since composing a polynomial costs one product per degree
+    return _int_tuple(jac), _int_tuple(den_sq)
+
+
+def count_by_series(n_max: int, rule: TileRule) -> list[int]:
+    """Coefficients a_0..a_{n_max} of the tile equation's solution, by Newton iteration.
+
+    Solves Phi(A) = A - 1 - A g(xA) = 0, where A g(xA) = sum_{s in S}
+    x^{s-2} A^{s-1}, by the Newton step A <- A - Phi(A) / J(A) with
+    J(A) = 1 - g(xA) - xA g'(xA).  A step from A correct to degree e leaves
+    A correct to at least degree 2e + 1, so the precision doubles from
+    a_0 = 1, and the last step, at degree n_max, costs more than all the
+    others together.  Phi takes the tile equation's right side from the
+    same code as :func:`verify_tautological`.  J is Jn(xA) / Dg(xA)^2 for
+    polynomials Jn and Dg^2 built once; Jn has constant term 1, so each
+    step's quotient Phi Dg(xA)^2 / Jn(xA) is one exact division.  The size
+    sum is applied in its closed rational form, so sizes with s-2 > n_max
+    vanish under truncation either way.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
     pair = rule.generating_pair()
+    jac, den_sq = _jacobian_pair(pair)
+    degrees = []
+    while n_max > 0:
+        degrees.append(n_max)
+        n_max //= 2
     a = [1]
-    for k in range(1, n_max + 1):
-        # every rule denominator is 1 or 1 - y^step, so every division is exact
-        a = _tile_equation_rhs(pair, a, k)
+    for n in reversed(degrees):
+        a += [0] * (n + 1 - len(a))
+        phi = [ai - ri for ai, ri in zip(a, _tile_equation_rhs(pair, a, n))]
+        xa = [0, *a[:n]]
+        jac_xa, den_sq_xa = (_compose_raw(p[: n + 1], xa, n) for p in (jac, den_sq))
+        step = _div_raw(_conv(phi, den_sq_xa, n), jac_xa, n)
+        a = [ai - si for ai, si in zip(a, step)]
     return a
 
 

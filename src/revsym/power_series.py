@@ -15,11 +15,14 @@ Two independent reversion routes take a reversive symbol alpha = P/Q and
 return the inverse-series coefficients a_0..a_N, certifying that every one
 is an integer:
 
-* :func:`lagrange_coefficients` extracts
-  a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n.
 * :func:`revert_direct` solves [x^n] alpha(F(x)) = delta_{n,1} coefficient
-  by coefficient, written as P(F) = x Q(F), without the Lagrange formula,
-  and serves as a cross-check on the first route.
+  by coefficient, written as P(F) = x Q(F).  It takes O(d N^2) integer
+  operations and is the production route: every command that lists
+  terms runs it.
+* :func:`lagrange_coefficients` extracts
+  a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n through N truncated products,
+  O(N^3) in all.  It is the independent cross-check that ``verify`` runs,
+  and the one reversion route on the kernels above.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ def _break_shared_conv(monkeypatch):
 
     The defect adds 2520 = lcm(1..10) to the top coefficient from degree 6
     on, so every Lagrange division by n <= 10 stays exact and only the
-    cross-checks can catch it.
+    cross-checks can catch it.  Every revsym module attribute that is the
+    kernel gets the defect, so a new binding cannot escape it.
     """
     real = power_series._conv
 
@@ -38,8 +39,29 @@ def _break_shared_conv(monkeypatch):
             out[n] += 2520
         return out
 
-    for module in (power_series, symbols):
-        monkeypatch.setattr(module, "_conv", faulty)
+    bindings = [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "revsym" or module_name.startswith("revsym.")
+        for name, value in list(vars(module).items())
+        if value is real
+    ]
+    assert (power_series, "_conv") in bindings
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, faulty)
+
+
+def _perturbed(route, index):
+    """``route`` with one more added to its term a_index."""
+    def perturbed(symbol, n):
+        terms = route(symbol, n)
+        terms[index] += 1
+        return terms
+    return perturbed
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("this route must not run here")
 
 
 @st.composite
@@ -307,6 +329,15 @@ class TestFromTiles:
         _, mismatch = out.splitlines()  # the symbol line, then no term lines
         assert mismatch.startswith("MISMATCH at n=9: reversion=")
 
+    def test_deep_count_runs_in_bounded_time(self, capsys):
+        # about 0.35 s on 2 vCPUs; Lagrange plus the Picard fixed-point counter took 26 s
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "from-tiles", "3,5,7+", "--count", "400")
+        elapsed = time.perf_counter() - t0
+        assert (rc, err) == (0, "")
+        assert len(out.splitlines()) == 401
+        assert elapsed < 4.0
+
     def test_bad_spec_exits_2(self, capsys):
         for spec in ("x", "2", "3+,5"):
             rc, _, err = run(capsys, "from-tiles", spec, "--count", "4")
@@ -342,11 +373,66 @@ class TestBfile:
         run(capsys, "bfile", "trianglefree", "--count", "40", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_deep_bfile_runs_in_bounded_time(self, capsys, tmp_path):
+        # about 0.5 s on 2 vCPUs; cubic Lagrange took several minutes
+        out_path = tmp_path / "b.txt"
+        t0 = time.perf_counter()
+        rc, _, err = run(capsys, "bfile", "schroeder", "--count", "1000", "--out", str(out_path))
+        elapsed = time.perf_counter() - t0
+        assert (rc, err) == (0, "")
+        lines = out_path.read_bytes().splitlines()
+        assert len(lines) == 1000
+        assert lines[-1].startswith(b"999 ")
+        assert elapsed < 5.0
+
     def test_unwritable_path_exits_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "bfile", "catalan", "--count", "3",
                          "--out", str(tmp_path / "missing dir" / "b.txt"))
         assert rc == 2
         assert "missing dir" in err
+
+
+class TestRoutes:
+    """Term listing runs direct reversion; verify's a(n) column runs Lagrange."""
+
+    def _listings(self, capsys, tmp_path):
+        out_path = tmp_path / "b.txt"
+        results = [
+            run(capsys, "terms", "schroeder", "--count", "30"),
+            run(capsys, "bfile", "catalan", "--count", "50", "--out", str(out_path)),
+            run(capsys, "from-tiles", "3,5,7+", "--count", "30"),
+        ]
+        return results, out_path.read_bytes()
+
+    def test_term_listing_does_not_run_lagrange(self, capsys, monkeypatch, tmp_path):
+        expected = self._listings(capsys, tmp_path)
+        monkeypatch.setattr(cli, "lagrange_coefficients", _never_called)
+        assert self._listings(capsys, tmp_path) == expected
+
+    def test_terms_and_bfile_print_direct_reversion(self, capsys, monkeypatch, tmp_path):
+        schroeder = revert_direct(cli._lookup("schroeder").symbol, 29)
+        catalan = revert_direct(cli._lookup("catalan").symbol, 49)
+        monkeypatch.setattr(cli, "revert_direct", _perturbed(revert_direct, 7))
+        rc, out, _ = run(capsys, "terms", "schroeder", "--count", "30")
+        assert rc == 0
+        assert out.splitlines()[7] == f"7 {schroeder[7] + 1}"
+        out_path = tmp_path / "b.txt"
+        rc, _, _ = run(capsys, "bfile", "catalan", "--count", "50", "--out", str(out_path))
+        assert rc == 0
+        assert out_path.read_text().splitlines()[7] == f"7 {catalan[7] + 1}"
+
+    def test_from_tiles_checks_direct_reversion_against_the_series(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "revert_direct", _perturbed(revert_direct, 7))
+        rc, out, _ = run(capsys, "from-tiles", "3,5,7+", "--count", "30")
+        assert rc == 1
+        _, mismatch = out.splitlines()
+        assert mismatch.startswith("MISMATCH at n=7: reversion=")
+
+    def test_verify_runs_lagrange(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "lagrange_coefficients", _perturbed(power_series.lagrange_coefficients, 4))
+        rc, out, _ = run(capsys, "verify", "catalan", "--count", "10", "--exhaustive-cap-n", "6")
+        assert rc == 1
+        assert "MISMATCH at n=4: closed=14, reversion=15" in out
 
 
 class TestConfig:

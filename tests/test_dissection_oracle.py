@@ -209,6 +209,16 @@ class TestCountBySeries:
         series = count_by_series(7, rule)
         assert series == [enumerate_count(n, rule) for n in range(8)]
 
+    @pytest.mark.parametrize("rule", ALL_RULES + CUSTOM_RULES, ids=TileRule.label)
+    def test_newton_matches_direct_reversion_at_every_precision(self, rule):
+        # n = 2^k takes one Newton step more than n = 2^k - 1; 0..40 crosses
+        # that boundary for every k <= 5
+        symbol = symbol_from_tile_rule(rule)
+        for n in range(41):
+            series = count_by_series(n, rule)
+            assert all(type(v) is int for v in series)
+            assert series == revert_direct(symbol, n)
+
 
 @st.composite
 def tile_rules(draw):
