@@ -2,11 +2,12 @@
 
 Three counters that check the series-reversion routes from other sides:
 
-* :func:`enumerate_count` literally generates every non-crossing diagonal
-  set of the labelled (n+2)-gon by backtracking and keeps those whose
-  tiles all satisfy a rule.  Faces are vertex bitmasks, split as each
-  diagonal is added.  Exponential; capped at desk scale.  It uses no
-  series arithmetic at all.
+* :func:`enumerate_count` literally generates non-crossing diagonal sets
+  of the labelled (n+2)-gon by backtracking and keeps those whose tiles
+  all satisfy a rule.  Faces are vertex bitmasks, split as each diagonal
+  is added.  It skips a subtree only where a forbidden face can no longer
+  be split, so every dissection it counts is still generated.
+  Exponential; capped at desk scale.  It uses no series arithmetic at all.
 * :func:`count_by_series` solves the self-referential tile equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration on truncated
   integer series, doubling the precision each step: O(d N^2) integer
@@ -199,6 +200,13 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
     drops a+1..b-1, and a face's side count is its bit count.  The
     undissected polygon counts iff n+2 itself satisfies the rule; n = 0
     returns 1 by convention since the 2-gon has no tiles to test.
+
+    Prune: the last diagonal inside a face v1 < ... < vk is (v_{k-2}, v_k),
+    and a triangle has none.  A node holding a forbidden face counts 0, so
+    its loop runs only up to the earliest such deadline among its
+    forbidden faces; later branches keep that face and count nothing.  A
+    child ranges freely again.  Every counted dissection is still
+    generated, and nodes without a forbidden face do no extra work.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -213,11 +221,22 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
     outside = [~((1 << b) - (1 << a + 1)) for a, b in cands]
     # bad[s] is 1 where the rule forbids s-sided tiles; nbad counts such faces
     bad = [0] * 3 + [0 if rule.allows(s) else 1 for s in range(3, n + 3)]
+    # reach[a][b] is the mask of candidate indices up to that of (a, b)
+    reach = [[0] * (n + 2) for _ in range(n + 2)]
+    for i, (a, b) in enumerate(cands):
+        reach[a][b] = (1 << i + 1) - 1
     faces = [(1 << n + 2) - 1]
 
     def rec(start: int, avail: int, nbad: int) -> int:
         count = 0 if nbad else 1
         x = avail >> start << start
+        if nbad:
+            for f in faces:
+                if bad[f.bit_count()]:
+                    top = f.bit_length() - 1
+                    rest = f ^ 1 << top
+                    rest ^= 1 << rest.bit_length() - 1  # top bit is now v_{k-2}
+                    x &=reach[rest.bit_length() - 1][top] if rest & rest - 1 else 0
         while x:
             low = x & -x
             i = low.bit_length() - 1

@@ -265,6 +265,18 @@ class TestVerify:
         assert rc == 1
         assert "MISMATCH at n=9: closed=" in out
 
+    @pytest.mark.parametrize("name", ["trianglefree", "eventiles"])
+    def test_triangle_free_oracle_runs_in_bounded_time(self, capsys, name):
+        # about 0.15 s on 2 vCPUs at the default cap 12: a triangle can never
+        # be split, so the oracle skips its subtrees; walking every
+        # dissection took about 20 s
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "verify", name, "--count", "20")
+        elapsed = time.perf_counter() - t0
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1].startswith("ok:")
+        assert elapsed < 3.0
+
     def test_cap_exceeded_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise CapExceeded("forced for the exit-status contract")

@@ -106,7 +106,6 @@ class TestEnumeratorInvariants:
     def test_bookkeeping_and_crossing_soundness(self, n):
         seen = set()
         count = 0
-        sizes = []
         for d in iter_dissections(n):
             count += 1
             assert d.diagonals not in seen, "duplicate dissection"
@@ -120,9 +119,13 @@ class TestEnumeratorInvariants:
             assert len(tiles) == m + 1
             assert all(type(face) is tuple for face in tiles)
             assert sum(len(face) for face in tiles) == (n + 2) + 2 * m
-            sizes.append({len(face) for face in tiles})
         assert count == enumerate_count(n, ANY_TILES)
-        # the bitmask walk against the tuple faces of tiles_of, rule by rule
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pruned_walk_matches_independent_generation(self, n):
+        # the pruned bitmask walk against the unpruned generator and the
+        # tuple faces of tiles_of, rule by rule
+        sizes = [frozenset(len(face) for face in tiles_of(d)) for d in iter_dissections(n)]
         for rule in ALL_RULES + CUSTOM_RULES:
             expected = sum(1 for used in sizes if all(rule.allows(s) for s in used))
             assert enumerate_count(n, rule) == expected, rule.label()
@@ -237,6 +240,15 @@ class TestRandomRules:
         assert lagrange_coefficients(symbol_from_tile_rule(rule), 30) == series
         assert revert_direct(symbol_from_tile_rule(rule), 30) == series
         assert series[:7] == [enumerate_count(n, rule) for n in range(7)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(tile_rules())
+    def test_pruned_walk_matches_series_beyond_six(self, rule):
+        # the pruned walk for random rules on 9- to 11-gons, against the
+        # Newton counter
+        series = count_by_series(9, rule)
+        for n in range(7, 10):
+            assert enumerate_count(n, rule) == series[n], (rule.label(), n)
 
 
 class TestChordDiagrams:
