@@ -10,8 +10,11 @@ Three counters that check the series-reversion routes from other sides:
   Exponential; capped at desk scale.  It uses no series arithmetic at all.
 * :func:`count_by_series` solves the self-referential tile equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration on truncated
-  integer series, doubling the precision each step: O(d N^2) integer
-  operations for N terms, d the degree of the rule's generating pair.
+  integer series, doubling the precision each step.  Each step builds
+  one table of powers of xA by halving and composes the generating pair
+  and the Jacobian's two polynomials with it, one truncated product per
+  gap between nonzero coefficients and per table entry, O(N^2) integer
+  operations each.
   It is a different algorithm from either reversion route but runs on
   the same product, exact-division and composition kernels as Lagrange
   inversion in :mod:`power_series`; the two algorithms feed the kernels
@@ -277,7 +280,8 @@ def _jacobian_pair(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[tuple[int
                                    _conv(num, _derivative(den), top))]
     den_sq = _conv(den, den, top)
     jac = [d - m - s for d, m, s in zip(den_sq, _conv(num, den, top), [0, *slope])]
-    # trimmed, since composing a polynomial costs one product per degree
+    # trimmed, since composing a polynomial costs one product per gap between
+    # its nonzero coefficients
     return _int_tuple(jac), _int_tuple(den_sq)
 
 
@@ -307,9 +311,9 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     a = [1]
     for n in reversed(degrees):
         a += [0] * (n + 1 - len(a))
-        phi = [ai - ri for ai, ri in zip(a, _tile_equation_rhs(pair, a, n))]
-        xa = [0, *a[:n]]
-        jac_xa, den_sq_xa = (_compose_raw(p[: n + 1], xa, n) for p in (jac, den_sq))
+        powers = {1: [0, *a[:n]]}  # xA, whose powers the four compositions share
+        phi = [ai - ri for ai, ri in zip(a, _tile_equation_rhs(pair, a, powers, n))]
+        jac_xa, den_sq_xa = (_compose_raw(p[: n + 1], powers, n) for p in (jac, den_sq))
         step = _div_raw(_conv(phi, den_sq_xa, n), jac_xa, n)
         a = [ai - si for ai, si in zip(a, step)]
     return a

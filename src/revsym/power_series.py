@@ -4,7 +4,11 @@ A series is a list of coefficients c_0..c_N; every kernel takes the degree
 n to truncate at and returns exactly n + 1 coefficients, so all identities
 hold modulo x^{n+1}.  There is no series class: the kernels are the
 truncated product :func:`_conv`, the exact quotient :func:`_div_raw` and
-the composition :func:`_compose_raw`.
+the composition :func:`_compose_raw`.  Their cost follows the nonzero
+coefficients: a product or quotient runs over its second operand's span
+of nonzero coefficients only, and a composition multiplies once per gap
+between the outer polynomial's nonzero coefficients, by powers of the
+inner series that a shared table builds by halving.
 
 Coefficients are Python ints.  The one division, :func:`_div_raw`, divides
 each step exactly by the divisor's constant term through
@@ -16,9 +20,10 @@ return the inverse-series coefficients a_0..a_N, certifying that every one
 is an integer:
 
 * :func:`revert_direct` solves [x^n] alpha(F(x)) = delta_{n,1} coefficient
-  by coefficient, written as P(F) = x Q(F).  It takes O(d N^2) integer
-  operations and is the production route: every command that lists
-  terms runs it.
+  by coefficient, written as P(F) = x Q(F).  It keeps a row of powers of F
+  only for the exponents that P and Q use and the halves they split into,
+  O(N^2) integer operations per row, and is the production route: every
+  command that lists terms runs it.
 * :func:`lagrange_coefficients` extracts
   a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n through N truncated products,
   O(N^3) in all.  It is the independent cross-check that ``verify`` runs,
@@ -40,30 +45,49 @@ __all__ = [
 ]
 
 
+def _support(b: Sequence[int]) -> tuple[int, int]:
+    """Indices of b's first and last nonzero coefficients; last is -1 for zero."""
+    first, last = 0, len(b) - 1
+    while last >= 0 and not b[last]:
+        last -= 1
+    while first < last and not b[first]:
+        first += 1
+    return first, last
+
+
 def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Cauchy product of coefficient lists, truncated at degree n."""
+    """Cauchy product of coefficient lists, truncated at degree n.
+
+    Each coefficient of a runs over b only from b's first to its last
+    nonzero coefficient, so a product by a polynomial padded with zeros
+    costs its degree, not n, and a product by a high power of a series
+    without constant term costs only the degrees it reaches.
+    """
     out = [0] * (n + 1)
+    first, last = _support(b)
     for i, ai in enumerate(a):
-        if ai == 0 or i > n:
-            continue
-        hi = min(n - i, len(b) - 1)
-        for j in range(hi + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
+        if i + first > n:
+            break
+        if ai:
+            for j in range(first, min(n - i, last) + 1):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
     return out
 
 
 def _div_raw(p: Sequence[int], q: Sequence[int], n: int) -> list[int]:
     """p/q mod x^{n+1} by the triangular recurrence, each step divided exactly by q[0].
 
-    A zero q[0] raises ZeroDivisionError.
+    The recurrence runs over q only up to its last nonzero coefficient.  A
+    zero q[0] raises ZeroDivisionError.
     """
     q0 = q[0]
+    last = _support(q)[1]
     out = [0] * (n + 1)
     for m in range(n + 1):
         s = p[m] if m < len(p) else 0
-        for k in range(1, min(m, len(q) - 1) + 1):
+        for k in range(1, min(m, last) + 1):
             qk = q[k]
             if qk:
                 s -= qk * out[m - k]
@@ -71,13 +95,41 @@ def _div_raw(p: Sequence[int], q: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _compose_raw(outer: Sequence[int], inner: Sequence[int], n: int) -> list[int]:
-    """outer(inner(x)) mod x^{n+1} by Horner; inner[0] must be 0."""
+def _power(powers: dict[int, list[int]], k: int, n: int) -> list[int]:
+    """inner^k mod x^{n+1} from a table that starts as {1: inner}.
+
+    A missing entry is filled by halving, inner^k = inner^{k//2} *
+    inner^{k-k//2}, one product each, so k costs O(log k) entries.  A table
+    holds one inner series at one n and may be shared by any number of
+    compositions.
+    """
+    if k not in powers:
+        h = k // 2
+        powers[k] = _conv(_power(powers, h, n), _power(powers, k - h, n), n)
+    return powers[k]
+
+
+def _compose_raw(outer: Sequence[int], powers: dict[int, list[int]], n: int) -> list[int]:
+    """outer(inner(x)) mod x^{n+1}, for the table powers = {1: inner, ...}; inner[0] must be 0.
+
+    Horner over outer's nonzero coefficients only: between consecutive
+    nonzero exponents hi > lo the sum is multiplied by inner^{hi-lo}, and at
+    the end by inner^{lo} of the lowest one, each power taken from the
+    table (:func:`_power`).  For a dense outer every gap is 1, one product
+    by inner per degree.
+    """
     res = [0] * (n + 1)
-    res[0] = outer[-1]
-    for c in reversed(outer[:-1]):
-        res = _conv(res, inner, n)
-        res[0] += c
+    exponents = [k for k in range(len(outer) - 1, -1, -1) if outer[k]]
+    if not exponents:
+        return res
+    hi = exponents[0]
+    res[0] = outer[hi]
+    for lo in exponents[1:]:
+        res = _conv(res, _power(powers, hi - lo, n), n)
+        res[0] += outer[lo]
+        hi = lo
+    if hi:
+        res = _conv(res, _power(powers, hi, n), n)
     return res
 
 
@@ -119,25 +171,45 @@ def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
         p_1 f_n = sum_k q_k [x^{n-1}] F^k - sum_{k>=2} p_k [x^n] F^k,
 
     where every term on the right involves only f_1..f_{n-1} (F^k starts
-    at x^k).  Only the rows [x^j] F^k for k <= d = max(deg P, deg Q) are
-    kept, filled one column j at a time, so N terms cost O(d N^2) integer
-    operations and O(d N) memory.
+    at x^k).  Rows [x^j] F^k are kept only for the exponents k >= 2 with a
+    nonzero p_k or q_k, and for the halves h = k//2 and r = k - h that
+    they split into, recursively.  Column n of row k is
+    sum_{i=h}^{n-r} [x^i] F^h [x^{n-i}] F^r, which needs only earlier
+    columns, so the rows are filled one column at a time.  N terms cost
+    O(m N^2) integer operations and O(m N) memory, m the number of rows:
+    at most two per level of halving for each nonzero exponent, and the
+    rows 2 = 1 + 1 and 3 = 1 + 2 for a dense symbol of degree 3.  A row is
+    filled only up to the last column that a later row or the sum reads,
+    so the rows of a high exponent k cost little beyond column k.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     # F^k starts at x^k, so coefficients above degree N+1 never reach a_N
     p = alpha.numerator[: N + 2]
     q = alpha.denominator[: N + 2]
-    d = max(len(p), len(q)) - 1
+    # reach[k] is the last column of row k that is read: N + 1 for the
+    # exponents P and Q use, and reach[k] - r and reach[k] - h for the
+    # halves of a row k = h + r
+    reach = {k: N + 1 for k, c in [*enumerate(p), *enumerate(q)] if c and k >= 2}
+    for k in range(max(reach, default=0), 1, -1):
+        if k in reach:
+            h, r = k // 2, k - k // 2
+            for half, other in ((h, r), (r, h)):
+                if half >= 2:
+                    reach[half] = max(reach.get(half, 0), reach[k] - other)
     # rows[k][j] = [x^j] F^k; row 0 is the constant 1 and row 1 is F itself
-    rows = [[0] * (N + 2) for _ in range(d + 1)]
-    rows[0][0] = 1
+    rows = {0: [1] + [0] * (N + 1), 1: [0] * (N + 2)}
+    rows.update((k, [0] * (N + 2)) for k in reach)
+    splits = [(rows[k], rows[k // 2], rows[k - k // 2], k // 2, k - k // 2, reach[k])
+              for k in sorted(reach)]
+    p_rows = [(c, rows[k]) for k, c in enumerate(p) if c and k >= 2]
+    q_rows = [(c, rows[k]) for k, c in enumerate(q) if c]
     f = rows[1]
     for n in range(1, N + 2):
-        for k in range(2, d + 1):
-            prev = rows[k - 1]
-            rows[k][n] = sum(f[i] * prev[n - i] for i in range(1, n - k + 2))
-        rhs = sum(qk * row[n - 1] for qk, row in zip(q, rows))
-        rhs -= sum(pk * row[n] for pk, row in zip(p[2:], rows[2:]))
+        for row, low, high, h, r, top in splits:
+            if n <= top:
+                row[n] = sum(low[i] * high[n - i] for i in range(h, n - r + 1))
+        rhs = sum(c * row[n - 1] for c, row in q_rows)
+        rhs -= sum(c * row[n] for c, row in p_rows)
         f[n] = exact_div(rhs, p[1], n - 1)
     return f[1:]

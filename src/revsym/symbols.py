@@ -242,21 +242,21 @@ def verify_inverse(symbol: ReversiveSymbol, terms: Sequence[int]) -> bool:
     if not terms:
         raise ValueError("need at least a_0")
     n = len(terms)  # precision N+1
-    inverse = [0, *terms]
-    p_of_f, q_of_f = (_compose_raw(p[: n + 1], inverse, n)
+    powers = {1: [0, *terms]}
+    p_of_f, q_of_f = (_compose_raw(p[: n + 1], powers, n)
                       for p in (symbol.numerator, symbol.denominator))
     return p_of_f == [0, *q_of_f[:n]]
 
 
 def _tile_equation_rhs(pair: tuple[Sequence[int], Sequence[int]], a: Sequence[int],
-                       n: int) -> list[int]:
+                       powers: dict[int, list[int]], n: int) -> list[int]:
     """1 + A g(xA) mod x^{n+1}, the tile equation's right side, for g = pair[0]/pair[1].
 
     g is a rule's generating pair, so A g(xA) = sum_{s in S} x^{s-2} A^{s-1};
-    g is cut at degree n, since xA starts at x.
+    g is cut at degree n, since xA starts at x.  powers is the power table
+    of xA = [0, *a[:n]] at degree n, as :func:`_compose_raw` takes it.
     """
-    xa = [0, *a[:n]]
-    num_xa, den_xa = (_compose_raw(p[: n + 1], xa, n) for p in pair)
+    num_xa, den_xa = (_compose_raw(p[: n + 1], powers, n) for p in pair)
     rhs = _conv(a, _div_raw(num_xa, den_xa, n), n)
     rhs[0] += 1
     return rhs
@@ -271,7 +271,9 @@ def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
     """
     if not terms:
         raise ValueError("need at least a_0")
-    return _tile_equation_rhs(rule.generating_pair(), terms, len(terms) - 1) == list(terms)
+    n = len(terms) - 1
+    powers = {1: [0, *terms[:n]]}
+    return _tile_equation_rhs(rule.generating_pair(), terms, powers, n) == list(terms)
 
 
 def format_symbol(symbol: ReversiveSymbol, include_name: bool = True) -> str:

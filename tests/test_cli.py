@@ -103,6 +103,18 @@ class TestTerms:
         assert rc == 0
         assert out.splitlines() == ["0 1", "1 1", "2 2", "3 5"]
 
+    def test_sparse_symbol_of_high_degree_runs_in_bounded_time(self, capsys):
+        # alpha = F - F^1000, so F = x + F^1000 and a_999 = 1 is the only
+        # other nonzero term; about 0.2 s on 2 vCPUs, 19.7 s with a power
+        # row for each of the 1000 degrees
+        symbol = f"({','.join(['0', '1', *['0'] * 998, '-1'])})/(1)"
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "terms", symbol, "--count", "1000")
+        elapsed = time.perf_counter() - t0
+        assert (rc, err) == (0, "")
+        assert out.splitlines() == [f"{n} {int(n in (0, 999))}" for n in range(1000)]
+        assert elapsed < 3.0
+
     def test_unknown_name_exits_2(self, capsys):
         rc, _, err = run(capsys, "terms", "nosuch", "--count", "3", "--method", "closed")
         assert rc == 2
@@ -349,6 +361,25 @@ class TestFromTiles:
         assert (rc, err) == (0, "")
         assert len(out.splitlines()) == 401
         assert elapsed < 4.0
+
+    def test_sparse_kernel_defect_exits_1(self, capsys, monkeypatch):
+        # 4,11 has g = y^2 + y^9, so Newton's compositions multiply by the
+        # power table's halved entries xA^7 = xA^3 xA^4 and xA^2
+        _break_shared_conv(monkeypatch)
+        rc, out, _ = run(capsys, "from-tiles", "4,11", "--count", "12")
+        assert rc == 1
+        _, mismatch = out.splitlines()
+        assert mismatch.startswith("MISMATCH at n=11: reversion=")
+
+    def test_sparse_rule_of_high_degree_runs_in_bounded_time(self, capsys):
+        # about 1.2 s on 2 vCPUs; 47 s while both routes paid for all 600
+        # degrees of g = y^599 and J = 1 - 600 y^599
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "from-tiles", "3,601", "--count", "600")
+        elapsed = time.perf_counter() - t0
+        assert (rc, err) == (0, "")
+        assert len(out.splitlines()) == 601
+        assert elapsed < 12.0
 
     def test_bad_spec_exits_2(self, capsys):
         for spec in ("x", "2", "3+,5"):

@@ -251,6 +251,27 @@ class TestRandomRules:
             assert enumerate_count(n, rule) == series[n], (rule.label(), n)
 
 
+@st.composite
+def sparse_tile_rules(draw):
+    """Random sparse rules: one to three sizes in 3..60, plus an optional tail."""
+    start = draw(st.none() | st.integers(3, 60))
+    sizes = draw(st.frozensets(st.integers(3, 60), min_size=0 if start else 1, max_size=3))
+    return TileRule(sizes, start, draw(st.integers(1, 20)))
+
+
+class TestSparseRules:
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_tile_rules())
+    def test_newton_and_both_reversion_routes_agree(self, rule):
+        # N passes the largest size, so every nonzero coefficient of the
+        # generating pair takes part in the power tables and rows
+        n = max((*rule.sizes, rule.start or 0)) + 8
+        series = count_by_series(n, rule)
+        symbol = symbol_from_tile_rule(rule)
+        assert revert_direct(symbol, n) == series, rule.label()
+        assert lagrange_coefficients(symbol, n) == series, rule.label()
+
+
 class TestChordDiagrams:
     def test_empty_circle(self):
         assert count_chord_diagrams(0) == 1

@@ -77,11 +77,11 @@ class TestArithmetic:
             _div_raw([1], [0, 1], 2)
 
     def test_compose_identity_inner(self):
-        assert _compose_raw([1, 1, 1], [0, 1, 0], 2) == [1, 1, 1]
+        assert _compose_raw([1, 1, 1], {1: [0, 1, 0]}, 2) == [1, 1, 1]
 
     def test_compose_catalan_start(self):
         # (x + x^2) - (x + x^2)^2 = x - 2x^3 - x^4, so x to degree 2
-        assert _compose_raw([0, 1, -1], [0, 1, 1], 2) == [0, 1, 0]
+        assert _compose_raw([0, 1, -1], {1: [0, 1, 1]}, 2) == [0, 1, 0]
 
     @given(small_series, small_inner)
     def test_compose_is_sum_of_powers(self, s, t):
@@ -91,7 +91,7 @@ class TestArithmetic:
         for k in range(n + 1):
             expected = [e + s[k] * c for e, c in zip(expected, power)]
             power = _conv(power, t, n)
-        assert _compose_raw(s[: n + 1], t, n) == expected
+        assert _compose_raw(s[: n + 1], {1: t}, n) == expected
 
     @given(small_series, small_series)
     def test_mul_commutative(self, s, t):
@@ -140,6 +140,79 @@ class TestArithmetic:
         dividend[m] += 1
         with pytest.raises(NonIntegerCoefficient, match=rf"^quotient_{m} = "):
             _div_raw(dividend, q, n)
+
+
+def _sum_of_powers(outer, inner, n):
+    """Reference composition: sum_k outer[k] inner^k, powers by repeated products."""
+    expected = [0] * (n + 1)
+    power = one(n)
+    for c in outer:
+        expected = [e + c * p for e, p in zip(expected, power)]
+        power = _conv(power, inner, n)
+    return expected
+
+
+@st.composite
+def sparse_outers(draw):
+    """Polynomials with one to five nonzero coefficients, gaps of 1 to 20 apart."""
+    outer = [0] * draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 5))):
+        outer += [0] * (draw(st.integers(1, 20)) - 1) + [draw(small_int.filter(bool))]
+    return outer
+
+
+class TestSparseKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_outers(), small_inner, st.integers(0, 40))
+    def test_compose_is_sum_of_powers_for_sparse_outers(self, outer, inner, n):
+        assert _compose_raw(outer, {1: inner}, n) == _sum_of_powers(outer, inner, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_outers(), sparse_outers(), small_inner, st.integers(0, 40))
+    def test_shared_power_table_gives_fresh_table_results(self, first, second, inner, n):
+        powers = {1: inner}
+        shared = [_compose_raw(outer, powers, n) for outer in (first, second)]
+        assert shared == [_compose_raw(outer, {1: inner}, n) for outer in (first, second)]
+        assert powers[1] is inner
+
+    @given(small_series, small_series, st.integers(0, 8))
+    def test_zero_padding_of_the_second_operand_changes_nothing(self, a, b, pad):
+        # products and quotients skip b's zeros at either end
+        n = len(a) + pad
+        padded = [0] * pad + b + [0] * pad
+        shifted = _conv(a, [0] * pad + b, n)
+        assert _conv(a, padded, n) == shifted
+        if b[0] in (1, -1):
+            assert _div_raw(a, b + [0] * n, n) == _div_raw(a, b, n)
+
+
+@st.composite
+def sparse_symbols(draw):
+    """Symbols of degree <= 60 whose P and Q each have 2 to 4 nonzero coefficients."""
+    unit = draw(st.sampled_from([1, -1, 2, -2, 3, -3]))
+    num, den = [0, unit], [unit]
+    for poly, lowest in ((num, 2), (den, 1)):
+        for k in draw(st.sets(st.integers(lowest, 60), min_size=1, max_size=3)):
+            poly += [0] * (k + 1 - len(poly))
+            poly[k] = draw(small_int.filter(bool))
+    return ReversiveSymbol("sparse", num, den)
+
+
+class TestSparseSymbols:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_symbols())
+    def test_direct_reversion_equals_lagrange(self, sym):
+        # N passes the symbol's degree, so every row of route 2 is reached
+        n = max(len(sym.numerator), len(sym.denominator)) + 3
+        outcomes = []
+        for route in (revert_direct, lagrange_coefficients):
+            try:
+                outcomes.append(route(sym, n))
+            except NonIntegerCoefficient as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], list):
+            assert verify_inverse(sym, outcomes[0])
 
 
 def _catalog_symbol(name):
