@@ -4,10 +4,15 @@ Three counters that check the series-reversion routes from other sides:
 
 * :func:`enumerate_count` literally generates non-crossing diagonal sets
   of the labelled (n+2)-gon by backtracking and keeps those whose tiles
-  all satisfy a rule.  Faces are vertex bitmasks, split as each diagonal
-  is added.  It skips a subtree only where a forbidden face can no longer
-  be split, so every dissection it counts is still generated.
-  Exponential; capped at desk scale.  It uses no series arithmetic at all.
+  all satisfy a rule.  Candidates run by left end, longest first, so a
+  new diagonal lies inside every chosen diagonal that is still open, and
+  the open ones nest like parentheses: a chain of them, innermost first,
+  each with its face as a vertex bitmask, hands every new diagonal the
+  face it splits with no search.  A node's state is one mask of the
+  candidates still free.  It skips a subtree only where a forbidden face
+  can no longer be split, and such a face stays on the chain, so every
+  dissection it counts is still generated.  Exponential; capped at desk
+  scale.  It uses no series arithmetic at all.
 * :func:`count_by_series` solves the self-referential tile equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration on truncated
   integer series, doubling the precision each step.  Each step builds
@@ -26,7 +31,7 @@ Three counters that check the series-reversion routes from other sides:
 * :func:`count_chord_diagrams` exhaustively counts placements of pairwise
   disjoint chords (no shared endpoints, no crossings) on labelled circle
   points, the model behind the motzkin entry.  It too uses no series
-  arithmetic.
+  arithmetic.  It walks the same way, one mask of free chords per node.
 
 Vertices are labelled 0..n+1 in convex position; dissections are distinct
 as diagonal sets, with no quotient by rotation or reflection.
@@ -195,21 +200,35 @@ def iter_dissections(n: int, cap: int = DEFAULT_DISSECTION_CAP) -> Iterator[Diss
 def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -> int:
     """Count dissections of the (n+2)-gon whose every tile satisfies the rule.
 
-    Backtracks over candidate diagonals in lexicographic order, pruning with
-    precomputed crossing masks; tiles are maintained incrementally (adding a
-    diagonal splits exactly one face in two).  A face is the bitmask of its
-    vertices: the face holding diagonal (a, b) is the one that has both
-    ends, its part on the a..b side keeps the vertices a..b, the other part
-    drops a+1..b-1, and a face's side count is its bit count.  The
-    undissected polygon counts iff n+2 itself satisfies the rule; n = 0
-    returns 1 by convention since the 2-gon has no tiles to test.
+    Backtracks over candidate diagonals sorted by left end ascending, then
+    right end descending.  A node holds one mask, ``free``: the later
+    candidates that cross nothing chosen so far; a child through candidate
+    i gets ``free & keep[i]``, and a child with nothing free is counted
+    without a call.  A face is the bitmask of its vertices and its side
+    count is its bit count.  The undissected polygon counts iff n+2 itself
+    satisfies the rule; n = 0 returns 1 by convention since the 2-gon has
+    no tiles to test.
 
-    Prune: the last diagonal inside a face v1 < ... < vk is (v_{k-2}, v_k),
-    and a triangle has none.  A node holding a forbidden face counts 0, so
-    its loop runs only up to the earliest such deadline among its
-    forbidden faces; later branches keep that face and count nothing.  A
-    child ranges freely again.  Every counted dissection is still
-    generated, and nodes without a forbidden face do no extra work.
+    Chain: in this order a candidate (a, b) lies inside every chosen
+    diagonal that is still open (right end > a), and chosen diagonals nest
+    like parentheses.  The walk keeps them as linked tuples
+    (b, face, rest), innermost first, where face is the part of the
+    polygon inside that diagonal and outside the diagonals nested in it;
+    the root is (n+1, whole polygon).  Entries with right end <= a are
+    closed, as no later candidate lies inside them, and are dropped; the
+    head is then the face (a, b) splits.  Its part on the a..b side keeps
+    the vertices a..b and becomes the new head, the other part drops
+    a+1..b-1 and stays in the head's place.
+
+    Prune: the last candidate inside a face v1 < ... < vk is
+    (v_{k-2}, v_k), and a triangle has none.  A node holding a forbidden
+    face counts 0, so its loop runs only up to the earliest such deadline
+    among its forbidden faces; later branches keep that face and count
+    nothing.  A child ranges freely again.  A deadline comes before every
+    candidate that would close its face, so a forbidden face is never
+    dropped from the chain, and checking the chain checks every face.
+    Every counted dissection is still generated, and nodes without a
+    forbidden face do no extra work.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -217,50 +236,47 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
         return 1
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
-    cands = _candidate_diagonals(n)
-    conflict = _conflict_masks(cands, _crosses)
-    ends = [1 << a | 1 << b for a, b in cands]
+    cands = sorted(_candidate_diagonals(n), key=lambda d: (d[0], -d[1]))
+    keep = [~c & -(2 << i) for i, c in enumerate(_conflict_masks(cands, _crosses))]
     inside = [(1 << b + 1) - (1 << a) for a, b in cands]
     outside = [~((1 << b) - (1 << a + 1)) for a, b in cands]
     # bad[s] is 1 where the rule forbids s-sided tiles; nbad counts such faces
     bad = [0] * 3 + [0 if rule.allows(s) else 1 for s in range(3, n + 3)]
-    # reach[a][b] is the mask of candidate indices up to that of (a, b)
-    reach = [[0] * (n + 2) for _ in range(n + 2)]
+    # upto[a][b] is the mask of candidate indices up to that of (a, b)
+    upto = [[0] * (n + 2) for _ in range(n + 2)]
     for i, (a, b) in enumerate(cands):
-        reach[a][b] = (1 << i + 1) - 1
-    faces = [(1 << n + 2) - 1]
+        upto[a][b] = (1 << i + 1) - 1
 
-    def rec(start: int, avail: int, nbad: int) -> int:
+    def rec(free: int, chain: tuple, nbad: int) -> int:
         count = 0 if nbad else 1
-        x = avail >> start << start
+        x = free
         if nbad:
-            for f in faces:
+            link = chain
+            while link:
+                top, f, link = link
                 if bad[f.bit_count()]:
-                    top = f.bit_length() - 1
                     rest = f ^ 1 << top
                     rest ^= 1 << rest.bit_length() - 1  # top bit is now v_{k-2}
-                    x &=reach[rest.bit_length() - 1][top] if rest & rest - 1 else 0
+                    x &= upto[rest.bit_length() - 1][top] if rest & rest - 1 else 0
         while x:
             low = x & -x
             i = low.bit_length() - 1
             x ^= low
-            # a compatible diagonal lies inside exactly one current face
-            e = ends[i]
-            j = 0
-            while faces[j] & e != e:
-                j += 1
-            f = faces[j]
+            a = cands[i][0]
+            while chain[0] <= a:
+                chain = chain[2]
+            b_head, f, below = chain
             f1 = f & inside[i]
             f2 = f & outside[i]
-            faces[j] = f1
-            faces.append(f2)
-            count += rec(i + 1, avail & ~conflict[i],
-                         nbad - bad[f.bit_count()] + bad[f1.bit_count()] + bad[f2.bit_count()])
-            faces.pop()
-            faces[j] = f
+            child_nbad = nbad - bad[f.bit_count()] + bad[f1.bit_count()] + bad[f2.bit_count()]
+            child = free & keep[i]
+            if child:
+                count += rec(child, (cands[i][1], f1, (b_head, f2, below)), child_nbad)
+            elif not child_nbad:
+                count += 1  # a leaf counts itself iff no face is forbidden
         return count
 
-    return rec(0, (1 << len(cands)) - 1, bad[n + 2])
+    return rec((1 << len(cands)) - 1, (n + 1, (1 << n + 2) - 1, ()), bad[n + 2])
 
 
 def _derivative(p: Sequence[int]) -> list[int]:
@@ -331,19 +347,15 @@ def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:
     if p > cap:
         raise CapExceeded(f"p = {p} exceeds the exhaustive cap {cap}")
     cands = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    conflict = _conflict_masks(cands, _touches_or_crosses)
-    total = 0
+    keep = [~c & -(2 << i) for i, c in enumerate(_conflict_masks(cands, _touches_or_crosses))]
 
-    def rec(start: int, avail: int) -> None:
-        nonlocal total
-        total += 1
-        x = avail >> start << start
+    def rec(x: int) -> int:
+        count = 1
         while x:
             low = x & -x
-            i = low.bit_length() - 1
             x ^= low
-            rec(i + 1, avail & ~conflict[i])
+            child = x & keep[low.bit_length() - 1]
+            count += rec(child) if child else 1
+        return count
 
-    rec(0, (1 << len(cands)) - 1)
-    return total
-
+    return rec((1 << len(cands)) - 1)

@@ -1,9 +1,14 @@
 """Exhaustive enumeration, tile extraction, series counter, chord oracle."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revsym.closed_forms import motzkin_term
 from revsym.dissection_oracle import (
+    DEFAULT_CHORD_CAP,
     CapExceeded,
     Dissection,
     count_by_series,
@@ -223,6 +228,20 @@ class TestCountBySeries:
             assert series == revert_direct(symbol, n)
 
 
+_SIZE_SETS: dict[int, Counter] = {}
+
+
+def _size_sets(n):
+    """How many dissections of the (n+2)-gon have each set of tile sizes,
+    from the unpruned generator and the tuple faces of tiles_of; built once
+    per n."""
+    if n not in _SIZE_SETS:
+        _SIZE_SETS[n] = Counter(
+            frozenset(len(face) for face in tiles_of(d)) for d in iter_dissections(n)
+        )
+    return _SIZE_SETS[n]
+
+
 @st.composite
 def tile_rules(draw):
     """Random rules: up to four sizes in 3..9, plus an optional tail."""
@@ -250,6 +269,17 @@ class TestRandomRules:
         for n in range(7, 10):
             assert enumerate_count(n, rule) == series[n], (rule.label(), n)
 
+    @settings(max_examples=150, deadline=None)
+    @given(tile_rules())
+    def test_walk_counts_what_independent_generation_allows(self, rule):
+        # the candidate order, the chain of open diagonals and the prune
+        # must neither drop nor double-count a dissection for any rule
+        for n in range(1, 9):
+            expected = sum(
+                k for used, k in _size_sets(n).items() if all(rule.allows(s) for s in used)
+            )
+            assert enumerate_count(n, rule) == expected, (rule.label(), n)
+
 
 @st.composite
 def sparse_tile_rules(draw):
@@ -272,7 +302,38 @@ class TestSparseRules:
         assert lagrange_coefficients(symbol, n) == series, rule.label()
 
 
+def _chords_meet_by_coordinates(p, q):
+    """Test-local validator, independent of the library's predicate: put
+    point t at (t, t^2), in convex position in cyclic order, and test the
+    two segments for a shared endpoint or a proper crossing by orientation
+    signs."""
+    if set(p) & set(q):
+        return True
+
+    def orient(u, v, w):
+        (ux, uy), (vx, vy), (wx, wy) = ((t, t * t) for t in (u, v, w))
+        return (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux) > 0
+
+    (a, b), (c, d) = p, q
+    return orient(a, b, c) != orient(a, b, d) and orient(c, d, a) != orient(c, d, b)
+
+
 class TestChordDiagrams:
+    @pytest.mark.parametrize("p", range(9))
+    def test_matches_generation_by_combinations(self, p):
+        chords = list(combinations(range(p), 2))
+        expected = sum(
+            1
+            for k in range(p // 2 + 1)
+            for chosen in combinations(chords, k)
+            if not any(_chords_meet_by_coordinates(u, v) for u, v in combinations(chosen, 2))
+        )
+        assert count_chord_diagrams(p) == expected
+
+    def test_matches_motzkin_to_default_cap(self):
+        for p in range(DEFAULT_CHORD_CAP + 1):
+            assert count_chord_diagrams(p) == motzkin_term(p), p
+
     def test_empty_circle(self):
         assert count_chord_diagrams(0) == 1
 
