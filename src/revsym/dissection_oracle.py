@@ -15,19 +15,20 @@ Three counters that check the series-reversion routes from other sides:
   scale.  It uses no series arithmetic at all.
 * :func:`count_by_series` solves the self-referential tile equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration on truncated
-  integer series, doubling the precision each step.  Each step builds
-  one table of powers of xA by halving and composes the generating pair
-  and the Jacobian's two polynomials with it, one truncated product per
-  gap between nonzero coefficients and per table entry, O(N^2) integer
-  operations each.
+  integer series, doubling the precision each step.  The equation is
+  taken cleared of the denominator of the rule's generating pair
+  g = Ng/Dg, as Dg(xA) (A - 1) = A Ng(xA), the form
+  :func:`verify_tautological` checks.  Each step builds one table of
+  powers of xA by halving, composes Ng, Dg and their derivatives with
+  it, one truncated product per gap between nonzero coefficients and
+  per table entry, O(N^2) integer operations each, and ends in one
+  exact division by the Jacobian.
   It is a different algorithm from either reversion route but runs on
   the same product, exact-division and composition kernels as Lagrange
   inversion in :mod:`power_series`; the two algorithms feed the kernels
   different operands, so a kernel defect makes them disagree, and the
   enumeration checks both.  It takes the size sum from
-  :meth:`TileRule.generating_pair`, the same pair symbol synthesis uses,
-  and builds the equation's right side with the same code as
-  :func:`verify_tautological`.
+  :meth:`TileRule.generating_pair`, the same pair symbol synthesis uses.
 * :func:`count_chord_diagrams` exhaustively counts placements of pairwise
   disjoint chords (no shared endpoints, no crossings) on labelled circle
   points, the model behind the motzkin entry.  It too uses no series
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .power_series import _compose_raw, _conv, _div_raw
-from .symbols import TileRule, _int_tuple, _tile_equation_rhs
+from .symbols import TileRule
 
 __all__ = [
     "DEFAULT_DISSECTION_CAP",
@@ -283,43 +284,26 @@ def _derivative(p: Sequence[int]) -> list[int]:
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def _jacobian_pair(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """J(y) = 1 - g(y) - y g'(y) as the polynomials (Jn, Dg^2), for g = Ng/Dg.
-
-    g' is taken in rational form (Ng' Dg - Ng Dg') / Dg^2, so
-    Jn = Dg^2 - Ng Dg - y (Ng' Dg - Ng Dg').  Ng(0) = 0 and Dg(0) = 1, so
-    Jn(0) = 1.
-    """
-    num, den = pair
-    top = 2 * max(len(num), len(den)) - 2  # bounds the degree of every product below
-    slope = [u - v for u, v in zip(_conv(_derivative(num), den, top),
-                                   _conv(num, _derivative(den), top))]
-    den_sq = _conv(den, den, top)
-    jac = [d - m - s for d, m, s in zip(den_sq, _conv(num, den, top), [0, *slope])]
-    # trimmed, since composing a polynomial costs one product per gap between
-    # its nonzero coefficients
-    return _int_tuple(jac), _int_tuple(den_sq)
-
-
 def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     """Coefficients a_0..a_{n_max} of the tile equation's solution, by Newton iteration.
 
-    Solves Phi(A) = A - 1 - A g(xA) = 0, where A g(xA) = sum_{s in S}
-    x^{s-2} A^{s-1}, by the Newton step A <- A - Phi(A) / J(A) with
-    J(A) = 1 - g(xA) - xA g'(xA).  A step from A correct to degree e leaves
-    A correct to at least degree 2e + 1, so the precision doubles from
-    a_0 = 1, and the last step, at degree n_max, costs more than all the
-    others together.  Phi takes the tile equation's right side from the
-    same code as :func:`verify_tautological`.  J is Jn(xA) / Dg(xA)^2 for
-    polynomials Jn and Dg^2 built once; Jn has constant term 1, so each
-    step's quotient Phi Dg(xA)^2 / Jn(xA) is one exact division.  The size
+    With g = Ng/Dg the rule's generating pair, so that A g(xA) = sum_{s in
+    S} x^{s-2} A^{s-1}, the tile equation A = 1 + A g(xA) is solved cleared
+    of its denominator, as Psi(A) = Dg(xA) (A - 1) - A Ng(xA) = 0, by the
+    Newton step A <- A - Psi(A) / J(A) with
+    J(A) = Dg(xA) - Ng(xA) + x (A - 1) Dg'(xA) - x A Ng'(xA).  A step from
+    A correct to degree e leaves A correct to at least degree 2e + 1, so
+    the precision doubles from a_0 = 1, and the last step, at degree
+    n_max, costs more than all the others together.  Each step composes
+    Ng, Dg, Ng' and Dg' with one shared table of powers of xA and ends in
+    one exact division: J has constant term Dg(0) - Ng(0) = 1.  The size
     sum is applied in its closed rational form, so sizes with s-2 > n_max
     vanish under truncation either way.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    pair = rule.generating_pair()
-    jac, den_sq = _jacobian_pair(pair)
+    num, den = rule.generating_pair()
+    polys = (num, den, _derivative(num), _derivative(den))
     degrees = []
     while n_max > 0:
         degrees.append(n_max)
@@ -328,10 +312,12 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     for n in reversed(degrees):
         a += [0] * (n + 1 - len(a))
         powers = {1: [0, *a[:n]]}  # xA, whose powers the four compositions share
-        phi = [ai - ri for ai, ri in zip(a, _tile_equation_rhs(pair, a, powers, n))]
-        jac_xa, den_sq_xa = (_compose_raw(p[: n + 1], powers, n) for p in (jac, den_sq))
-        step = _div_raw(_conv(phi, den_sq_xa, n), jac_xa, n)
-        a = [ai - si for ai, si in zip(a, step)]
+        ng, dg, ng_d, dg_d = (_compose_raw(p, powers, n) for p in polys)
+        a_less_1 = [0, *a[1:]]  # A - 1, since a_0 stays 1
+        psi = [u - v for u, v in zip(_conv(dg, a_less_1, n), _conv(ng, a, n))]
+        slope = [u - v for u, v in zip(_conv(dg_d, a_less_1, n), _conv(ng_d, a, n))]
+        jac = [d - g + s for d, g, s in zip(dg, ng, [0, *slope])]
+        a = [ai - si for ai, si in zip(a, _div_raw(psi, jac, n))]
     return a
 
 

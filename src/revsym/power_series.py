@@ -116,10 +116,11 @@ def _compose_raw(outer: Sequence[int], powers: dict[int, list[int]], n: int) -> 
     nonzero exponents hi > lo the sum is multiplied by inner^{hi-lo}, and at
     the end by inner^{lo} of the lowest one, each power taken from the
     table (:func:`_power`).  For a dense outer every gap is 1, one product
-    by inner per degree.
+    by inner per degree.  Coefficients of outer above degree n are
+    ignored, since inner^k vanishes mod x^{n+1} for k > n.
     """
     res = [0] * (n + 1)
-    exponents = [k for k in range(len(outer) - 1, -1, -1) if outer[k]]
+    exponents = [k for k in range(min(len(outer) - 1, n), -1, -1) if outer[k]]
     if not exponents:
         return res
     hi = exponents[0]

@@ -189,8 +189,11 @@ def symbol_from_tile_rule(rule: TileRule) -> ReversiveSymbol:
 def expand(symbol: ReversiveSymbol, precision: int) -> list[int]:
     """Taylor coefficients c_0..c_precision of numerator/denominator, as a list.
 
-    Raises NonIntegerCoefficient where a coefficient is not an integer.
+    Raises NonIntegerCoefficient where a coefficient is not an integer, and
+    ValueError for a negative precision.
     """
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
     return _div_raw(symbol.numerator, symbol.denominator, precision)
 
 
@@ -243,37 +246,25 @@ def verify_inverse(symbol: ReversiveSymbol, terms: Sequence[int]) -> bool:
         raise ValueError("need at least a_0")
     n = len(terms)  # precision N+1
     powers = {1: [0, *terms]}
-    p_of_f, q_of_f = (_compose_raw(p[: n + 1], powers, n)
-                      for p in (symbol.numerator, symbol.denominator))
+    p_of_f, q_of_f = (_compose_raw(p, powers, n) for p in (symbol.numerator, symbol.denominator))
     return p_of_f == [0, *q_of_f[:n]]
-
-
-def _tile_equation_rhs(pair: tuple[Sequence[int], Sequence[int]], a: Sequence[int],
-                       powers: dict[int, list[int]], n: int) -> list[int]:
-    """1 + A g(xA) mod x^{n+1}, the tile equation's right side, for g = pair[0]/pair[1].
-
-    g is a rule's generating pair, so A g(xA) = sum_{s in S} x^{s-2} A^{s-1};
-    g is cut at degree n, since xA starts at x.  powers is the power table
-    of xA = [0, *a[:n]] at degree n, as :func:`_compose_raw` takes it.
-    """
-    num_xa, den_xa = (_compose_raw(p[: n + 1], powers, n) for p in pair)
-    rhs = _conv(a, _div_raw(num_xa, den_xa, n), n)
-    rhs[0] += 1
-    return rhs
 
 
 def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
     """Check A = 1 + sum_{s in S} x^{s-2} A^{s-1} to precision N.
 
-    A is the series with the given coefficients; the sum is evaluated in
-    its closed rational form g, so sizes with s-2 > N drop out exactly as
-    the truncation demands.
+    A is the series with the given coefficients.  With the sum in its
+    closed rational form g = Ng/Dg, so that sizes with s-2 > N drop out
+    exactly as the truncation demands, this is checked cleared of the
+    denominator as Dg(xA) (A - 1) = A Ng(xA), which is equivalent because
+    Dg(xA) has constant term 1, and needs no division.
     """
     if not terms:
         raise ValueError("need at least a_0")
     n = len(terms) - 1
     powers = {1: [0, *terms[:n]]}
-    return _tile_equation_rhs(rule.generating_pair(), terms, powers, n) == list(terms)
+    num_xa, den_xa = (_compose_raw(p, powers, n) for p in rule.generating_pair())
+    return _conv(den_xa, [terms[0] - 1, *terms[1:]], n) == _conv(num_xa, terms, n)
 
 
 def format_symbol(symbol: ReversiveSymbol, include_name: bool = True) -> str:

@@ -25,6 +25,7 @@ from revsym.symbols import (
     TRIANGLES_ONLY,
     TileRule,
     symbol_from_tile_rule,
+    verify_tautological,
 )
 from revsym.power_series import lagrange_coefficients, revert_direct
 
@@ -259,6 +260,11 @@ class TestRandomRules:
         assert lagrange_coefficients(symbol_from_tile_rule(rule), 30) == series
         assert revert_direct(symbol_from_tile_rule(rule), 30) == series
         assert series[:7] == [enumerate_count(n, rule) for n in range(7)]
+        assert verify_tautological(rule, series)
+        for m in range(31):
+            perturbed = list(series)
+            perturbed[m] += 1
+            assert not verify_tautological(rule, perturbed), m
 
     @settings(max_examples=25, deadline=None)
     @given(tile_rules())

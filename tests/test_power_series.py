@@ -175,6 +175,12 @@ class TestSparseKernels:
         assert shared == [_compose_raw(outer, {1: inner}, n) for outer in (first, second)]
         assert powers[1] is inner
 
+    def test_compose_ignores_outer_terms_above_the_degree(self):
+        # inner^50 vanishes mod x^4, so no table entry above 1 is built for it
+        powers = {1: [0, 1, 1, 1]}
+        assert _compose_raw([0] * 50 + [1], powers, 3) == [0, 0, 0, 0]
+        assert list(powers) == [1]
+
     @given(small_series, small_series, st.integers(0, 8))
     def test_zero_padding_of_the_second_operand_changes_nothing(self, a, b, pad):
         # products and quotients skip b's zeros at either end

@@ -238,6 +238,11 @@ class TestExpand:
             s = expand(sym, 6)
             assert s[0] == 0 and s[1] == 1
 
+    def test_negative_precision_raises(self):
+        sym, _ = entry("schroeder")
+        with pytest.raises(ValueError, match="precision"):
+            expand(sym, -1)
+
     def test_non_integral_expansion_raises(self):
         # (2F - F^2)/2 = F - F^2/2
         with pytest.raises(NonIntegerCoefficient, match=r"^quotient_2 = -1/2 is not an integer$"):
@@ -267,6 +272,19 @@ class TestVerifiers:
         assert verify_inverse(doubled, [1, 1, 3, 11, 45])
         assert not verify_inverse(doubled, [1, 1, 3, 11, 46])
         assert not verify_inverse(parse_symbol("(0,2,-1)/(2)"), [1, 0, 0])
+
+    def test_verify_tautological_needs_no_division(self, monkeypatch):
+        # checked as Dg(xA) (A - 1) = A Ng(xA), with no quotient Ng/Dg
+        def no_division(*args):
+            raise AssertionError("verify_tautological divided")
+
+        monkeypatch.setattr("revsym.symbols._div_raw", no_division)
+        for e in catalog():
+            if e.rule is not None:
+                terms = lagrange_coefficients(e.symbol, 30)
+                assert verify_tautological(e.rule, terms), e.symbol.name
+                terms[30] += 1
+                assert not verify_tautological(e.rule, terms), e.symbol.name
 
     def test_verify_tautological_accepts_exhaustive_counts(self):
         terms = [enumerate_count(n, NO_TRIANGLES) for n in range(6)]
