@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 from .closed_forms import DomainError
@@ -58,14 +57,12 @@ class MethodUnavailable(ValueError):
     """The requested computation path does not exist for this sequence."""
 
 
-@dataclass(frozen=True)
-class Settings:
-    exhaustive_cap_n: int = DEFAULT_DISSECTION_CAP
-    chord_cap_p: int = DEFAULT_CHORD_CAP
-    default_count: int = DEFAULT_COUNT
-
-
-_CONFIG_KEYS = tuple(f.name for f in fields(Settings))
+# config key -> (the flag it fills, its built-in default)
+_SETTINGS = {
+    "exhaustive_cap_n": ("exhaustive_cap_n", DEFAULT_DISSECTION_CAP),
+    "chord_cap_p": ("chord_cap_p", DEFAULT_CHORD_CAP),
+    "default_count": ("count", DEFAULT_COUNT),
+}
 
 
 def _read_config(path: str) -> dict[str, int]:
@@ -84,7 +81,7 @@ def _read_config(path: str) -> dict[str, int]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
             number = int(value)
@@ -96,16 +93,12 @@ def _read_config(path: str) -> dict[str, int]:
     return values
 
 
-def _settings_from(args: argparse.Namespace) -> Settings:
-    settings = Settings()
-    if args.config:
-        settings = replace(settings, **_read_config(args.config))
-    # the cap flags exist only on the subcommands that run an oracle
-    if getattr(args, "exhaustive_cap_n", None) is not None:
-        settings = replace(settings, exhaustive_cap_n=args.exhaustive_cap_n)
-    if getattr(args, "chord_cap_p", None) is not None:
-        settings = replace(settings, chord_cap_p=args.chord_cap_p)
-    return settings
+def _fill_settings(args: argparse.Namespace) -> None:
+    """Give every flag the subcommand has and was not passed its config value, else its default."""
+    config = _read_config(args.config) if getattr(args, "config", None) else {}
+    for key, (flag, default) in _SETTINGS.items():
+        if getattr(args, flag, default) is None:
+            setattr(args, flag, config.get(key, default))
 
 
 def _lookup(name: str) -> CatalogEntry:
@@ -156,35 +149,32 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_terms(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
-    count = args.count if args.count is not None else settings.default_count
     symbol, entry = _resolve(args.name_or_symbol)
-    _print_terms(_compute_terms(symbol, entry, count, args.method))
+    _print_terms(_compute_terms(symbol, entry, args.count, args.method))
     return 0
 
 
-def _oracle_values(entry: CatalogEntry, count: int, settings: Settings) -> dict[int, int]:
+def _oracle_values(entry: CatalogEntry, count: int, args: argparse.Namespace) -> dict[int, int]:
     """Exhaustive ground truth per n, for as far as the caps allow.
 
     Entries with a tile rule go to the dissection enumerator, the others to
     the chord counter.
     """
     if entry.rule is not None:
-        top = min(count - 1, settings.exhaustive_cap_n)
-        return {i: enumerate_count(i, entry.rule, cap=settings.exhaustive_cap_n) for i in range(top + 1)}
-    top = min(count - 1, settings.chord_cap_p)
-    return {i: count_chord_diagrams(i, cap=settings.chord_cap_p) for i in range(top + 1)}
+        top = min(count - 1, args.exhaustive_cap_n)
+        return {i: enumerate_count(i, entry.rule, cap=args.exhaustive_cap_n) for i in range(top + 1)}
+    top = min(count - 1, args.chord_cap_p)
+    return {i: count_chord_diagrams(i, cap=args.chord_cap_p) for i in range(top + 1)}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
-    count = args.count if args.count is not None else settings.default_count
+    count = args.count
     entry = _lookup(args.name)
     symbol, rule = entry.symbol, entry.rule
     reversion = lagrange_coefficients(symbol, count - 1)
 
     series = count_by_series(count - 1, rule) if rule is not None else None
-    oracle = _oracle_values(entry, count, settings)
+    oracle = _oracle_values(entry, count, args)
 
     print(f"verify {symbol.name}: {format_symbol(symbol, include_name=False)}")
     print("n a(n) closed series oracle")
@@ -242,8 +232,7 @@ def _check_sizes_fit(rule: TileRule, count: int) -> None:
 
 
 def cmd_from_tiles(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
-    count = args.count if args.count is not None else settings.default_count
+    count = args.count
     rule = parse_tile_spec(args.spec)
     _check_sizes_fit(rule, count)
     symbol = symbol_from_tile_rule(rule)
@@ -332,6 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _fill_settings(args)
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,11 +18,12 @@ Three counters that check the series-reversion routes from other sides:
   integer series, doubling the precision each step.  The equation is
   taken cleared of the denominator of the rule's generating pair
   g = Ng/Dg, as Dg(xA) (A - 1) = A Ng(xA), the form
-  :func:`verify_tautological` checks.  Each step builds one table of
-  powers of xA by halving, composes Ng, Dg and their derivatives with
-  it, one truncated product per gap between nonzero coefficients and
-  per table entry, O(N^2) integer operations each, and ends in one
-  exact division by the Jacobian.
+  :func:`verify_tautological` checks.  Each step composes Ng, Dg and
+  their derivatives with xA in one call: the four share one table of
+  powers of xA, built by halving, each power only as far as it is read,
+  and take one truncated product per gap between nonzero coefficients
+  and per table entry.  The step ends in one exact division by the
+  Jacobian.
   It is a different algorithm from either reversion route but runs on
   the same product, exact-division and composition kernels as Lagrange
   inversion in :mod:`power_series`; the two algorithms feed the kernels
@@ -160,17 +161,16 @@ def _candidate_diagonals(n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _conflict_masks(
+def _keep_masks(
     cands: list[tuple[int, int]], clash: Callable[[int, int, int, int], bool]
 ) -> list[int]:
-    """Per candidate, the bitmask of candidates it may not be chosen with."""
+    """Per candidate, the bitmask of the later candidates it may be chosen with."""
     masks = [0] * len(cands)
     for x, (a, b) in enumerate(cands):
         for y in range(x + 1, len(cands)):
             c, d = cands[y]
-            if clash(a, b, c, d):
+            if not clash(a, b, c, d):
                 masks[x] |= 1 << y
-                masks[y] |= 1 << x
     return masks
 
 
@@ -181,21 +181,21 @@ def iter_dissections(n: int, cap: int = DEFAULT_DISSECTION_CAP) -> Iterator[Diss
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
     cands = _candidate_diagonals(n)
-    conflict = _conflict_masks(cands, _crosses)
+    keep = _keep_masks(cands, _crosses)
     chosen: list[tuple[int, int]] = []
 
-    def rec(start: int, avail: int) -> Iterator[Dissection]:
+    def rec(free: int) -> Iterator[Dissection]:
         yield Dissection(n, chosen)
-        x = avail >> start << start
+        x = free
         while x:
             low = x & -x
             i = low.bit_length() - 1
             x ^= low
             chosen.append(cands[i])
-            yield from rec(i + 1, avail & ~conflict[i])
+            yield from rec(free & keep[i])
             chosen.pop()
 
-    return rec(0, (1 << len(cands)) - 1)
+    return rec((1 << len(cands)) - 1)
 
 
 def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -> int:
@@ -238,7 +238,7 @@ def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
     cands = sorted(_candidate_diagonals(n), key=lambda d: (d[0], -d[1]))
-    keep = [~c & -(2 << i) for i, c in enumerate(_conflict_masks(cands, _crosses))]
+    keep = _keep_masks(cands, _crosses)
     inside = [(1 << b + 1) - (1 << a) for a, b in cands]
     outside = [~((1 << b) - (1 << a + 1)) for a, b in cands]
     # bad[s] is 1 where the rule forbids s-sided tiles; nbad counts such faces
@@ -295,8 +295,10 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     A correct to degree e leaves A correct to at least degree 2e + 1, so
     the precision doubles from a_0 = 1, and the last step, at degree
     n_max, costs more than all the others together.  Each step composes
-    Ng, Dg, Ng' and Dg' with one shared table of powers of xA and ends in
-    one exact division: J has constant term Dg(0) - Ng(0) = 1.  The size
+    Ng, Dg, Ng' and Dg' with xA in one call to ``_compose_raw``, which
+    builds the powers of xA the four share from one halving plan, each
+    only as far as it is read, and ends in one exact division: J has
+    constant term Dg(0) - Ng(0) = 1.  The size
     sum is applied in its closed rational form, so sizes with s-2 > n_max
     vanish under truncation either way.
     """
@@ -311,8 +313,7 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     a = [1]
     for n in reversed(degrees):
         a += [0] * (n + 1 - len(a))
-        powers = {1: [0, *a[:n]]}  # xA, whose powers the four compositions share
-        ng, dg, ng_d, dg_d = (_compose_raw(p, powers, n) for p in polys)
+        ng, dg, ng_d, dg_d = _compose_raw(polys, [0, *a[:n]], n)  # composed with xA
         a_less_1 = [0, *a[1:]]  # A - 1, since a_0 stays 1
         psi = [u - v for u, v in zip(_conv(dg, a_less_1, n), _conv(ng, a, n))]
         slope = [u - v for u, v in zip(_conv(dg_d, a_less_1, n), _conv(ng_d, a, n))]
@@ -333,7 +334,7 @@ def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:
     if p > cap:
         raise CapExceeded(f"p = {p} exceeds the exhaustive cap {cap}")
     cands = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    keep = [~c & -(2 << i) for i, c in enumerate(_conflict_masks(cands, _touches_or_crosses))]
+    keep = _keep_masks(cands, _touches_or_crosses)
 
     def rec(x: int) -> int:
         count = 1

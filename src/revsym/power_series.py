@@ -8,7 +8,12 @@ the composition :func:`_compose_raw`.  Their cost follows the nonzero
 coefficients: a product or quotient runs over its second operand's span
 of nonzero coefficients only, and a composition multiplies once per gap
 between the outer polynomial's nonzero coefficients, by powers of the
-inner series that a shared table builds by halving.
+inner series.
+
+Which powers to build by halving, k = k//2 + (k - k//2), and how far to
+build each, is decided in one place, :func:`_halving_plan`: a power is
+built only up to the last degree that is read of it.  The compositions
+and :func:`revert_direct` both take their powers from it.
 
 Coefficients are Python ints.  The one division, :func:`_div_raw`, divides
 each step exactly by the divisor's constant term through
@@ -21,9 +26,10 @@ is an integer:
 
 * :func:`revert_direct` solves [x^n] alpha(F(x)) = delta_{n,1} coefficient
   by coefficient, written as P(F) = x Q(F).  It keeps a row of powers of F
-  only for the exponents that P and Q use and the halves they split into,
-  O(N^2) integer operations per row, and is the production route: every
-  command that lists terms runs it.
+  only for the exponents that P and Q use and the halves that
+  :func:`_halving_plan` splits them into, O(N^2) integer operations per
+  row, and fills the rows itself, with no kernel.  It is the production
+  route: every command that lists terms runs it.
 * :func:`lagrange_coefficients` extracts
   a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n through N truncated products,
   O(N^3) in all.  It is the independent cross-check that ``verify`` runs,
@@ -95,43 +101,53 @@ def _div_raw(p: Sequence[int], q: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _power(powers: dict[int, list[int]], k: int, n: int) -> list[int]:
-    """inner^k mod x^{n+1} from a table that starts as {1: inner}.
+def _halving_plan(reach: dict[int, int]) -> dict[int, int]:
+    """Close {exponent: last degree read} under halving, for powers of a series without constant term.
 
-    A missing entry is filled by halving, inner^k = inner^{k//2} *
-    inner^{k-k//2}, one product each, so k costs O(log k) entries.  A table
-    holds one inner series at one n and may be shared by any number of
-    compositions.
+    A power k >= 2 is built as inner^{k//2} * inner^{k-k//2}.  Since a
+    power h starts at degree h, each half is read only up to reach[k]
+    minus the other half, and a power that several products read takes
+    the largest of their reaches.  Exponents 0 and 1 are never split.
     """
-    if k not in powers:
-        h = k // 2
-        powers[k] = _conv(_power(powers, h, n), _power(powers, k - h, n), n)
-    return powers[k]
+    reach = dict(reach)
+    for k in range(max(reach, default=0), 1, -1):
+        if k in reach:
+            h, r = k // 2, k - k // 2
+            for half, other in ((h, r), (r, h)):
+                if half >= 2:
+                    reach[half] = max(reach.get(half, 0), reach[k] - other)
+    return reach
 
 
-def _compose_raw(outer: Sequence[int], powers: dict[int, list[int]], n: int) -> list[int]:
-    """outer(inner(x)) mod x^{n+1}, for the table powers = {1: inner, ...}; inner[0] must be 0.
+def _compose_raw(outers: Sequence[Sequence[int]], inner: Sequence[int], n: int) -> list[list[int]]:
+    """outer(inner(x)) mod x^{n+1} for each outer; inner[0] must be 0.
 
-    Horner over outer's nonzero coefficients only: between consecutive
-    nonzero exponents hi > lo the sum is multiplied by inner^{hi-lo}, and at
-    the end by inner^{lo} of the lowest one, each power taken from the
-    table (:func:`_power`).  For a dense outer every gap is 1, one product
-    by inner per degree.  Coefficients of outer above degree n are
-    ignored, since inner^k vanishes mod x^{n+1} for k > n.
+    Horner over each outer's nonzero coefficients only: between
+    consecutive nonzero exponents hi > lo the sum is multiplied by
+    inner^{hi-lo}, and at the end by inner^{lo} of the lowest one.  For a
+    dense outer every gap is 1, one product by inner per degree.  The
+    outers share one table of the powers these products read in full,
+    built by :func:`_halving_plan`, one product per entry, each truncated
+    at the last degree read, so a high power costs little beyond its own
+    degree.  Coefficients of an outer above degree n are ignored, since
+    inner^k vanishes mod x^{n+1} for k > n.
     """
-    res = [0] * (n + 1)
-    exponents = [k for k in range(min(len(outer) - 1, n), -1, -1) if outer[k]]
-    if not exponents:
-        return res
-    hi = exponents[0]
-    res[0] = outer[hi]
-    for lo in exponents[1:]:
-        res = _conv(res, _power(powers, hi - lo, n), n)
-        res[0] += outer[lo]
-        hi = lo
-    if hi:
-        res = _conv(res, _power(powers, hi, n), n)
-    return res
+    exponents = [[k for k in range(min(len(outer) - 1, n), -1, -1) if outer[k]] for outer in outers]
+    gaps = {hi - lo for ks in exponents for hi, lo in zip(ks, [*ks[1:], 0]) if hi > lo}
+    plan = _halving_plan(dict.fromkeys(gaps, n))
+    powers = {1: inner}
+    for k in sorted(plan):
+        if k >= 2:
+            powers[k] = _conv(powers[k // 2], powers[k - k // 2], plan[k])
+    out = []
+    for outer, ks in zip(outers, exponents):
+        res = [0] * (n + 1)
+        for hi, lo in zip(ks, [*ks[1:], 0]):
+            res[0] += outer[hi]
+            if hi > lo:
+                res = _conv(res, powers[hi - lo], n)
+        out.append(res)
+    return out
 
 
 def lagrange_coefficients(alpha: "ReversiveSymbol", N: int) -> list[int]:
@@ -174,8 +190,8 @@ def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
     where every term on the right involves only f_1..f_{n-1} (F^k starts
     at x^k).  Rows [x^j] F^k are kept only for the exponents k >= 2 with a
     nonzero p_k or q_k, and for the halves h = k//2 and r = k - h that
-    they split into, recursively.  Column n of row k is
-    sum_{i=h}^{n-r} [x^i] F^h [x^{n-i}] F^r, which needs only earlier
+    :func:`_halving_plan` splits them into, recursively.  Column n of row
+    k is sum_{i=h}^{n-r} [x^i] F^h [x^{n-i}] F^r, which needs only earlier
     columns, so the rows are filled one column at a time.  N terms cost
     O(m N^2) integer operations and O(m N) memory, m the number of rows:
     at most two per level of halving for each nonzero exponent, and the
@@ -189,15 +205,8 @@ def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
     p = alpha.numerator[: N + 2]
     q = alpha.denominator[: N + 2]
     # reach[k] is the last column of row k that is read: N + 1 for the
-    # exponents P and Q use, and reach[k] - r and reach[k] - h for the
-    # halves of a row k = h + r
-    reach = {k: N + 1 for k, c in [*enumerate(p), *enumerate(q)] if c and k >= 2}
-    for k in range(max(reach, default=0), 1, -1):
-        if k in reach:
-            h, r = k // 2, k - k // 2
-            for half, other in ((h, r), (r, h)):
-                if half >= 2:
-                    reach[half] = max(reach.get(half, 0), reach[k] - other)
+    # exponents P and Q use, less for the halves they split into
+    reach = _halving_plan({k: N + 1 for k, c in [*enumerate(p), *enumerate(q)] if c and k >= 2})
     # rows[k][j] = [x^j] F^k; row 0 is the constant 1 and row 1 is F itself
     rows = {0: [1] + [0] * (N + 1), 1: [0] * (N + 2)}
     rows.update((k, [0] * (N + 2)) for k in reach)

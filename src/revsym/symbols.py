@@ -245,8 +245,7 @@ def verify_inverse(symbol: ReversiveSymbol, terms: Sequence[int]) -> bool:
     if not terms:
         raise ValueError("need at least a_0")
     n = len(terms)  # precision N+1
-    powers = {1: [0, *terms]}
-    p_of_f, q_of_f = (_compose_raw(p, powers, n) for p in (symbol.numerator, symbol.denominator))
+    p_of_f, q_of_f = _compose_raw((symbol.numerator, symbol.denominator), [0, *terms], n)
     return p_of_f == [0, *q_of_f[:n]]
 
 
@@ -262,8 +261,7 @@ def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
     if not terms:
         raise ValueError("need at least a_0")
     n = len(terms) - 1
-    powers = {1: [0, *terms[:n]]}
-    num_xa, den_xa = (_compose_raw(p, powers, n) for p in rule.generating_pair())
+    num_xa, den_xa = _compose_raw(rule.generating_pair(), [0, *terms[:n]], n)
     return _conv(den_xa, [terms[0] - 1, *terms[1:]], n) == _conv(num_xa, terms, n)
 
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revsym import power_series
 from revsym.exact_arith import NonIntegerCoefficient
 from revsym.power_series import (
     _compose_raw,
@@ -77,11 +78,11 @@ class TestArithmetic:
             _div_raw([1], [0, 1], 2)
 
     def test_compose_identity_inner(self):
-        assert _compose_raw([1, 1, 1], {1: [0, 1, 0]}, 2) == [1, 1, 1]
+        assert _compose_raw([[1, 1, 1]], [0, 1, 0], 2) == [[1, 1, 1]]
 
     def test_compose_catalan_start(self):
         # (x + x^2) - (x + x^2)^2 = x - 2x^3 - x^4, so x to degree 2
-        assert _compose_raw([0, 1, -1], {1: [0, 1, 1]}, 2) == [0, 1, 0]
+        assert _compose_raw([[0, 1, -1]], [0, 1, 1], 2) == [[0, 1, 0]]
 
     @given(small_series, small_inner)
     def test_compose_is_sum_of_powers(self, s, t):
@@ -91,7 +92,7 @@ class TestArithmetic:
         for k in range(n + 1):
             expected = [e + s[k] * c for e, c in zip(expected, power)]
             power = _conv(power, t, n)
-        assert _compose_raw(s[: n + 1], {1: t}, n) == expected
+        assert _compose_raw([s[: n + 1]], t, n) == [expected]
 
     @given(small_series, small_series)
     def test_mul_commutative(self, s, t):
@@ -152,6 +153,19 @@ def _sum_of_powers(outer, inner, n):
     return expected
 
 
+def _record_conv_degrees(monkeypatch):
+    """Wrap the product kernel so that it records the degree n of every call."""
+    degrees = []
+    real = power_series._conv
+
+    def recording(a, b, n):
+        degrees.append(n)
+        return real(a, b, n)
+
+    monkeypatch.setattr(power_series, "_conv", recording)
+    return degrees
+
+
 @st.composite
 def sparse_outers(draw):
     """Polynomials with one to five nonzero coefficients, gaps of 1 to 20 apart."""
@@ -165,21 +179,29 @@ class TestSparseKernels:
     @settings(max_examples=150, deadline=None)
     @given(sparse_outers(), small_inner, st.integers(0, 40))
     def test_compose_is_sum_of_powers_for_sparse_outers(self, outer, inner, n):
-        assert _compose_raw(outer, {1: inner}, n) == _sum_of_powers(outer, inner, n)
+        assert _compose_raw([outer], inner, n) == [_sum_of_powers(outer, inner, n)]
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_outers(), sparse_outers(), small_inner, st.integers(0, 40))
-    def test_shared_power_table_gives_fresh_table_results(self, first, second, inner, n):
-        powers = {1: inner}
-        shared = [_compose_raw(outer, powers, n) for outer in (first, second)]
-        assert shared == [_compose_raw(outer, {1: inner}, n) for outer in (first, second)]
-        assert powers[1] is inner
+    def test_composing_outers_together_equals_composing_each_alone(self, first, second, inner, n):
+        together = _compose_raw([first, second], inner, n)
+        assert together == [*_compose_raw([first], inner, n), *_compose_raw([second], inner, n)]
 
-    def test_compose_ignores_outer_terms_above_the_degree(self):
-        # inner^50 vanishes mod x^4, so no table entry above 1 is built for it
-        powers = {1: [0, 1, 1, 1]}
-        assert _compose_raw([0] * 50 + [1], powers, 3) == [0, 0, 0, 0]
-        assert list(powers) == [1]
+    def test_compose_ignores_outer_terms_above_the_degree(self, monkeypatch):
+        # inner^50 vanishes mod x^4, so no product is taken for it
+        degrees = _record_conv_degrees(monkeypatch)
+        assert _compose_raw([[0] * 50 + [1]], [0, 1, 1, 1], 3) == [[0, 0, 0, 0]]
+        assert degrees == []
+
+    def test_high_power_is_built_only_as_far_as_it_is_read(self, monkeypatch):
+        # y + y^599 over y = x/(1-x): Horner multiplies by y^598 and by y at
+        # degree 599, and y^598 = y^299 y^299 is the one table entry read that
+        # far; its halves are read only up to degree 300 and below
+        n = 599
+        degrees = _record_conv_degrees(monkeypatch)
+        composed = _compose_raw([[0, 1] + [0] * 597 + [1]], [0] + [1] * n, n)
+        assert composed == [[0] + [1] * (n - 1) + [2]]
+        assert degrees.count(n) <= 3
 
     @given(small_series, small_series, st.integers(0, 8))
     def test_zero_padding_of_the_second_operand_changes_nothing(self, a, b, pad):
