@@ -18,12 +18,13 @@ Three counters that check the series-reversion routes from other sides:
   integer series, doubling the precision each step.  The equation is
   taken cleared of the denominator of the rule's generating pair
   g = Ng/Dg, as Dg(xA) (A - 1) = A Ng(xA), the form
-  :func:`verify_tautological` checks.  Each step composes Ng, Dg and
-  their derivatives with xA in one call: the four share one table of
-  powers of xA, built by halving, each power only as far as it is read,
-  and take one truncated product per gap between nonzero coefficients
-  and per table entry.  The step ends in one exact division by the
-  Jacobian.
+  :func:`verify_tautological` checks.  Each step makes two compositions
+  with xA: Ng and Dg at the step's degree n, and their derivatives, which
+  only the Jacobian reads, at about half of it.  Each composition builds
+  one table of powers of xA by halving, each power only as far as it is
+  read, and takes one truncated product per gap between nonzero
+  coefficients and per table entry.  The step ends in one exact division
+  by the Jacobian.
   It is a different algorithm from either reversion route but runs on
   the same product, exact-division and composition kernels as Lagrange
   inversion in :mod:`power_series`; the two algorithms feed the kernels
@@ -294,10 +295,14 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     J(A) = Dg(xA) - Ng(xA) + x (A - 1) Dg'(xA) - x A Ng'(xA).  A step from
     A correct to degree e leaves A correct to at least degree 2e + 1, so
     the precision doubles from a_0 = 1, and the last step, at degree
-    n_max, costs more than all the others together.  Each step composes
-    Ng, Dg, Ng' and Dg' with xA in one call to ``_compose_raw``, which
-    builds the powers of xA the four share from one halving plan, each
-    only as far as it is read, and ends in one exact division: J has
+    n_max, costs more than all the others together.  Psi(A) vanishes
+    below degree e + 1, so the correction starts there and J is read
+    only to degree m = n - e - 1 (Brent and Kung 1978).  Each step
+    composes Ng and Dg with xA at degree n in one call to
+    ``_compose_raw``, and Ng' and Dg', which only J reads, in a second
+    call at degree m - 1, about a quarter of the cost.  Each call builds
+    its powers of xA from one halving plan, each only as far as it is
+    read.  The step ends in one exact division at degree m: J has
     constant term Dg(0) - Ng(0) = 1.  The size
     sum is applied in its closed rational form, so sizes with s-2 > n_max
     vanish under truncation either way.
@@ -312,13 +317,17 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
         n_max //= 2
     a = [1]
     for n in reversed(degrees):
-        a += [0] * (n + 1 - len(a))
-        ng, dg, ng_d, dg_d = _compose_raw(polys, [0, *a[:n]], n)  # composed with xA
+        e = len(a) - 1  # a is correct to degree e, and n <= 2e + 1
+        m = n - e - 1  # the correction starts at degree e + 1, so J is read to degree m
+        a += [0] * (n - e)
+        xa = [0, *a[:n]]
+        ng, dg = _compose_raw(polys[:2], xa, n)
+        ng_d, dg_d = _compose_raw(polys[2:], xa, m - 1)
         a_less_1 = [0, *a[1:]]  # A - 1, since a_0 stays 1
         psi = [u - v for u, v in zip(_conv(dg, a_less_1, n), _conv(ng, a, n))]
-        slope = [u - v for u, v in zip(_conv(dg_d, a_less_1, n), _conv(ng_d, a, n))]
+        slope = [u - v for u, v in zip(_conv(dg_d, a_less_1, m - 1), _conv(ng_d, a, m - 1))]
         jac = [d - g + s for d, g, s in zip(dg, ng, [0, *slope])]
-        a = [ai - si for ai, si in zip(a, _div_raw(psi, jac, n))]
+        a[e + 1:] = [ai - si for ai, si in zip(a[e + 1:], _div_raw(psi[e + 1:], jac, m))]
     return a
 
 

@@ -28,8 +28,10 @@ is an integer:
   by coefficient, written as P(F) = x Q(F).  It keeps a row of powers of F
   only for the exponents that P and Q use and the halves that
   :func:`_halving_plan` splits them into, O(N^2) integer operations per
-  row, and fills the rows itself, with no kernel.  It is the production
-  route: every command that lists terms runs it.
+  row, and fills the rows itself, with no kernel.  A row k = h + h is a
+  square and takes half the products of the others, since its terms pair
+  up.  It is the production route: every command that lists terms runs
+  it.
 * :func:`lagrange_coefficients` extracts
   a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n through N truncated products,
   O(N^3) in all.  It is the independent cross-check that ``verify`` runs,
@@ -38,6 +40,7 @@ is an integer:
 
 from __future__ import annotations
 
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .exact_arith import exact_div
@@ -192,7 +195,10 @@ def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
     nonzero p_k or q_k, and for the halves h = k//2 and r = k - h that
     :func:`_halving_plan` splits them into, recursively.  Column n of row
     k is sum_{i=h}^{n-r} [x^i] F^h [x^{n-i}] F^r, which needs only earlier
-    columns, so the rows are filled one column at a time.  N terms cost
+    columns, so the rows are filled one column at a time.  When h = r the
+    terms i and n - i are equal, so a square row takes
+    2 sum_{h <= i < n/2} [x^i] F^h [x^{n-i}] F^h, plus ([x^{n/2}] F^h)^2
+    for even n: half the products of the other rows.  N terms cost
     O(m N^2) integer operations and O(m N) memory, m the number of rows:
     at most two per level of halving for each nonzero exponent, and the
     rows 2 = 1 + 1 and 3 = 1 + 2 for a dense symbol of degree 3.  A row is
@@ -217,8 +223,14 @@ def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
     f = rows[1]
     for n in range(1, N + 2):
         for row, low, high, h, r, top in splits:
-            if n <= top:
-                row[n] = sum(low[i] * high[n - i] for i in range(h, n - r + 1))
+            if not h + r <= n <= top:  # row k starts at column k
+                continue
+            if h == r:  # a square: the terms i and n - i pair up
+                row[n] = 2 * sum(map(mul, low[h:(n + 1) // 2], low[n - h:n // 2:-1]))
+                if n % 2 == 0:
+                    row[n] += low[n // 2] ** 2
+            else:
+                row[n] = sum(map(mul, low[h:n - r + 1], high[n - h:r - 1:-1]))
         rhs = sum(c * row[n - 1] for c, row in q_rows)
         rhs -= sum(c * row[n] for c, row in p_rows)
         f[n] = exact_div(rhs, p[1], n - 1)

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revsym import dissection_oracle, power_series
 from revsym.closed_forms import motzkin_term
 from revsym.dissection_oracle import (
     DEFAULT_CHORD_CAP,
@@ -24,6 +25,7 @@ from revsym.symbols import (
     ODD_ONLY,
     TRIANGLES_ONLY,
     TileRule,
+    parse_tile_spec,
     symbol_from_tile_rule,
     verify_tautological,
 )
@@ -38,6 +40,7 @@ KEYWORD_RULES = {
 }
 ALL_RULES = list(KEYWORD_RULES.values())
 CUSTOM_RULES = [TileRule({4}), TileRule({3}, start=6), TileRule({4}, start=3, step=3)]
+TAIL_RULES = [TileRule(set(), start=6, step=4), TileRule({3, 5}, start=7)]
 
 
 def _crossing_by_coordinates(p, q, n):
@@ -218,15 +221,34 @@ class TestCountBySeries:
         series = count_by_series(7, rule)
         assert series == [enumerate_count(n, rule) for n in range(8)]
 
-    @pytest.mark.parametrize("rule", ALL_RULES + CUSTOM_RULES, ids=TileRule.label)
+    @pytest.mark.parametrize("rule", ALL_RULES + CUSTOM_RULES + TAIL_RULES, ids=TileRule.label)
     def test_newton_matches_direct_reversion_at_every_precision(self, rule):
         # n = 2^k takes one Newton step more than n = 2^k - 1; 0..40 crosses
-        # that boundary for every k <= 5
-        symbol = symbol_from_tile_rule(rule)
-        for n in range(41):
+        # that boundary for every k <= 5, and 63..128 for k = 6 and 7.  The
+        # step to n = 1 reads the Jacobian to degree 0 and the steps to
+        # n = 2 and 3 to degree 1
+        expected = revert_direct(symbol_from_tile_rule(rule), 128)
+        for n in [*range(41), 63, 64, 127, 128]:
             series = count_by_series(n, rule)
             assert all(type(v) is int for v in series)
-            assert series == revert_direct(symbol, n)
+            assert series == expected[: n + 1], n
+
+    @pytest.mark.parametrize("spec, most", [("3,5,7+", 8), ("4,3+3", 7), ("3+", 4)])
+    def test_last_step_reads_the_jacobian_at_half_precision(self, monkeypatch, spec, most):
+        # the step to degree 255 composes Ng and Dg at 255 but Ng' and Dg'
+        # only at 126, so only the first composition's products and psi's
+        # two run at the top degree
+        degrees = []
+        real = power_series._conv
+
+        def recording(a, b, n):
+            degrees.append(n)
+            return real(a, b, n)
+
+        for module in (power_series, dissection_oracle):
+            monkeypatch.setattr(module, "_conv", recording)
+        count_by_series(255, parse_tile_spec(spec))
+        assert degrees.count(255) <= most
 
 
 _SIZE_SETS: dict[int, Counter] = {}

@@ -215,15 +215,28 @@ class TestSparseKernels:
 
 
 @st.composite
-def sparse_symbols(draw):
-    """Symbols of degree <= 60 whose P and Q each have 2 to 4 nonzero coefficients."""
+def sparse_symbols(draw, top=60):
+    """Symbols of degree <= top whose P and Q each have 2 to 4 nonzero coefficients."""
     unit = draw(st.sampled_from([1, -1, 2, -2, 3, -3]))
     num, den = [0, unit], [unit]
     for poly, lowest in ((num, 2), (den, 1)):
-        for k in draw(st.sets(st.integers(lowest, 60), min_size=1, max_size=3)):
+        for k in draw(st.sets(st.integers(lowest, top), min_size=1, max_size=3)):
             poly += [0] * (k + 1 - len(poly))
             poly[k] = draw(small_int.filter(bool))
     return ReversiveSymbol("sparse", num, den)
+
+
+def _assert_routes_agree(sym, n):
+    """Route 2 equals Lagrange to degree n, or both raise with the same text."""
+    outcomes = []
+    for route in (revert_direct, lagrange_coefficients):
+        try:
+            outcomes.append(route(sym, n))
+        except NonIntegerCoefficient as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], list):
+        assert verify_inverse(sym, outcomes[0])
 
 
 class TestSparseSymbols:
@@ -231,16 +244,15 @@ class TestSparseSymbols:
     @given(sparse_symbols())
     def test_direct_reversion_equals_lagrange(self, sym):
         # N passes the symbol's degree, so every row of route 2 is reached
-        n = max(len(sym.numerator), len(sym.denominator)) + 3
-        outcomes = []
-        for route in (revert_direct, lagrange_coefficients):
-            try:
-                outcomes.append(route(sym, n))
-            except NonIntegerCoefficient as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        if isinstance(outcomes[0], list):
-            assert verify_inverse(sym, outcomes[0])
+        _assert_routes_agree(sym, max(len(sym.numerator), len(sym.denominator)) + 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_symbols(top=16))
+    def test_square_rows_at_every_level_of_halving_equal_lagrange(self, sym):
+        # exponents up to 16 halve into squares such as 16 = 8 + 8 = ...
+        # = 1 + 1, beside odd rows such as 7 = 3 + 4, each filled at both
+        # parities of the column
+        _assert_routes_agree(sym, 30)
 
 
 def _catalog_symbol(name):
@@ -302,12 +314,22 @@ class TestRevertDirect:
     @settings(max_examples=300, deadline=None)
     @given(random_symbols())
     def test_random_symbols_agree_with_lagrange(self, sym):
-        outcomes = []
-        for route in (revert_direct, lagrange_coefficients):
-            try:
-                outcomes.append(route(sym, 20))
-            except NonIntegerCoefficient as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        if isinstance(outcomes[0], list):
-            assert verify_inverse(sym, outcomes[0])
+        _assert_routes_agree(sym, 20)
+
+    @pytest.mark.parametrize("name, most", [("catalan", 10_100), ("trianglefree", 30_000)])
+    def test_square_rows_take_half_the_products(self, monkeypatch, name, most):
+        # catalan reads only F^2, a square of about n/2 products per column
+        # where a general row takes n; trianglefree's row 2 is a square and
+        # its row 3 = 1 + 2 is not
+        count = 0
+        real = power_series.mul
+
+        def counting(a, b):
+            nonlocal count
+            count += 1
+            return real(a, b)
+
+        monkeypatch.setattr(power_series, "mul", counting)
+        sym = _catalog_symbol(name)
+        assert revert_direct(sym, 200) == lagrange_coefficients(sym, 200)
+        assert count <= most
