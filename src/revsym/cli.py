@@ -7,7 +7,8 @@ Exit status: 0 success, 1 verification mismatch, 2 usage or parse error,
 ``terms`` (by its default method), ``bfile`` and ``from-tiles`` take their
 terms from direct reversion, and ``from-tiles`` checks them against the
 tile-equation counter.  ``verify`` takes its ``a(n)`` column from Lagrange
-inversion, the independent route, and checks the others against it.
+inversion, the independent route, and checks the others against it: every
+route runs, each to one column of terms, before the table prints.
 
 Settings come from built-in defaults, optionally overridden by a plain
 ``key=value`` config file (keys ``exhaustive_cap_n``, ``chord_cap_p``,
@@ -128,18 +129,15 @@ def _compute_terms(
         if entry is None:
             raise MethodUnavailable("closed forms exist only for catalog sequences")
         return [entry.closed_form(i) for i in range(count)]
-    if method == "series":
-        if entry is None or entry.rule is None:
-            raise MethodUnavailable(
-                "the series counter needs a tile rule; this sequence has none"
-            )
-        return count_by_series(count - 1, entry.rule)
-    raise MethodUnavailable(f"unknown method {method!r}")  # pragma: no cover - argparse restricts choices
+    # "series", the last choice argparse allows
+    if entry is None or entry.rule is None:
+        raise MethodUnavailable("the series counter needs a tile rule; this sequence has none")
+    return count_by_series(count - 1, entry.rule)
 
 
-def _print_terms(terms: list[int]) -> None:
-    for i, value in enumerate(terms):
-        print(f"{i} {_decimal(value)}")
+def _listing(terms: list[int]) -> str:
+    """The ``n a(n)`` lines of a term listing, one per term."""
+    return "".join(f"{i} {_decimal(value)}\n" for i, value in enumerate(terms))
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -150,11 +148,22 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_terms(args: argparse.Namespace) -> int:
     symbol, entry = _resolve(args.name_or_symbol)
-    _print_terms(_compute_terms(symbol, entry, args.count, args.method))
+    print(_listing(_compute_terms(symbol, entry, args.count, args.method)), end="")
     return 0
 
 
-def _oracle_values(entry: CatalogEntry, count: int, args: argparse.Namespace) -> dict[int, int]:
+def _closed_column(entry: CatalogEntry, count: int) -> list[object]:
+    """The closed form per n, ``"excluded"`` where it raises :class:`DomainError`."""
+    column: list[object] = []
+    for i in range(count):
+        try:
+            column.append(entry.closed_form(i))
+        except DomainError:
+            column.append("excluded")
+    return column
+
+
+def _oracle_column(entry: CatalogEntry, count: int, args: argparse.Namespace) -> list[int]:
     """Exhaustive ground truth per n, for as far as the caps allow.
 
     Entries with a tile rule go to the dissection enumerator, the others to
@@ -162,9 +171,9 @@ def _oracle_values(entry: CatalogEntry, count: int, args: argparse.Namespace) ->
     """
     if entry.rule is not None:
         top = min(count - 1, args.exhaustive_cap_n)
-        return {i: enumerate_count(i, entry.rule, cap=args.exhaustive_cap_n) for i in range(top + 1)}
+        return [enumerate_count(i, entry.rule, cap=args.exhaustive_cap_n) for i in range(top + 1)]
     top = min(count - 1, args.chord_cap_p)
-    return {i: count_chord_diagrams(i, cap=args.chord_cap_p) for i in range(top + 1)}
+    return [count_chord_diagrams(i, cap=args.chord_cap_p) for i in range(top + 1)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -172,42 +181,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     entry = _lookup(args.name)
     symbol, rule = entry.symbol, entry.rule
     reversion = lagrange_coefficients(symbol, count - 1)
-
-    series = count_by_series(count - 1, rule) if rule is not None else None
-    oracle = _oracle_values(entry, count, args)
+    # every route runs before the first row prints; a column shorter than
+    # the table prints "-" past its end
+    columns = {
+        "closed": _closed_column(entry, count),
+        "series": count_by_series(count - 1, rule) if rule is not None else [],
+        "oracle": _oracle_column(entry, count, args),
+    }
 
     print(f"verify {symbol.name}: {format_symbol(symbol, include_name=False)}")
-    print("n a(n) closed series oracle")
-    excluded = False
+    print("n a(n) " + " ".join(columns))
     for i, expected in enumerate(reversion):
-        row: list[str] = []
-        mismatch: Optional[tuple[str, int]] = None
-        try:
-            closed: object = entry.closed_form(i)
-        except DomainError:
-            closed, excluded = "excluded", True
-        checks = [
-            ("closed", closed),
-            ("series", series[i] if series is not None else None),
-            ("oracle", oracle.get(i)),
-        ]
-        for path, value in checks:
-            if value is None:
-                row.append("-")
-            elif isinstance(value, str):
-                row.append(value)
-            elif value == expected:
-                row.append("ok")
-            else:
-                row.append(_decimal(value))
-                if mismatch is None:
-                    mismatch = (path, value)
-        print(f"{i} {_decimal(expected)} " + " ".join(row))
-        if mismatch is not None:
-            path, value = mismatch
-            print(f"MISMATCH at n={i}: {path}={_decimal(value)}, reversion={_decimal(expected)}")
-            return 1
-    if excluded:
+        cells = {name: column[i] if i < len(column) else "-" for name, column in columns.items()}
+        print(f"{i} {_decimal(expected)} " + " ".join(
+            value if isinstance(value, str) else "ok" if value == expected else _decimal(value)
+            for value in cells.values()
+        ))
+        for name, value in cells.items():
+            if not isinstance(value, str) and value != expected:
+                print(f"MISMATCH at n={i}: {name}={_decimal(value)}, reversion={_decimal(expected)}")
+                return 1
+    if "excluded" in columns["closed"]:
         print("note: closed form excluded at n=0 (boundary convention anomaly; reversion pins a_0 = 1)")
     print(f"ok: {symbol.name} agrees on {count} terms across all available paths")
     return 0
@@ -243,19 +237,15 @@ def cmd_from_tiles(args: argparse.Namespace) -> int:
         if a != b:
             print(f"MISMATCH at n={i}: reversion={_decimal(a)}, series={_decimal(b)}")
             return 1
-    _print_terms(terms)
+    print(_listing(terms), end="")
     return 0
 
 
 def cmd_bfile(args: argparse.Namespace) -> int:
     symbol, _entry = _resolve(args.name_or_symbol)
-    if args.count > 0:
-        terms = revert_direct(symbol, args.count - 1)
-        lines = "".join(f"{i} {_decimal(v)}\n" for i, v in enumerate(terms))
-    else:
-        lines = ""
+    listing = _listing(revert_direct(symbol, args.count - 1) if args.count else [])
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(lines)
+        fh.write(listing)
     return 0
 
 

@@ -283,10 +283,10 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ParseError(f"bad integer in {what}: {exc}") from None
 
 
-def parse_symbol(text: str, default_name: str = "custom") -> ReversiveSymbol:
-    """Parse the symbol text format; the ``name:`` prefix is optional."""
+def parse_symbol(text: str) -> ReversiveSymbol:
+    """Parse the symbol text format; the ``name:`` prefix is optional (default ``custom``)."""
     body = text.strip()
-    name = default_name
+    name = "custom"
     if ":" in body:
         name, body = body.split(":", 1)
         name = name.strip()

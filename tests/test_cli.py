@@ -5,13 +5,14 @@ import dataclasses
 import io
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revsym import cli, power_series, symbols
 from revsym.closed_forms import DomainError
-from revsym.dissection_oracle import CapExceeded, enumerate_count
+from revsym.dissection_oracle import CapExceeded, count_by_series, count_chord_diagrams, enumerate_count
 from revsym.exact_arith import NonIntegerCoefficient, exact_div
 from revsym.power_series import revert_direct
 from revsym.symbols import TileRule, catalog, parse_symbol, parse_tile_spec
@@ -57,6 +58,13 @@ def _perturbed(route, index):
         terms = route(symbol, n)
         terms[index] += 1
         return terms
+    return perturbed
+
+
+def _perturbed_count(route, index):
+    """``route``, a count for one n, with one more added to its count at n = index."""
+    def perturbed(n, *args, **kwargs):
+        return route(n, *args, **kwargs) + (n == index)
     return perturbed
 
 
@@ -220,7 +228,36 @@ class TestTerms:
             assert out1 == out2, e.symbol.name
 
 
+# stdout of ``verify <entry> --count 12 --exhaustive-cap-n 8 --chord-cap-p 9``
+# for the six catalog entries in catalog order; every command exits 0
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_count12.txt"
+GOLDEN_VERIFY_ARGS = ("--count", "12", "--exhaustive-cap-n", "8", "--chord-cap-p", "9")
+
+
 class TestVerify:
+    def test_catalog_tables_match_golden_bytes(self, capsys):
+        outs = []
+        for entry in catalog():
+            rc, out, err = run(capsys, "verify", entry.symbol.name, *GOLDEN_VERIFY_ARGS)
+            assert (rc, err) == (0, "")
+            outs.append(out)
+        assert "".join(outs).encode("ascii") == GOLDEN_VERIFY.read_bytes()
+
+    @pytest.mark.parametrize("name, route, perturbed, column, k, cells", [
+        ("schroeder", "count_by_series", _perturbed(count_by_series, 5), "series", 5, "ok {} ok"),
+        ("catalan", "enumerate_count", _perturbed_count(enumerate_count, 4), "oracle", 4, "ok ok {}"),
+        ("motzkin", "count_chord_diagrams", _perturbed_count(count_chord_diagrams, 6), "oracle", 6, "ok - {}"),
+    ], ids=["series", "dissection-oracle", "chord-oracle"])
+    def test_mismatch_in_each_column_exits_1(self, capsys, monkeypatch, name, route, perturbed, column, k, cells):
+        a_k = revert_direct(cli._lookup(name).symbol, k)[k]
+        monkeypatch.setattr(cli, route, perturbed)
+        rc, out, _ = run(capsys, "verify", name, "--count", "10", "--exhaustive-cap-n", "8")
+        assert rc == 1
+        assert out.splitlines()[-2:] == [
+            f"{k} {a_k} " + cells.format(a_k + 1),
+            f"MISMATCH at n={k}: {column}={a_k + 1}, reversion={a_k}",
+        ]
+
     def test_schroeder_ok(self, capsys):
         rc, out, _ = run(capsys, "verify", "schroeder", "--count", "8")
         assert rc == 0
