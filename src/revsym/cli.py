@@ -69,8 +69,10 @@ _SETTINGS = {
 def _read_config(path: str) -> dict[str, int]:
     values: dict[str, int] = {}
     try:
+        # a leading byte order mark is dropped after decoding, not by utf-8-sig,
+        # which would count the byte offset below from after the mark
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -49,8 +49,6 @@ from .power_series import _compose_raw, _conv, _div_raw
 from .symbols import TileRule
 
 __all__ = [
-    "DEFAULT_DISSECTION_CAP",
-    "DEFAULT_CHORD_CAP",
     "CapExceeded",
     "Dissection",
     "tiles_of",
@@ -85,7 +83,7 @@ class Dissection:
     Requires n >= 1 (the degenerate 2-gon has no tiles and is handled by
     the counting conventions, not by this type).  Diagonals are stored as
     (i, j) pairs with i < j; construction validates that each pair is a
-    genuine diagonal, that no two cross, and that at most n-1 are present.
+    genuine diagonal and that no two cross, which leaves at most n-1.
     """
 
     n: int
@@ -112,8 +110,6 @@ class Dissection:
                 c, d = pairs[y]
                 if _crosses(a, b, c, d):
                     raise ValueError(f"diagonals {(a, b)} and {(c, d)} cross")
-        if len(pairs) > n - 1:
-            raise ValueError(f"at most {n - 1} pairwise non-crossing diagonals fit")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "diagonals", frozenset(pairs))
 

@@ -559,6 +559,28 @@ class TestConfig:
         rc, _, err = run(capsys, "terms", "catalan", "--config", str(cfg))
         assert rc == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("default_count 3", "expected key=value, got 'default_count 3'"),
+        ("default_count = 0", "default_count out of range: 0"),
+        ("chord_cap_p=-1", "chord_cap_p out of range: -1"),
+    ])
+    def test_malformed_line_exits_2(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "revsym.conf"
+        cfg.write_text(f"# settings\n{line}\n")
+        rc, out, err = run(capsys, "terms", "catalan", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert err == f"error: {cfg}:2: {message}\n"
+
+    def test_byte_order_mark_is_read_past(self, capsys, tmp_path):
+        cfg = tmp_path / "revsym.conf"
+        cfg.write_bytes(b"\xef\xbb\xbfdefault_count = 3\n")
+        rc, out, err = run(capsys, "terms", "catalan", "--config", str(cfg))
+        assert (rc, out, err) == (0, "0 1\n1 1\n2 2\n", "")
+        # the offset of a bad byte counts the mark
+        cfg.write_bytes(b"\xef\xbb\xbfa=1\n\xff\n")
+        rc, out, err = run(capsys, "terms", "catalan", "--config", str(cfg))
+        assert (rc, out, err) == (2, "", f"error: {cfg}: not UTF-8 text (byte 7)\n")
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "terms", "catalan", "--config", str(tmp_path / "nope.conf"))
         assert rc == 2
@@ -577,6 +599,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["terms", "catalan", "--count", "0"])
         assert exc.value.code == 2
+
+    def test_negative_count_rejected_for_bfile(self, capsys, tmp_path):
+        out = tmp_path / "b.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bfile", "catalan", "--count", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("revsym bfile: error: argument --count: must be >= 0\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         [*sub, flag, value]

@@ -82,10 +82,8 @@ class TestDissectionType:
     def test_rejects_crossing_pair(self):
         with pytest.raises(ValueError):
             Dissection(3, [(0, 2), (1, 3)])
-
-    def test_rejects_too_many_diagonals(self):
-        # n-1 is the most that fit; a triangulation of the square has 1
-        with pytest.raises(ValueError):
+        # two diagonals of the square cross: n-1 non-crossing ones is the most that fit
+        with pytest.raises(ValueError, match="cross"):
             Dissection(2, [(0, 2), (1, 3)])
 
     def test_shared_endpoints_allowed(self):
@@ -138,6 +136,13 @@ class TestEnumeratorInvariants:
         for rule in ALL_RULES + CUSTOM_RULES:
             expected = sum(1 for used in sizes if all(rule.allows(s) for s in used))
             assert enumerate_count(n, rule) == expected, rule.label()
+
+    def test_walk_rejects_n_outside_one_to_the_cap(self):
+        with pytest.raises(ValueError, match=r"^need n >= 1$") as exc:
+            iter_dissections(0)
+        assert exc.type is ValueError
+        with pytest.raises(CapExceeded, match=r"^n = 13 exceeds the exhaustive cap 12$"):
+            iter_dissections(13)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_catalan_counts_maximal_diagonal_sets(self, n):
@@ -199,6 +204,10 @@ class TestCountBySeries:
     def test_zero_terms(self):
         for rule in ALL_RULES:
             assert count_by_series(0, rule) == [1]
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match=r"^need n_max >= 0$"):
+            count_by_series(-1, ANY_TILES)
 
     @pytest.mark.parametrize("rule", ALL_RULES, ids=list(KEYWORD_RULES))
     def test_matches_enumeration_to_seven(self, rule):

@@ -79,6 +79,13 @@ class TestExactDiv:
         assert sys.get_int_max_str_digits() == limit
         assert str(exc.value) == f"a_7 = -{'9' * 5000}/2 is not an integer"
 
+    def test_indivisible_raises_on_a_python_without_the_digit_limit(self, monkeypatch):
+        # Python 3.10 before 3.10.7 has neither function; str() then has no limit to lift
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        with pytest.raises(NonIntegerCoefficient, match=r"^a_3 = 7/2 is not an integer$"):
+            exact_div(7, 2, 3)
+
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(7, 0, 0)

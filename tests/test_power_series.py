@@ -287,6 +287,11 @@ class TestLagrange:
         for sym in (entry.symbol for entry in catalog()):
             assert lagrange_coefficients(sym, 0) == revert_direct(sym, 0) == [1]
 
+    def test_negative_n_raises(self):
+        for route in (lagrange_coefficients, revert_direct):
+            with pytest.raises(ValueError, match=r"^N must be >= 0$"):
+                route(_catalog_symbol("catalan"), -1)
+
     def test_non_integer_coefficient_raises(self):
         # unit slope (2/2), but the inverse series is not integral
         bad = ReversiveSymbol("bad", (0, 2, -1), (2,))

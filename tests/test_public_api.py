@@ -29,6 +29,16 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_each_package_name_is_its_declaring_submodules_object():
+    # the package star-imports its submodules, so a later one could shadow an earlier one's name
+    assert len(revsym.__all__) == len(set(revsym.__all__))
+    submodules = [importlib.import_module(f"revsym.{info.name}") for info in pkgutil.iter_modules(revsym.__path__)]
+    for name in revsym.__all__:
+        owners = [module for module in submodules if name in module.__all__]
+        assert len(owners) == 1, (name, [module.__name__ for module in owners])
+        assert getattr(revsym, name) is getattr(owners[0], name), name
+
+
 def test_readme_library_block_runs_and_imports_only_public_names():
     block = _library_block()
     imported = {

@@ -286,6 +286,13 @@ class TestVerifiers:
                 terms[30] += 1
                 assert not verify_tautological(e.rule, terms), e.symbol.name
 
+    def test_verifiers_need_a_0(self):
+        sym, rule = entry("catalan")
+        with pytest.raises(ValueError, match=r"^need at least a_0$"):
+            verify_inverse(sym, [])
+        with pytest.raises(ValueError, match=r"^need at least a_0$"):
+            verify_tautological(rule, [])
+
     def test_verify_tautological_accepts_exhaustive_counts(self):
         terms = [enumerate_count(n, NO_TRIANGLES) for n in range(6)]
         assert terms == [1, 0, 1, 1, 4, 8]
