@@ -67,6 +67,8 @@ _SETTINGS = {
 
 
 def _read_config(path: str) -> dict[str, int]:
+    if not path:
+        raise ParseError("--config: empty path")
     values: dict[str, int] = {}
     try:
         # a leading byte order mark is dropped after decoding, not by utf-8-sig,
@@ -98,7 +100,7 @@ def _read_config(path: str) -> dict[str, int]:
 
 def _fill_settings(args: argparse.Namespace) -> None:
     """Give every flag the subcommand has and was not passed its config value, else its default."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
+    config = _read_config(args.config) if getattr(args, "config", None) is not None else {}
     for key, (flag, default) in _SETTINGS.items():
         if getattr(args, flag, default) is None:
             setattr(args, flag, config.get(key, default))
@@ -191,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "oracle": _oracle_column(entry, count, args),
     }
 
-    print(f"verify {symbol.name}: {format_symbol(symbol, include_name=False)}")
+    print(f"verify {format_symbol(symbol)}")
     print("n a(n) " + " ".join(columns))
     for i, expected in enumerate(reversion):
         cells = {name: column[i] if i < len(column) else "-" for name, column in columns.items()}
@@ -268,11 +270,6 @@ def _non_negative(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", metavar="PATH", help="key=value settings file")
-    caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--exhaustive-cap-n", type=_non_negative, metavar="N",
-                      help=f"max n for exhaustive dissection runs (default {DEFAULT_DISSECTION_CAP})")
-    caps.add_argument("--chord-cap-p", type=_non_negative, metavar="P",
-                      help=f"max points for exhaustive chord runs (default {DEFAULT_CHORD_CAP})")
 
     parser = argparse.ArgumentParser(
         prog="revsym",
@@ -289,9 +286,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("reversion", "closed", "series"), default="reversion")
     p.set_defaults(func=cmd_terms)
 
-    p = sub.add_parser("verify", parents=[config, caps],
+    p = sub.add_parser("verify", parents=[config],
                        help="cross-check every computation path for a catalog entry")
     p.add_argument("name", help="catalog name")
+    p.add_argument("--exhaustive-cap-n", type=_non_negative, metavar="N",
+                   help=f"max n for exhaustive dissection runs (default {DEFAULT_DISSECTION_CAP})")
+    p.add_argument("--chord-cap-p", type=_non_negative, metavar="P",
+                   help=f"max points for exhaustive chord runs (default {DEFAULT_CHORD_CAP})")
     p.add_argument("--count", type=_positive, help="number of terms to verify")
     p.set_defaults(func=cmd_verify)
 

@@ -36,6 +36,12 @@ Three counters that check the series-reversion routes from other sides:
   points, the model behind the motzkin entry.  It too uses no series
   arithmetic.  It walks the same way, one mask of free chords per node.
 
+The reference the walk is tested against, :func:`iter_dissections` with
+:func:`tiles_of`, is the plain definition: it shares the crossing test
+and the candidate list with the walk but none of its masks or its chain,
+so a defect in the walk's bookkeeping cannot reach both sides of that
+check and cancel.
+
 Vertices are labelled 0..n+1 in convex position; dissections are distinct
 as diagonal sets, with no quotient by rotation or reflection.
 """
@@ -114,38 +120,22 @@ class Dissection:
         object.__setattr__(self, "diagonals", frozenset(pairs))
 
 
-def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    i = cycle.index(min(cycle))
-    return cycle[i:] + cycle[:i]
-
-
 def tiles_of(d: Dissection) -> list[tuple[int, ...]]:
-    """The m+1 faces of the subdivision, split recursively along diagonals.
+    """The m+1 faces of the subdivision: the polygon, split by one diagonal at a time.
 
-    Each face is its vertex labels in cyclic order, starting from the
-    smallest, so its side count is its length; the list is sorted.
+    Each face is its vertex labels in increasing order.  The polygon is
+    convex and labelled in cyclic order, so that is also the face's cyclic
+    order, starting from the smallest label, and its side count is its
+    length.  A diagonal (a, b) lies in the one face holding both ends and
+    splits it into the labels from a to b and the labels <= a or >= b.
+    The list is sorted.
     """
-    diags = sorted(d.diagonals)
-    pending = [tuple(range(d.n + 2))]
-    faces: list[tuple[int, ...]] = []
-    while pending:
-        region = pending.pop()
-        size = len(region)
-        for a, b in diags:
-            if a in region and b in region:
-                ia = region.index(a)
-                ib = region.index(b)
-                if ia > ib:
-                    ia, ib = ib, ia
-                if ib - ia == 1 or (ia == 0 and ib == size - 1):
-                    continue  # already an edge of this region
-                pending.append(region[ia:ib + 1])
-                pending.append(region[ib:] + region[:ia + 1])
-                break
-        else:
-            faces.append(_canonical_cycle(region))
-    faces.sort()
-    return faces
+    faces = [tuple(range(d.n + 2))]
+    for a, b in d.diagonals:
+        face = next(f for f in faces if a in f and b in f)
+        faces.remove(face)
+        faces += [tuple(v for v in face if a <= v <= b), tuple(v for v in face if v <= a or v >= b)]
+    return sorted(faces)
 
 
 def _candidate_diagonals(n: int) -> list[tuple[int, int]]:
@@ -172,27 +162,26 @@ def _keep_masks(
 
 
 def iter_dissections(n: int, cap: int = DEFAULT_DISSECTION_CAP) -> Iterator[Dissection]:
-    """Yield every dissection of the (n+2)-gon, in lexicographic DFS order."""
+    """Yield every dissection of the (n+2)-gon, in lexicographic DFS order.
+
+    The plain definition: the diagonals chosen so far, in candidate order,
+    are extended by every later candidate that crosses none of them.  The
+    n < 1 and cap errors raise at the call, before the first dissection is
+    asked for.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
     cands = _candidate_diagonals(n)
-    keep = _keep_masks(cands, _crosses)
-    chosen: list[tuple[int, int]] = []
 
-    def rec(free: int) -> Iterator[Dissection]:
+    def rec(chosen: tuple[tuple[int, int], ...], start: int) -> Iterator[Dissection]:
         yield Dissection(n, chosen)
-        x = free
-        while x:
-            low = x & -x
-            i = low.bit_length() - 1
-            x ^= low
-            chosen.append(cands[i])
-            yield from rec(free & keep[i])
-            chosen.pop()
+        for i in range(start, len(cands)):
+            if not any(_crosses(*cands[i], *diagonal) for diagonal in chosen):
+                yield from rec(chosen + (cands[i],), i + 1)
 
-    return rec((1 << len(cands)) - 1)
+    return rec((), 0)
 
 
 def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -> int:

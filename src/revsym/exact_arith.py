@@ -44,7 +44,7 @@ def binomial(r: int, k: int) -> int:
     if k < 0:
         return 0
     if r >= 0:
-        return comb(r, k) if k <= r else 0
+        return comb(r, k)
     sign = -1 if k % 2 else 1
     return sign * comb(k - r - 1, k)
 

@@ -593,6 +593,11 @@ class TestConfig:
         assert (rc, out) == (2, "")
         assert err == f"error: {cfg}: not UTF-8 text (byte 0)\n"
 
+    def test_empty_path_exits_2(self, capsys):
+        # an unset shell variable passed as the path is an error, not the defaults
+        rc, out, err = run(capsys, "terms", "catalan", "--count", "3", "--config", "")
+        assert (rc, out, err) == (2, "", "error: --config: empty path\n")
+
 
 class TestUsageErrors:
     def test_zero_count_rejected_for_terms(self, capsys):

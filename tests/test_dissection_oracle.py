@@ -111,6 +111,7 @@ class TestTilesOf:
 class TestEnumeratorInvariants:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_bookkeeping_and_crossing_soundness(self, n):
+        edges = {(i, i + 1) for i in range(n + 1)} | {(0, n + 1)}
         seen = set()
         count = 0
         for d in iter_dissections(n):
@@ -126,6 +127,12 @@ class TestEnumeratorInvariants:
             assert len(tiles) == m + 1
             assert all(type(face) is tuple for face in tiles)
             assert sum(len(face) for face in tiles) == (n + 2) + 2 * m
+            # every cyclic side of a face is a polygon edge or a chosen
+            # diagonal; a diagonal borders two faces, an edge one
+            sides = Counter(
+                tuple(sorted((face[k - 1], face[k]))) for face in tiles for k in range(len(face))
+            )
+            assert sides == Counter({**dict.fromkeys(edges, 1), **dict.fromkeys(diags, 2)})
         assert count == enumerate_count(n, ANY_TILES)
 
     @pytest.mark.parametrize("n", range(1, 9))
