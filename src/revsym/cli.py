@@ -28,7 +28,7 @@ from .dissection_oracle import (
     CapExceeded,
     count_by_series,
     count_chord_diagrams,
-    enumerate_count,
+    enumerate_counts,
 )
 from .exact_arith import NonIntegerCoefficient, _decimal
 from .power_series import lagrange_coefficients, revert_direct
@@ -170,12 +170,12 @@ def _closed_column(entry: CatalogEntry, count: int) -> list[object]:
 def _oracle_column(entry: CatalogEntry, count: int, args: argparse.Namespace) -> list[int]:
     """Exhaustive ground truth per n, for as far as the caps allow.
 
-    Entries with a tile rule go to the dissection enumerator, the others to
-    the chord counter.
+    Entries with a tile rule go to the dissection enumerator, whose one
+    walk gives every n, the others to the chord counter.
     """
     if entry.rule is not None:
-        top = min(count - 1, args.exhaustive_cap_n)
-        return [enumerate_count(i, entry.rule, cap=args.exhaustive_cap_n) for i in range(top + 1)]
+        cap = args.exhaustive_cap_n
+        return enumerate_counts(min(count - 1, cap), entry.rule, cap=cap)
     top = min(count - 1, args.chord_cap_p)
     return [count_chord_diagrams(i, cap=args.chord_cap_p) for i in range(top + 1)]
 

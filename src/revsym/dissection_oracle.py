@@ -2,17 +2,19 @@
 
 Three counters that check the series-reversion routes from other sides:
 
-* :func:`enumerate_count` literally generates non-crossing diagonal sets
-  of the labelled (n+2)-gon by backtracking and keeps those whose tiles
-  all satisfy a rule.  Candidates run by left end, longest first, so a
-  new diagonal lies inside every chosen diagonal that is still open, and
-  the open ones nest like parentheses: a chain of them, innermost first,
-  each with its face as a vertex bitmask, hands every new diagonal the
-  face it splits with no search.  A node's state is one mask of the
-  candidates still free.  It skips a subtree only where a forbidden face
-  can no longer be split, and such a face stays on the chain, so every
-  dissection it counts is still generated.  Exponential; capped at desk
-  scale.  It uses no series arithmetic at all.
+* :func:`enumerate_counts` literally generates non-crossing diagonal
+  sets of the labelled (n+2)-gon by backtracking and keeps those whose
+  tiles all satisfy a rule.  Candidates run by right end, then by left
+  end descending, so every new diagonal splits the one open face, the
+  root face on edge (0, n+1), and its other part is closed for good.  A
+  node's state is the mask of the candidates still free and the root
+  face's vertex bitmask.  A closed face the rule forbids skips its
+  subtree at once, and every dissection counted is still generated.  The
+  (m+2)-gon's candidates are a prefix of the same order, so the one walk
+  counts every m <= n: each node is tallied by the first m whose polygon
+  it dissects and by its root face's size.  :func:`enumerate_count` is
+  a_n of that walk.  Exponential; capped at desk scale.  It uses no
+  series arithmetic at all.
 * :func:`count_by_series` solves the self-referential tile equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration on truncated
   integer series, doubling the precision each step.  The equation is
@@ -38,9 +40,9 @@ Three counters that check the series-reversion routes from other sides:
 
 The reference the walk is tested against, :func:`iter_dissections` with
 :func:`tiles_of`, is the plain definition: it shares the crossing test
-and the candidate list with the walk but none of its masks or its chain,
-so a defect in the walk's bookkeeping cannot reach both sides of that
-check and cancel.
+and the candidate list with the walk but none of its masks, its order or
+its tally, so a defect in the walk's bookkeeping cannot reach both sides
+of that check and cancel.
 
 Vertices are labelled 0..n+1 in convex position; dissections are distinct
 as diagonal sets, with no quotient by rotation or reflection.
@@ -60,6 +62,7 @@ __all__ = [
     "tiles_of",
     "iter_dissections",
     "enumerate_count",
+    "enumerate_counts",
     "count_by_series",
     "count_chord_diagrams",
 ]
@@ -184,86 +187,80 @@ def iter_dissections(n: int, cap: int = DEFAULT_DISSECTION_CAP) -> Iterator[Diss
     return rec((), 0)
 
 
-def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -> int:
-    """Count dissections of the (n+2)-gon whose every tile satisfies the rule.
+def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -> list[int]:
+    """a_0..a_n: per m, the dissections of the (m+2)-gon whose every tile satisfies the rule.
 
-    Backtracks over candidate diagonals sorted by left end ascending, then
-    right end descending.  A node holds one mask, ``free``: the later
-    candidates that cross nothing chosen so far; a child through candidate
-    i gets ``free & keep[i]``, and a child with nothing free is counted
-    without a call.  A face is the bitmask of its vertices and its side
-    count is its bit count.  The undissected polygon counts iff n+2 itself
-    satisfies the rule; n = 0 returns 1 by convention since the 2-gon has
-    no tiles to test.
+    One backtracking walk over the candidate diagonals of the (n+2)-gon,
+    sorted by right end ascending, then left end descending, generates
+    every counted dissection of every polygon up to it.  A node holds
+    ``free``, the later candidates that cross nothing chosen so far (a
+    child through candidate i gets ``free & keep[i]``), and ``face``, the
+    vertex bitmask of the root face, the one on edge (0, n+1), with its
+    vertex count ``size``.
 
-    Chain: in this order a candidate (a, b) lies inside every chosen
-    diagonal that is still open (right end > a), and chosen diagonals nest
-    like parentheses.  The walk keeps them as linked tuples
-    (b, face, rest), innermost first, where face is the part of the
-    polygon inside that diagonal and outside the diagonals nested in it;
-    the root is (n+1, whole polygon).  Entries with right end <= a are
-    closed, as no later candidate lies inside them, and are dropped; the
-    head is then the face (a, b) splits.  Its part on the a..b side keeps
-    the vertices a..b and becomes the new head, the other part drops
-    a+1..b-1 and stays in the head's place.
+    Closed faces: in this order a new diagonal (a, b) lies inside no
+    chosen one, so it splits the root face.  Its part on the a..b side
+    is final, since every later candidate ends beyond b or starts before
+    a, and the other part is the new root face.  A final face whose side
+    count the rule forbids skips the child's whole subtree at once, so
+    every node reached has only allowed closed faces, and only its root
+    face is left to judge.
 
-    Prune: the last candidate inside a face v1 < ... < vk is
-    (v_{k-2}, v_k), and a triangle has none.  A node holding a forbidden
-    face counts 0, so its loop runs only up to the earliest such deadline
-    among its forbidden faces; later branches keep that face and count
-    nothing.  A child ranges freely again.  A deadline comes before every
-    candidate that would close its face, so a forbidden face is never
-    dropped from the chain, and checking the chain checks every face.
-    Every counted dissection is still generated, and nodes without a
-    forbidden face do no extra work.
+    One walk for all m: the (m+2)-gon's candidates are the prefix of this
+    order before (0, m+1), which is that polygon's edge.  A node whose last
+    diagonal is (a, b) is a dissection of the (m+2)-gon for every
+    m >= b - 1, or m >= b when a = 0, and there its root face has n - m
+    fewer vertices than here.  Each node is tallied by that first m and
+    its root face's size s here; a_m sums the tallies whose first m is at
+    most m and whose s - (n - m) the rule allows.  The undissected polygon
+    counts iff its own side count is allowed, and a_0 = 1 by convention
+    since the 2-gon has no tiles to test.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    if n == 0:
-        return 1
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
-    cands = sorted(_candidate_diagonals(n), key=lambda d: (d[0], -d[1]))
+    cands = sorted(_candidate_diagonals(n), key=lambda d: (d[1], -d[0]))
     keep = _keep_masks(cands, _crosses)
     inside = [(1 << b + 1) - (1 << a) for a, b in cands]
     outside = [~((1 << b) - (1 << a + 1)) for a, b in cands]
-    # bad[s] is 1 where the rule forbids s-sided tiles; nbad counts such faces
-    bad = [0] * 3 + [0 if rule.allows(s) else 1 for s in range(3, n + 3)]
-    # upto[a][b] is the mask of candidate indices up to that of (a, b)
-    upto = [[0] * (n + 2) for _ in range(n + 2)]
-    for i, (a, b) in enumerate(cands):
-        upto[a][b] = (1 << i + 1) - 1
+    bad = [not rule.allows(s) for s in range(n + 3)]
+    # tally[m * w + s] counts the nodes first valid at m whose root face has s vertices here
+    w = n + 3
+    row = [(b - (a > 0)) * w for a, b in cands]
+    tally = [0] * ((n + 2) * w)
+    tally[w + n + 2] = 1  # the empty dissection, of every polygon from the triangle up
 
-    def rec(free: int, chain: tuple, nbad: int) -> int:
-        count = 0 if nbad else 1
+    def rec(free: int, face: int, size: int) -> None:
         x = free
-        if nbad:
-            link = chain
-            while link:
-                top, f, link = link
-                if bad[f.bit_count()]:
-                    rest = f ^ 1 << top
-                    rest ^= 1 << rest.bit_length() - 1  # top bit is now v_{k-2}
-                    x &= upto[rest.bit_length() - 1][top] if rest & rest - 1 else 0
         while x:
             low = x & -x
             i = low.bit_length() - 1
             x ^= low
-            a = cands[i][0]
-            while chain[0] <= a:
-                chain = chain[2]
-            b_head, f, below = chain
-            f1 = f & inside[i]
-            f2 = f & outside[i]
-            child_nbad = nbad - bad[f.bit_count()] + bad[f1.bit_count()] + bad[f2.bit_count()]
+            closed = (face & inside[i]).bit_count()
+            if bad[closed]:
+                continue
+            rest = size - closed + 2
+            tally[row[i] + rest] += 1
             child = free & keep[i]
             if child:
-                count += rec(child, (cands[i][1], f1, (b_head, f2, below)), child_nbad)
-            elif not child_nbad:
-                count += 1  # a leaf counts itself iff no face is forbidden
-        return count
+                rec(child, face & outside[i], rest)
 
-    return rec((1 << len(cands)) - 1, (n + 1, (1 << n + 2) - 1, ()), bad[n + 2])
+    rec((1 << len(cands)) - 1, (1 << n + 2) - 1, n + 2)
+    return [1] + [
+        sum(tally[f * w + s] for f in range(1, m + 1) for s in range(w) if rule.allows(s - n + m))
+        for m in range(1, n + 1)
+    ]
+
+
+def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -> int:
+    """Count dissections of the (n+2)-gon whose every tile satisfies the rule.
+
+    a_n of :func:`enumerate_counts`: one walk of the (n+2)-gon in
+    right-end order, which generates every dissection it counts.  n = 0
+    gives 1; n < 0 raises ValueError and n > cap raises CapExceeded.
+    """
+    return enumerate_counts(n, rule, cap)[n]
 
 
 def _derivative(p: Sequence[int]) -> list[int]:

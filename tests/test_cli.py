@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from revsym import cli, power_series, symbols
 from revsym.closed_forms import DomainError
-from revsym.dissection_oracle import CapExceeded, count_by_series, count_chord_diagrams, enumerate_count
+from revsym.dissection_oracle import (
+    CapExceeded,
+    count_by_series,
+    count_chord_diagrams,
+    enumerate_count,
+    enumerate_counts,
+)
 from revsym.exact_arith import NonIntegerCoefficient, exact_div
 from revsym.power_series import revert_direct
 from revsym.symbols import TileRule, catalog, parse_symbol, parse_tile_spec
@@ -53,9 +59,9 @@ def _break_shared_conv(monkeypatch):
 
 
 def _perturbed(route, index):
-    """``route`` with one more added to its term a_index."""
-    def perturbed(symbol, n):
-        terms = route(symbol, n)
+    """``route``, a list of terms, with one more added to its term a_index."""
+    def perturbed(*args, **kwargs):
+        terms = route(*args, **kwargs)
         terms[index] += 1
         return terms
     return perturbed
@@ -245,7 +251,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("name, route, perturbed, column, k, cells", [
         ("schroeder", "count_by_series", _perturbed(count_by_series, 5), "series", 5, "ok {} ok"),
-        ("catalan", "enumerate_count", _perturbed_count(enumerate_count, 4), "oracle", 4, "ok ok {}"),
+        ("catalan", "enumerate_counts", _perturbed(enumerate_counts, 4), "oracle", 4, "ok ok {}"),
         ("motzkin", "count_chord_diagrams", _perturbed_count(count_chord_diagrams, 6), "oracle", 6, "ok - {}"),
     ], ids=["series", "dissection-oracle", "chord-oracle"])
     def test_mismatch_in_each_column_exits_1(self, capsys, monkeypatch, name, route, perturbed, column, k, cells):
@@ -316,9 +322,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", ["trianglefree", "eventiles"])
     def test_triangle_free_oracle_runs_in_bounded_time(self, capsys, name):
-        # about 0.15 s on 2 vCPUs at the default cap 12: a triangle can never
-        # be split, so the oracle skips its subtrees; walking every
-        # dissection took about 20 s
+        # about 0.12 s on 2 vCPUs at the default cap 12: a closed triangle
+        # skips its subtree at once, and one walk gives every n; walking
+        # every dissection took about 20 s
         t0 = time.perf_counter()
         rc, out, err = run(capsys, "verify", name, "--count", "20")
         elapsed = time.perf_counter() - t0
@@ -330,7 +336,7 @@ class TestVerify:
         def boom(*args, **kwargs):
             raise CapExceeded("forced for the exit-status contract")
 
-        monkeypatch.setattr(cli, "enumerate_count", boom)
+        monkeypatch.setattr(cli, "enumerate_counts", boom)
         rc, _, err = run(capsys, "verify", "catalan", "--count", "4")
         assert rc == 3
         assert "forced" in err

@@ -15,6 +15,7 @@ from revsym.dissection_oracle import (
     count_by_series,
     count_chord_diagrams,
     enumerate_count,
+    enumerate_counts,
     iter_dissections,
     tiles_of,
 )
@@ -194,6 +195,29 @@ class TestEnumerateCount:
             enumerate_count(-1, ANY_TILES)
 
 
+class TestEnumerateCounts:
+    @pytest.mark.parametrize("rule", ALL_RULES + CUSTOM_RULES, ids=TileRule.label)
+    def test_one_walk_counts_every_smaller_polygon(self, rule):
+        # the (m+2)-gon's dissections are nodes of the 10-gon's walk, with
+        # n - m more vertices on the root face
+        assert enumerate_counts(8, rule) == [1] + [_allowed(m, rule) for m in range(1, 9)]
+
+    def test_two_gon_alone(self):
+        for rule in ALL_RULES:
+            assert enumerate_counts(0, rule) == [1]
+
+    def test_cap_enforced(self):
+        with pytest.raises(CapExceeded, match=r"^n = 13 exceeds the exhaustive cap 12$"):
+            enumerate_counts(13, ANY_TILES)
+        with pytest.raises(CapExceeded, match=r"^n = 6 exceeds the exhaustive cap 5$"):
+            enumerate_counts(6, ANY_TILES, cap=5)
+        assert enumerate_counts(5, ANY_TILES, cap=5) == [1, 1, 3, 11, 45, 197]
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match=r"^need n >= 0$"):
+            enumerate_counts(-1, ANY_TILES)
+
+
 class TestCountBySeries:
     def test_all_dissections(self):
         assert count_by_series(5, ANY_TILES) == [1, 1, 3, 11, 45, 197]
@@ -289,6 +313,12 @@ def tile_rules(draw):
     return TileRule(sizes, start, draw(st.integers(1, 3)))
 
 
+def _allowed(n, rule):
+    """How many dissections of the (n+2)-gon use only tile sizes the rule allows, by
+    the unpruned generator and the tuple faces of tiles_of."""
+    return sum(k for used, k in _size_sets(n).items() if all(rule.allows(s) for s in used))
+
+
 class TestRandomRules:
     @settings(max_examples=200, deadline=None)
     @given(tile_rules())
@@ -316,13 +346,12 @@ class TestRandomRules:
     @settings(max_examples=150, deadline=None)
     @given(tile_rules())
     def test_walk_counts_what_independent_generation_allows(self, rule):
-        # the candidate order, the chain of open diagonals and the prune
-        # must neither drop nor double-count a dissection for any rule
-        for n in range(1, 9):
-            expected = sum(
-                k for used, k in _size_sets(n).items() if all(rule.allows(s) for s in used)
-            )
-            assert enumerate_count(n, rule) == expected, (rule.label(), n)
+        # the candidate order, the prune of closed faces and the tally by
+        # first polygon must neither drop nor double-count a dissection for
+        # any rule, at the top of each walk and at every m of the 10-gon's
+        expected = [1] + [_allowed(n, rule) for n in range(1, 9)]
+        assert [enumerate_count(n, rule) for n in range(9)] == expected, rule.label()
+        assert enumerate_counts(8, rule) == expected, rule.label()
 
 
 @st.composite
