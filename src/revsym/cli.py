@@ -26,12 +26,11 @@ from .dissection_oracle import (
     DEFAULT_CHORD_CAP,
     DEFAULT_DISSECTION_CAP,
     CapExceeded,
-    count_by_series,
     count_chord_diagrams,
     enumerate_counts,
 )
 from .exact_arith import NonIntegerCoefficient, _decimal
-from .power_series import lagrange_coefficients, revert_direct
+from .power_series import count_by_series, lagrange_coefficients, revert_direct
 from .symbols import (
     CatalogEntry,
     InvalidTileSet,

@@ -1,6 +1,8 @@
 """Ground-truth combinatorics for restricted polygon dissections.
 
-Three counters that check the series-reversion routes from other sides:
+Two brute-force counters that check the series routes from another side.
+Neither imports a series kernel or does any series arithmetic, so no
+defect in :mod:`power_series` can reach them:
 
 * :func:`enumerate_counts` literally generates non-crossing diagonal
   sets of the labelled (n+2)-gon by backtracking and keeps those whose
@@ -12,31 +14,12 @@ Three counters that check the series-reversion routes from other sides:
   subtree at once, and every dissection counted is still generated.  The
   (m+2)-gon's candidates are a prefix of the same order, so the one walk
   counts every m <= n: each node is tallied by the first m whose polygon
-  it dissects and by its root face's size.  :func:`enumerate_count` is
-  a_n of that walk.  Exponential; capped at desk scale.  It uses no
-  series arithmetic at all.
-* :func:`count_by_series` solves the self-referential tile equation
-  A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration on truncated
-  integer series, doubling the precision each step.  The equation is
-  taken cleared of the denominator of the rule's generating pair
-  g = Ng/Dg, as Dg(xA) (A - 1) = A Ng(xA), the form
-  :func:`verify_tautological` checks.  Each step makes two compositions
-  with xA: Ng and Dg at the step's degree n, and their derivatives, which
-  only the Jacobian reads, at about half of it.  Each composition builds
-  one table of powers of xA by halving, each power only as far as it is
-  read, and takes one truncated product per gap between nonzero
-  coefficients and per table entry.  The step ends in one exact division
-  by the Jacobian.
-  It is a different algorithm from either reversion route but runs on
-  the same product, exact-division and composition kernels as Lagrange
-  inversion in :mod:`power_series`; the two algorithms feed the kernels
-  different operands, so a kernel defect makes them disagree, and the
-  enumeration checks both.  It takes the size sum from
-  :meth:`TileRule.generating_pair`, the same pair symbol synthesis uses.
+  it dissects and by its root face's size.  Exponential; capped at desk
+  scale.
 * :func:`count_chord_diagrams` exhaustively counts placements of pairwise
   disjoint chords (no shared endpoints, no crossings) on labelled circle
-  points, the model behind the motzkin entry.  It too uses no series
-  arithmetic.  It walks the same way, one mask of free chords per node.
+  points, the model behind the motzkin entry.  It walks the same way,
+  one mask of free chords per node.
 
 The reference the walk is tested against, :func:`iter_dissections` with
 :func:`tiles_of`, is the plain definition: it shares the crossing test
@@ -51,9 +34,8 @@ as diagonal sets, with no quotient by rotation or reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from .power_series import _compose_raw, _conv, _div_raw
 from .symbols import TileRule
 
 __all__ = [
@@ -61,9 +43,7 @@ __all__ = [
     "Dissection",
     "tiles_of",
     "iter_dissections",
-    "enumerate_count",
     "enumerate_counts",
-    "count_by_series",
     "count_chord_diagrams",
 ]
 
@@ -214,7 +194,8 @@ def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) 
     its root face's size s here; a_m sums the tallies whose first m is at
     most m and whose s - (n - m) the rule allows.  The undissected polygon
     counts iff its own side count is allowed, and a_0 = 1 by convention
-    since the 2-gon has no tiles to test.
+    since the 2-gon has no tiles to test.  n < 0 raises ValueError and
+    n > cap raises CapExceeded.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -251,66 +232,6 @@ def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) 
         sum(tally[f * w + s] for f in range(1, m + 1) for s in range(w) if rule.allows(s - n + m))
         for m in range(1, n + 1)
     ]
-
-
-def enumerate_count(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -> int:
-    """Count dissections of the (n+2)-gon whose every tile satisfies the rule.
-
-    a_n of :func:`enumerate_counts`: one walk of the (n+2)-gon in
-    right-end order, which generates every dissection it counts.  n = 0
-    gives 1; n < 0 raises ValueError and n > cap raises CapExceeded.
-    """
-    return enumerate_counts(n, rule, cap)[n]
-
-
-def _derivative(p: Sequence[int]) -> list[int]:
-    return [k * c for k, c in enumerate(p)][1:]
-
-
-def count_by_series(n_max: int, rule: TileRule) -> list[int]:
-    """Coefficients a_0..a_{n_max} of the tile equation's solution, by Newton iteration.
-
-    With g = Ng/Dg the rule's generating pair, so that A g(xA) = sum_{s in
-    S} x^{s-2} A^{s-1}, the tile equation A = 1 + A g(xA) is solved cleared
-    of its denominator, as Psi(A) = Dg(xA) (A - 1) - A Ng(xA) = 0, by the
-    Newton step A <- A - Psi(A) / J(A) with
-    J(A) = Dg(xA) - Ng(xA) + x (A - 1) Dg'(xA) - x A Ng'(xA).  A step from
-    A correct to degree e leaves A correct to at least degree 2e + 1, so
-    the precision doubles from a_0 = 1, and the last step, at degree
-    n_max, costs more than all the others together.  Psi(A) vanishes
-    below degree e + 1, so the correction starts there and J is read
-    only to degree m = n - e - 1 (Brent and Kung 1978).  Each step
-    composes Ng and Dg with xA at degree n in one call to
-    ``_compose_raw``, and Ng' and Dg', which only J reads, in a second
-    call at degree m - 1, about a quarter of the cost.  Each call builds
-    its powers of xA from one halving plan, each only as far as it is
-    read.  The step ends in one exact division at degree m: J has
-    constant term Dg(0) - Ng(0) = 1.  The size
-    sum is applied in its closed rational form, so sizes with s-2 > n_max
-    vanish under truncation either way.
-    """
-    if n_max < 0:
-        raise ValueError("need n_max >= 0")
-    num, den = rule.generating_pair()
-    polys = (num, den, _derivative(num), _derivative(den))
-    degrees = []
-    while n_max > 0:
-        degrees.append(n_max)
-        n_max //= 2
-    a = [1]
-    for n in reversed(degrees):
-        e = len(a) - 1  # a is correct to degree e, and n <= 2e + 1
-        m = n - e - 1  # the correction starts at degree e + 1, so J is read to degree m
-        a += [0] * (n - e)
-        xa = [0, *a[:n]]
-        ng, dg = _compose_raw(polys[:2], xa, n)
-        ng_d, dg_d = _compose_raw(polys[2:], xa, m - 1)
-        a_less_1 = [0, *a[1:]]  # A - 1, since a_0 stays 1
-        psi = [u - v for u, v in zip(_conv(dg, a_less_1, n), _conv(ng, a, n))]
-        slope = [u - v for u, v in zip(_conv(dg_d, a_less_1, m - 1), _conv(ng_d, a, m - 1))]
-        jac = [d - g + s for d, g, s in zip(dg, ng, [0, *slope])]
-        a[e + 1:] = [ai - si for ai, si in zip(a[e + 1:], _div_raw(psi[e + 1:], jac, m))]
-    return a
 
 
 def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:

@@ -1,4 +1,4 @@
-"""Truncated power-series kernels on plain ``int`` lists, and series reversion.
+"""Every series computation: truncated kernels on ``int`` lists, three routes, two certificates.
 
 A series is a list of coefficients c_0..c_N; every kernel takes the degree
 n to truncate at and returns exactly n + 1 coefficients, so all identities
@@ -8,7 +8,9 @@ the composition :func:`_compose_raw`.  Their cost follows the nonzero
 coefficients: a product or quotient runs over its second operand's span
 of nonzero coefficients only, and a composition multiplies once per gap
 between the outer polynomial's nonzero coefficients, by powers of the
-inner series.
+inner series.  No other module binds them: the closed forms and both
+brute-force counters use no series kernel, so a kernel defect cannot
+reach those checks.
 
 Which powers to build by halving, k = k//2 + (k - k//2), and how far to
 build each, is decided in one place, :func:`_halving_plan`: a power is
@@ -20,37 +22,47 @@ each step exactly by the divisor's constant term through
 :func:`revsym.exact_arith.exact_div`, which raises ``NonIntegerCoefficient``
 where the quotient would leave the integers, so nothing is ever rounded.
 
-Two independent reversion routes take a reversive symbol alpha = P/Q and
-return the inverse-series coefficients a_0..a_N, certifying that every one
-is an integer:
+Three routes return the inverse-series coefficients a_0..a_N of a
+reversive symbol alpha = P/Q, or of a tile rule's symbol, certifying that
+every one is an integer:
 
-* :func:`revert_direct` solves [x^n] alpha(F(x)) = delta_{n,1} coefficient
-  by coefficient, written as P(F) = x Q(F).  It keeps a row of powers of F
-  only for the exponents that P and Q use and the halves that
-  :func:`_halving_plan` splits them into, O(N^2) integer operations per
-  row, and fills the rows itself, with no kernel.  A row k = h + h is a
-  square and takes half the products of the others, since its terms pair
-  up.  It is the production route: every command that lists terms runs
-  it.
-* :func:`lagrange_coefficients` extracts
+* Route 1, :func:`lagrange_coefficients`, extracts
   a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n through N truncated products,
-  O(N^3) in all.  It is the independent cross-check that ``verify`` runs,
-  and the one reversion route on the kernels above.
+  O(N^3) in all.  It is the independent cross-check that ``verify`` runs.
+* Route 2, :func:`revert_direct`, solves [x^n] alpha(F(x)) = delta_{n,1}
+  coefficient by coefficient, written as P(F) = x Q(F).  It keeps a row
+  of powers of F only for the exponents that P and Q use and the halves
+  that :func:`_halving_plan` splits them into, O(N^2) integer operations
+  per row, and fills the rows itself, with no kernel.  A row k = h + h is
+  a square and takes half the products of the others, since its terms
+  pair up.  It is the production route: every command that lists terms
+  runs it.
+* Route 4, :func:`count_by_series`, solves a tile rule's equation
+  A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration.  It runs on
+  the same kernels as route 1, but the two algorithms feed them different
+  operands, so a kernel defect makes them disagree, and the closed forms
+  and the enumeration check both.
+
+Two certificates check given terms with no division: :func:`verify_inverse`
+that alpha(F(x)) = x, and :func:`verify_tautological` that A solves the
+tile equation.  Each takes one call to :func:`_compose_raw` and at most
+two products.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .exact_arith import exact_div
-
-if TYPE_CHECKING:
-    from .symbols import ReversiveSymbol
+from .symbols import ReversiveSymbol, TileRule
 
 __all__ = [
     "lagrange_coefficients",
     "revert_direct",
+    "count_by_series",
+    "verify_inverse",
+    "verify_tautological",
 ]
 
 
@@ -153,7 +165,7 @@ def _compose_raw(outers: Sequence[Sequence[int]], inner: Sequence[int], n: int) 
     return out
 
 
-def lagrange_coefficients(alpha: "ReversiveSymbol", N: int) -> list[int]:
+def lagrange_coefficients(alpha: ReversiveSymbol, N: int) -> list[int]:
     """Inverse-series coefficients a_0..a_N of a reversive symbol.
 
     a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n for n = 1..N+1, each division
@@ -181,7 +193,7 @@ def lagrange_coefficients(alpha: "ReversiveSymbol", N: int) -> list[int]:
     return out
 
 
-def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
+def revert_direct(alpha: ReversiveSymbol, N: int) -> list[int]:
     """Inverse-series coefficients a_0..a_N of a reversive symbol, no Lagrange formula.
 
     Same contract as :func:`lagrange_coefficients`.  With alpha = P/Q and
@@ -235,3 +247,82 @@ def revert_direct(alpha: "ReversiveSymbol", N: int) -> list[int]:
         rhs -= sum(c * row[n] for c, row in p_rows)
         f[n] = exact_div(rhs, p[1], n - 1)
     return f[1:]
+
+
+def _derivative(p: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def count_by_series(n_max: int, rule: TileRule) -> list[int]:
+    """Coefficients a_0..a_{n_max} of the tile equation's solution, by Newton iteration.
+
+    With g = Ng/Dg the rule's generating pair, so that A g(xA) = sum_{s in
+    S} x^{s-2} A^{s-1}, the tile equation A = 1 + A g(xA) is solved cleared
+    of its denominator, as Psi(A) = Dg(xA) (A - 1) - A Ng(xA) = 0 (the form
+    :func:`verify_tautological` checks), by the Newton step A <- A - Psi(A) / J(A) with
+    J(A) = Dg(xA) - Ng(xA) + x (A - 1) Dg'(xA) - x A Ng'(xA).  A step from
+    A correct to degree e leaves A correct to at least degree 2e + 1, so
+    the precision doubles from a_0 = 1, and the last step, at degree
+    n_max, costs more than all the others together.  Psi(A) vanishes
+    below degree e + 1, so the correction starts there and J is read
+    only to degree m = n - e - 1 (Brent and Kung 1978).  Each step
+    composes Ng and Dg with xA at degree n in one call to
+    ``_compose_raw``, and Ng' and Dg', which only J reads, in a second
+    call at degree m - 1, about a quarter of the cost.  Each call builds
+    its powers of xA from one halving plan, each only as far as it is
+    read.  The step ends in one exact division at degree m: J has
+    constant term Dg(0) - Ng(0) = 1.  The size
+    sum is applied in its closed rational form, so sizes with s-2 > n_max
+    vanish under truncation either way.
+    """
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    num, den = rule.generating_pair()
+    polys = (num, den, _derivative(num), _derivative(den))
+    degrees = []
+    while n_max > 0:
+        degrees.append(n_max)
+        n_max //= 2
+    a = [1]
+    for n in reversed(degrees):
+        e = len(a) - 1  # a is correct to degree e, and n <= 2e + 1
+        m = n - e - 1  # the correction starts at degree e + 1, so J is read to degree m
+        a += [0] * (n - e)
+        xa = [0, *a[:n]]
+        ng, dg = _compose_raw(polys[:2], xa, n)
+        ng_d, dg_d = _compose_raw(polys[2:], xa, m - 1)
+        a_less_1 = [0, *a[1:]]  # A - 1, since a_0 stays 1
+        psi = [u - v for u, v in zip(_conv(dg, a_less_1, n), _conv(ng, a, n))]
+        slope = [u - v for u, v in zip(_conv(dg_d, a_less_1, m - 1), _conv(ng_d, a, m - 1))]
+        jac = [d - g + s for d, g, s in zip(dg, ng, [0, *slope])]
+        a[e + 1:] = [ai - si for ai, si in zip(a[e + 1:], _div_raw(psi[e + 1:], jac, m))]
+    return a
+
+
+def verify_inverse(symbol: ReversiveSymbol, terms: Sequence[int]) -> bool:
+    """Check alpha(F(x)) = x to precision N+1 for F = sum terms[n] x^{n+1}.
+
+    Checked as P(F) = x Q(F), which is equivalent because Q(F) has the
+    nonzero constant term q_0, and needs no division.
+    """
+    if not terms:
+        raise ValueError("need at least a_0")
+    n = len(terms)  # precision N+1
+    p_of_f, q_of_f = _compose_raw((symbol.numerator, symbol.denominator), [0, *terms], n)
+    return p_of_f == [0, *q_of_f[:n]]
+
+
+def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
+    """Check A = 1 + sum_{s in S} x^{s-2} A^{s-1} to precision N.
+
+    A is the series with the given coefficients.  With the sum in its
+    closed rational form g = Ng/Dg, so that sizes with s-2 > N drop out
+    exactly as the truncation demands, this is checked cleared of the
+    denominator as Dg(xA) (A - 1) = A Ng(xA), which is equivalent because
+    Dg(xA) has constant term 1, and needs no division.
+    """
+    if not terms:
+        raise ValueError("need at least a_0")
+    n = len(terms) - 1
+    num_xa, den_xa = _compose_raw(rule.generating_pair(), [0, *terms[:n]], n)
+    return _conv(den_xa, [terms[0] - 1, *terms[1:]], n) == _conv(num_xa, terms, n)

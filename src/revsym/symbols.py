@@ -6,8 +6,8 @@ is x * A(x) where A is the generating function of the counting sequence the
 symbol stands for.  P and Q, like every polynomial here, are plain ``int``
 tuples, lowest degree first; there is no polynomial class.  This module
 holds the symbol and tile-rule types, the six-entry catalog, synthesis of a
-symbol from a tile-size rule, the two functional-equation verifiers, and
-the one-line text format used by the CLI.
+symbol from a tile-size rule, and the one-line text format used by the
+CLI.  It does no series arithmetic.
 
 A tile rule S (a set of permitted tile side-counts, each >= 3) turns into a
 symbol through the root-edge decomposition of a dissection: a tile with s
@@ -24,10 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from . import closed_forms
-from .power_series import _compose_raw, _conv, _div_raw
 
 __all__ = [
     "ReversiveSymbol",
@@ -42,9 +41,6 @@ __all__ = [
     "EVEN_ONLY",
     "catalog",
     "symbol_from_tile_rule",
-    "expand",
-    "verify_inverse",
-    "verify_tautological",
     "format_symbol",
     "parse_symbol",
     "parse_tile_spec",
@@ -186,17 +182,6 @@ def symbol_from_tile_rule(rule: TileRule) -> ReversiveSymbol:
     return ReversiveSymbol(f"tiles({rule.label()})", numerator, g_den)
 
 
-def expand(symbol: ReversiveSymbol, precision: int) -> list[int]:
-    """Taylor coefficients c_0..c_precision of numerator/denominator, as a list.
-
-    Raises NonIntegerCoefficient where a coefficient is not an integer, and
-    ValueError for a negative precision.
-    """
-    if precision < 0:
-        raise ValueError("precision must be >= 0")
-    return _div_raw(symbol.numerator, symbol.denominator, precision)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     """A shipped sequence and everything known about it.
@@ -234,35 +219,6 @@ _CATALOG: tuple[CatalogEntry, ...] = (
 def catalog() -> list[CatalogEntry]:
     """The shipped entries, in display order."""
     return list(_CATALOG)
-
-
-def verify_inverse(symbol: ReversiveSymbol, terms: Sequence[int]) -> bool:
-    """Check alpha(F(x)) = x to precision N+1 for F = sum terms[n] x^{n+1}.
-
-    Checked as P(F) = x Q(F), which is equivalent because Q(F) has the
-    nonzero constant term q_0, and needs no division.
-    """
-    if not terms:
-        raise ValueError("need at least a_0")
-    n = len(terms)  # precision N+1
-    p_of_f, q_of_f = _compose_raw((symbol.numerator, symbol.denominator), [0, *terms], n)
-    return p_of_f == [0, *q_of_f[:n]]
-
-
-def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
-    """Check A = 1 + sum_{s in S} x^{s-2} A^{s-1} to precision N.
-
-    A is the series with the given coefficients.  With the sum in its
-    closed rational form g = Ng/Dg, so that sizes with s-2 > N drop out
-    exactly as the truncation demands, this is checked cleared of the
-    denominator as Dg(xA) (A - 1) = A Ng(xA), which is equivalent because
-    Dg(xA) has constant term 1, and needs no division.
-    """
-    if not terms:
-        raise ValueError("need at least a_0")
-    n = len(terms) - 1
-    num_xa, den_xa = _compose_raw(rule.generating_pair(), [0, *terms[:n]], n)
-    return _conv(den_xa, [terms[0] - 1, *terms[1:]], n) == _conv(num_xa, terms, n)
 
 
 def format_symbol(symbol: ReversiveSymbol, include_name: bool = True) -> str:

@@ -12,15 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from revsym import cli, power_series, symbols
 from revsym.closed_forms import DomainError
-from revsym.dissection_oracle import (
-    CapExceeded,
-    count_by_series,
-    count_chord_diagrams,
-    enumerate_count,
-    enumerate_counts,
-)
+from revsym.dissection_oracle import CapExceeded, count_chord_diagrams, enumerate_counts
 from revsym.exact_arith import NonIntegerCoefficient, exact_div
-from revsym.power_series import revert_direct
+from revsym.power_series import count_by_series, revert_direct
 from revsym.symbols import TileRule, catalog, parse_symbol, parse_tile_spec
 
 
@@ -31,12 +25,12 @@ def run(capsys, *argv):
 
 
 def _break_shared_conv(monkeypatch):
-    """Patch the one product kernel, wherever it is bound, with a defect.
+    """Patch the one product kernel with a defect.
 
     The defect adds 2520 = lcm(1..10) to the top coefficient from degree 6
     on, so every Lagrange division by n <= 10 stays exact and only the
-    cross-checks can catch it.  Every revsym module attribute that is the
-    kernel gets the defect, so a new binding cannot escape it.
+    cross-checks can catch it.  ``power_series`` is the one module that
+    binds the kernel, which tests/test_dependencies.py checks.
     """
     real = power_series._conv
 
@@ -46,16 +40,7 @@ def _break_shared_conv(monkeypatch):
             out[n] += 2520
         return out
 
-    bindings = [
-        (module, name)
-        for module_name, module in list(sys.modules.items())
-        if module_name == "revsym" or module_name.startswith("revsym.")
-        for name, value in list(vars(module).items())
-        if value is real
-    ]
-    assert (power_series, "_conv") in bindings
-    for module, name in bindings:
-        monkeypatch.setattr(module, name, faulty)
+    monkeypatch.setattr(power_series, "_conv", faulty)
 
 
 def _perturbed(route, index):
@@ -363,7 +348,7 @@ class TestFromTiles:
         lines = out.splitlines()
         assert lines[0] == "(0,1,0,-1)/(1)"
         values = [int(line.split()[1]) for line in lines[1:]]
-        assert values == [enumerate_count(n, TileRule({4})) for n in range(8)]
+        assert values == enumerate_counts(7, TileRule({4}))
 
     def test_stepped_tail_matches_exhaustive(self, capsys):
         rc, out, _ = run(capsys, "from-tiles", "3+3", "--count", "9")
@@ -371,7 +356,7 @@ class TestFromTiles:
         lines = out.splitlines()
         assert lines[0] == "(0,1,-1,0,-1)/(1,0,0,-1)"
         values = [int(line.split()[1]) for line in lines[1:]]
-        assert values == [enumerate_count(n, parse_tile_spec("3+3")) for n in range(9)]
+        assert values == enumerate_counts(8, parse_tile_spec("3+3"))
 
     @pytest.mark.parametrize("spec", ["3,1000000000", "1000000000+", "3+1000000000"])
     def test_oversized_tile_refused_quickly(self, capsys, spec):

@@ -6,15 +6,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revsym import dissection_oracle, power_series
+from revsym import power_series
 from revsym.closed_forms import motzkin_term
 from revsym.dissection_oracle import (
     DEFAULT_CHORD_CAP,
     CapExceeded,
     Dissection,
-    count_by_series,
     count_chord_diagrams,
-    enumerate_count,
     enumerate_counts,
     iter_dissections,
     tiles_of,
@@ -28,9 +26,8 @@ from revsym.symbols import (
     TileRule,
     parse_tile_spec,
     symbol_from_tile_rule,
-    verify_tautological,
 )
-from revsym.power_series import lagrange_coefficients, revert_direct
+from revsym.power_series import count_by_series, lagrange_coefficients, revert_direct, verify_tautological
 
 KEYWORD_RULES = {
     "any": ANY_TILES,
@@ -134,7 +131,7 @@ class TestEnumeratorInvariants:
                 tuple(sorted((face[k - 1], face[k]))) for face in tiles for k in range(len(face))
             )
             assert sides == Counter({**dict.fromkeys(edges, 1), **dict.fromkeys(diags, 2)})
-        assert count == enumerate_count(n, ANY_TILES)
+        assert count == enumerate_counts(n, ANY_TILES)[n]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pruned_walk_matches_independent_generation(self, n):
@@ -143,7 +140,7 @@ class TestEnumeratorInvariants:
         sizes = [frozenset(len(face) for face in tiles_of(d)) for d in iter_dissections(n)]
         for rule in ALL_RULES + CUSTOM_RULES:
             expected = sum(1 for used in sizes if all(rule.allows(s) for s in used))
-            assert enumerate_count(n, rule) == expected, rule.label()
+            assert enumerate_counts(n, rule)[n] == expected, rule.label()
 
     def test_walk_rejects_n_outside_one_to_the_cap(self):
         with pytest.raises(ValueError, match=r"^need n >= 1$") as exc:
@@ -156,43 +153,7 @@ class TestEnumeratorInvariants:
     def test_catalan_counts_maximal_diagonal_sets(self, n):
         # triangulations are exactly the dissections with m = n-1 diagonals
         maximal = sum(1 for d in iter_dissections(n) if len(d.diagonals) == n - 1)
-        assert maximal == enumerate_count(n, TRIANGLES_ONLY)
-
-
-class TestEnumerateCount:
-    def test_pentagon_all(self):
-        assert enumerate_count(3, ANY_TILES) == 11
-
-    def test_hexagon_no_triangles(self):
-        assert enumerate_count(4, NO_TRIANGLES) == 4
-
-    def test_pentagon_triangulations(self):
-        assert enumerate_count(3, TRIANGLES_ONLY) == 5
-
-    def test_even_rule_parity(self):
-        assert enumerate_count(4, EVEN_ONLY) == 4
-        assert enumerate_count(3, EVEN_ONLY) == 0
-
-    def test_two_gon_counts_one_for_every_rule(self):
-        for rule in ALL_RULES:
-            assert enumerate_count(0, rule) == 1
-
-    def test_undissected_polygon_needs_rule_approval(self):
-        # the square counts for EVEN_ONLY but its empty dissection does not
-        # count for TRIANGLES_ONLY
-        assert enumerate_count(2, EVEN_ONLY) == 1
-        assert enumerate_count(2, TRIANGLES_ONLY) == 2  # the two triangulations only
-
-    def test_cap_enforced(self):
-        with pytest.raises(CapExceeded):
-            enumerate_count(13, ANY_TILES)
-        with pytest.raises(CapExceeded):
-            enumerate_count(5, ANY_TILES, cap=4)
-        assert enumerate_count(5, ANY_TILES, cap=5) == 197
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            enumerate_count(-1, ANY_TILES)
+        assert maximal == enumerate_counts(n, TRIANGLES_ONLY)[n]
 
 
 class TestEnumerateCounts:
@@ -201,6 +162,17 @@ class TestEnumerateCounts:
         # the (m+2)-gon's dissections are nodes of the 10-gon's walk, with
         # n - m more vertices on the root face
         assert enumerate_counts(8, rule) == [1] + [_allowed(m, rule) for m in range(1, 9)]
+
+    @pytest.mark.parametrize("rule, column", [
+        (ANY_TILES, [1, 1, 3, 11]),
+        (NO_TRIANGLES, [1, 0, 1, 1, 4]),
+        (TRIANGLES_ONLY, [1, 1, 2, 5]),
+        (EVEN_ONLY, [1, 0, 1, 0, 4]),
+    ], ids=["any", "notriangles", "triangles", "even"])
+    def test_small_polygons(self, rule, column):
+        # the square counts undissected for even tiles, and for triangles
+        # only through its two triangulations
+        assert enumerate_counts(len(column) - 1, rule) == column
 
     def test_two_gon_alone(self):
         for rule in ALL_RULES:
@@ -211,6 +183,8 @@ class TestEnumerateCounts:
             enumerate_counts(13, ANY_TILES)
         with pytest.raises(CapExceeded, match=r"^n = 6 exceeds the exhaustive cap 5$"):
             enumerate_counts(6, ANY_TILES, cap=5)
+        with pytest.raises(CapExceeded, match=r"^n = 5 exceeds the exhaustive cap 4$"):
+            enumerate_counts(5, ANY_TILES, cap=4)
         assert enumerate_counts(5, ANY_TILES, cap=5) == [1, 1, 3, 11, 45, 197]
 
     def test_rejects_negative(self):
@@ -229,7 +203,7 @@ class TestCountBySeries:
         # n <= 6 re-derived exhaustively here; the tail values 71 and 264
         # were first produced by this counter and frozen after that check
         got = count_by_series(6, ODD_ONLY)
-        assert got == [enumerate_count(n, ODD_ONLY) for n in range(7)]
+        assert got == enumerate_counts(6, ODD_ONLY)
         assert got == [1, 1, 2, 6, 20, 71, 264]
 
     def test_zero_terms(self):
@@ -242,24 +216,19 @@ class TestCountBySeries:
 
     @pytest.mark.parametrize("rule", ALL_RULES, ids=list(KEYWORD_RULES))
     def test_matches_enumeration_to_seven(self, rule):
-        series = count_by_series(7, rule)
-        for n in range(8):
-            assert series[n] == enumerate_count(n, rule)
+        assert count_by_series(7, rule) == enumerate_counts(7, rule)
 
     def test_custom_rule_matches_enumeration(self):
         rule = TileRule({4})
-        series = count_by_series(7, rule)
-        assert series == [enumerate_count(n, rule) for n in range(8)]
+        assert count_by_series(7, rule) == enumerate_counts(7, rule)
 
     def test_custom_tail_rule_matches_enumeration(self):
         rule = TileRule({3}, start=6)
-        series = count_by_series(7, rule)
-        assert series == [enumerate_count(n, rule) for n in range(8)]
+        assert count_by_series(7, rule) == enumerate_counts(7, rule)
 
     def test_stepped_tail_rule_matches_enumeration(self):
         rule = TileRule({4}, start=3, step=3)
-        series = count_by_series(7, rule)
-        assert series == [enumerate_count(n, rule) for n in range(8)]
+        assert count_by_series(7, rule) == enumerate_counts(7, rule)
 
     @pytest.mark.parametrize("rule", ALL_RULES + CUSTOM_RULES + TAIL_RULES, ids=TileRule.label)
     def test_newton_matches_direct_reversion_at_every_precision(self, rule):
@@ -285,8 +254,7 @@ class TestCountBySeries:
             degrees.append(n)
             return real(a, b, n)
 
-        for module in (power_series, dissection_oracle):
-            monkeypatch.setattr(module, "_conv", recording)
+        monkeypatch.setattr(power_series, "_conv", recording)
         count_by_series(255, parse_tile_spec(spec))
         assert degrees.count(255) <= most
 
@@ -327,7 +295,7 @@ class TestRandomRules:
         assert all(type(v) is int for v in series)
         assert lagrange_coefficients(symbol_from_tile_rule(rule), 30) == series
         assert revert_direct(symbol_from_tile_rule(rule), 30) == series
-        assert series[:7] == [enumerate_count(n, rule) for n in range(7)]
+        assert series[:7] == enumerate_counts(6, rule)
         assert verify_tautological(rule, series)
         for m in range(31):
             perturbed = list(series)
@@ -341,7 +309,7 @@ class TestRandomRules:
         # Newton counter
         series = count_by_series(9, rule)
         for n in range(7, 10):
-            assert enumerate_count(n, rule) == series[n], (rule.label(), n)
+            assert enumerate_counts(n, rule)[n] == series[n], (rule.label(), n)
 
     @settings(max_examples=150, deadline=None)
     @given(tile_rules())
@@ -350,7 +318,7 @@ class TestRandomRules:
         # first polygon must neither drop nor double-count a dissection for
         # any rule, at the top of each walk and at every m of the 10-gon's
         expected = [1] + [_allowed(n, rule) for n in range(1, 9)]
-        assert [enumerate_count(n, rule) for n in range(9)] == expected, rule.label()
+        assert [enumerate_counts(n, rule)[n] for n in range(9)] == expected, rule.label()
         assert enumerate_counts(8, rule) == expected, rule.label()
 
 

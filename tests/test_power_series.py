@@ -1,4 +1,4 @@
-"""Series kernels on int lists and the two reversion routes."""
+"""Series kernels on int lists, the two reversion routes, and a symbol as a series."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +11,7 @@ from revsym.power_series import (
     _div_raw,
     lagrange_coefficients,
     revert_direct,
+    verify_inverse,
 )
 from revsym.symbols import (
     ANY_TILES,
@@ -20,9 +21,8 @@ from revsym.symbols import (
     ReversiveSymbol,
     catalog,
     parse_symbol,
-    verify_inverse,
 )
-from revsym.dissection_oracle import enumerate_count
+from revsym.dissection_oracle import enumerate_counts
 
 
 def one(n):
@@ -262,24 +262,46 @@ def _catalog_symbol(name):
     raise KeyError(name)
 
 
+class TestSymbolSeries:
+    # P/Q as a series, by the one division; the certificates avoid it
+    @pytest.mark.parametrize("name, k, expected", [
+        ("schroeder", 4, [0, 1, -1, -1, -1]),
+        ("catalan", 4, [0, 1, -1, 0, 0]),
+        ("eventiles", 5, [0, 1, 0, -1, 0, -1]),
+    ], ids=["schroeder", "catalan-is-polynomial", "eventiles"])
+    def test_catalog_expansion(self, name, k, expected):
+        sym = _catalog_symbol(name)
+        assert _div_raw(sym.numerator, sym.denominator, k) == expected
+
+    def test_expansion_starts_with_unit_slope(self):
+        for sym in (entry.symbol for entry in catalog()):
+            assert _div_raw(sym.numerator, sym.denominator, 6)[:2] == [0, 1], sym.name
+
+    def test_non_integral_expansion_raises(self):
+        # (2F - F^2)/2 = F - F^2/2
+        sym = parse_symbol("(0,2,-1)/(2)")
+        with pytest.raises(NonIntegerCoefficient, match=r"^quotient_2 = -1/2 is not an integer$"):
+            _div_raw(sym.numerator, sym.denominator, 3)
+
+
 class TestLagrange:
     def test_catalan_terms_match_exhaustive_triangulations(self):
-        expected = [enumerate_count(n, TRIANGLES_ONLY) for n in range(6)]
+        expected = enumerate_counts(5, TRIANGLES_ONLY)
         assert expected == [1, 1, 2, 5, 14, 42]
         assert lagrange_coefficients(_catalog_symbol("catalan"), 5) == expected
 
     def test_schroeder_terms_match_exhaustive_dissections(self):
-        expected = [enumerate_count(n, ANY_TILES) for n in range(6)]
+        expected = enumerate_counts(5, ANY_TILES)
         assert expected == [1, 1, 3, 11, 45, 197]
         assert lagrange_coefficients(_catalog_symbol("schroeder"), 5) == expected
 
     def test_triangle_free_terms_match_exhaustive(self):
-        expected = [enumerate_count(n, NO_TRIANGLES) for n in range(7)]
+        expected = enumerate_counts(6, NO_TRIANGLES)
         assert expected == [1, 0, 1, 1, 4, 8, 25]
         assert lagrange_coefficients(_catalog_symbol("trianglefree"), 6) == expected
 
     def test_even_terms_match_exhaustive_and_vanish_at_odd(self):
-        expected = [enumerate_count(n, EVEN_ONLY) for n in range(7)]
+        expected = enumerate_counts(6, EVEN_ONLY)
         assert expected == [1, 0, 1, 0, 4, 0, 21]
         assert lagrange_coefficients(_catalog_symbol("eventiles"), 6) == expected
 
