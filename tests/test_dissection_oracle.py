@@ -168,11 +168,19 @@ class TestEnumerateCounts:
         (NO_TRIANGLES, [1, 0, 1, 1, 4]),
         (TRIANGLES_ONLY, [1, 1, 2, 5]),
         (EVEN_ONLY, [1, 0, 1, 0, 4]),
-    ], ids=["any", "notriangles", "triangles", "even"])
+        (ODD_ONLY, [1, 1, 2, 6, 20]),
+    ], ids=["any", "notriangles", "triangles", "even", "odd"])
     def test_small_polygons(self, rule, column):
         # the square counts undissected for even tiles, and for triangles
         # only through its two triangulations
         assert enumerate_counts(len(column) - 1, rule) == column
+
+    def test_undissected_polygon_needs_rule_approval(self):
+        # the square is itself or one of 2 triangulations; the pentagon is
+        # itself, one of 5 triangle-and-square splits or one of 5 triangulations
+        for rule in ALL_RULES + CUSTOM_RULES + TAIL_RULES:
+            tri, sq, pent = (rule.allows(s) for s in (3, 4, 5))
+            assert enumerate_counts(3, rule)[2:] == [sq + 2 * tri, pent + 5 * tri * sq + 5 * tri], rule.label()
 
     def test_two_gon_alone(self):
         for rule in ALL_RULES:

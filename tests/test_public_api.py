@@ -39,6 +39,19 @@ def test_each_package_name_is_its_declaring_submodules_object():
         assert getattr(revsym, name) is getattr(owners[0], name), name
 
 
+def test_series_computations_are_declared_by_power_series_alone():
+    # the routes on the kernels and both certificates live beside them; the
+    # deleted wrappers expand and enumerate_count have no alias anywhere
+    from revsym import dissection_oracle, power_series, symbols
+
+    routes = {"lagrange_coefficients", "revert_direct", "count_by_series", "verify_inverse", "verify_tautological"}
+    wrappers = {"expand", "enumerate_count"}
+    assert routes <= set(power_series.__all__)
+    assert not wrappers & set(vars(revsym))
+    for module in (dissection_oracle, symbols):
+        assert not (routes | wrappers) & set(vars(module)), module.__name__
+
+
 def test_readme_library_block_runs_and_imports_only_public_names():
     block = _library_block()
     imported = {

@@ -241,6 +241,20 @@ class TestVerifiers:
         assert not verify_inverse(doubled, [1, 1, 3, 11, 46])
         assert not verify_inverse(parse_symbol("(0,2,-1)/(2)"), [1, 0, 0])
 
+    def test_verify_inverse_takes_no_quotient(self, monkeypatch):
+        # checked as P(F) = x Q(F), with no quotient P/Q.
+        # Lagrange divides, so its terms are computed before the patch
+        reverted = [(e.symbol, lagrange_coefficients(e.symbol, 30)) for e in catalog()]
+
+        def no_division(*args):
+            raise AssertionError("verify_inverse divided")
+
+        monkeypatch.setattr(power_series, "_div_raw", no_division)
+        for sym, terms in reverted:
+            assert verify_inverse(sym, terms), sym.name
+            terms[30] += 1
+            assert not verify_inverse(sym, terms), sym.name
+
     def test_verify_tautological_needs_no_division(self, monkeypatch):
         # checked as Dg(xA) (A - 1) = A Ng(xA), with no quotient Ng/Dg.
         # Lagrange divides, so its terms are computed before the patch
