@@ -28,13 +28,15 @@ its tally, so a defect in the walk's bookkeeping cannot reach both sides
 of that check and cancel.
 
 Vertices are labelled 0..n+1 in convex position; dissections are distinct
-as diagonal sets, with no quotient by rotation or reflection.
+as diagonal sets, with no quotient by rotation or reflection.  A
+:class:`Dissection` is a NamedTuple like the records of :mod:`revsym.symbols`:
+its constructor, ``_make`` and ``_replace`` all check the diagonals, and it
+equals the plain tuple ``(n, diagonals)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .symbols import TileRule
 
@@ -65,8 +67,12 @@ def _touches_or_crosses(a: int, b: int, c: int, d: int) -> bool:
     return a in (c, d) or b in (c, d) or _crosses(a, b, c, d)
 
 
-@dataclass(frozen=True)
-class Dissection:
+class _DissectionFields(NamedTuple):
+    n: int
+    diagonals: frozenset[tuple[int, int]]
+
+
+class Dissection(_DissectionFields):
     """A set of pairwise non-crossing diagonals of the labelled (n+2)-gon.
 
     Requires n >= 1 (the degenerate 2-gon has no tiles and is handled by
@@ -75,10 +81,9 @@ class Dissection:
     genuine diagonal and that no two cross, which leaves at most n-1.
     """
 
-    n: int
-    diagonals: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __init__(self, n: int, diagonals: Iterable[tuple[int, int]] = ()):
+    def __new__(cls, n: int, diagonals: Iterable[tuple[int, int]] = ()) -> Dissection:
         if n < 1:
             raise ValueError("need n >= 1 (a polygon with at least 3 vertices)")
         v = n + 2
@@ -99,8 +104,11 @@ class Dissection:
                 c, d = pairs[y]
                 if _crosses(a, b, c, d):
                     raise ValueError(f"diagonals {(a, b)} and {(c, d)} cross")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "diagonals", frozenset(pairs))
+        return super().__new__(cls, n, frozenset(pairs))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Dissection:
+        return cls(*iterable)
 
 
 def tiles_of(d: Dissection) -> list[tuple[int, ...]]:

@@ -76,13 +76,16 @@ def _support(b: Sequence[int]) -> tuple[int, int]:
     return first, last
 
 
-def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Cauchy product of coefficient lists, truncated at degree n.
+def _conv(a: Sequence[int], b: Sequence[int], n: int, lo: int = 0) -> list[int]:
+    """Cauchy product of coefficient lists, truncated at degree n, from degree lo.
 
     Each coefficient of a runs over b only from b's first to its last
     nonzero coefficient, so a product by a polynomial padded with zeros
     costs its degree, not n, and a product by a high power of a series
-    without constant term costs only the degrees it reaches.
+    without constant term costs only the degrees it reaches.  Degrees below
+    lo are not computed and read 0, for a caller that reads only the top of
+    the product (the truncated case of the middle product: Hanrot, Quercia
+    and Zimmermann 2004).
     """
     out = [0] * (n + 1)
     first, last = _support(b)
@@ -90,7 +93,7 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
         if i + first > n:
             break
         if ai:
-            for j in range(first, min(n - i, last) + 1):
+            for j in range(max(first, lo - i), min(n - i, last) + 1):
                 bj = b[j]
                 if bj:
                     out[i + j] += ai * bj
@@ -264,14 +267,14 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     A correct to degree e leaves A correct to at least degree 2e + 1, so
     the precision doubles from a_0 = 1, and the last step, at degree
     n_max, costs more than all the others together.  Psi(A) vanishes
-    below degree e + 1, so the correction starts there and J is read
-    only to degree m = n - e - 1 (Brent and Kung 1978).  Each step
-    composes Ng and Dg with xA at degree n in one call to
-    ``_compose_raw``, and Ng' and Dg', which only J reads, in a second
-    call at degree m - 1, about a quarter of the cost.  Each call builds
-    its powers of xA from one halving plan, each only as far as it is
-    read.  The step ends in one exact division at degree m: J has
-    constant term Dg(0) - Ng(0) = 1.  The size
+    below degree e + 1, so its two products are computed only from there,
+    the correction starts there and J is read only to degree
+    m = n - e - 1 (Brent and Kung 1978).  Each step composes Ng and Dg
+    with xA at degree n in one call to ``_compose_raw``, and Ng' and Dg',
+    which only J reads, in a second call at degree m - 1, about a quarter
+    of the cost.  Each call builds its powers of xA from one halving
+    plan, each only as far as it is read.  The step ends in one exact
+    division at degree m: J has constant term Dg(0) - Ng(0) = 1.  The size
     sum is applied in its closed rational form, so sizes with s-2 > n_max
     vanish under truncation either way.
     """
@@ -292,7 +295,7 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
         ng, dg = _compose_raw(polys[:2], xa, n)
         ng_d, dg_d = _compose_raw(polys[2:], xa, m - 1)
         a_less_1 = [0, *a[1:]]  # A - 1, since a_0 stays 1
-        psi = [u - v for u, v in zip(_conv(dg, a_less_1, n), _conv(ng, a, n))]
+        psi = [u - v for u, v in zip(_conv(dg, a_less_1, n, e + 1), _conv(ng, a, n, e + 1))]
         slope = [u - v for u, v in zip(_conv(dg_d, a_less_1, m - 1), _conv(ng_d, a, m - 1))]
         jac = [d - g + s for d, g, s in zip(dg, ng, [0, *slope])]
         a[e + 1:] = [ai - si for ai, si in zip(a[e + 1:], _div_raw(psi[e + 1:], jac, m))]

@@ -9,6 +9,15 @@ holds the symbol and tile-rule types, the six-entry catalog, synthesis of a
 symbol from a tile-size rule, and the one-line text format used by the
 CLI.  It does no series arithmetic.
 
+The record types :class:`ReversiveSymbol`, :class:`TileRule` and
+:class:`CatalogEntry` are NamedTuples: immutable, hashable, and printed as
+their field lists.  The first two check and canonicalise their fields in
+``__new__``, and their ``_make``, hence ``_replace``, goes through it, so no
+path builds an unchecked record.  A record is a tuple, so it equals the
+plain tuple of its fields.  NamedTuples, not dataclasses, because importing
+:mod:`dataclasses` (and the :mod:`inspect` it pulls in) was about a third
+of the start-up of every command.
+
 A tile rule S (a set of permitted tile side-counts, each >= 3) turns into a
 symbol through the root-edge decomposition of a dissection: a tile with s
 sides glued to the root edge contributes x^{s-2} A^{s-1}, so
@@ -22,9 +31,8 @@ closed rational form whenever S is finite or finite plus an arithmetic tail.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import closed_forms
 
@@ -69,52 +77,61 @@ def _int_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class ReversiveSymbol:
-    """Named rational function alpha(F) = numerator/denominator.
-
-    The two polynomials are int tuples, lowest degree first, trimmed of
-    trailing zeros at construction.  Invariants, also checked at
-    construction: numerator has no constant term, the denominator has a
-    nonzero constant term, and the expanded series has linear coefficient
-    exactly 1 (unit slope), which forces the inverse series to start
-    x + ... , i.e. a_0 = 1.
-    """
-
+class _SymbolFields(NamedTuple):
     name: str
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        num, den = _int_tuple(self.numerator), _int_tuple(self.denominator)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+
+class ReversiveSymbol(_SymbolFields):
+    """Named rational function alpha(F) = numerator/denominator.
+
+    The two polynomials are int tuples, lowest degree first, trimmed of
+    trailing zeros at construction.  Invariants, also checked at
+    construction, ``_replace`` included: numerator has no constant term,
+    the denominator has a nonzero constant term, and the expanded series
+    has linear coefficient exactly 1 (unit slope), which forces the
+    inverse series to start x + ... , i.e. a_0 = 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, numerator: Iterable[int], denominator: Iterable[int]) -> ReversiveSymbol:
+        num, den = _int_tuple(numerator), _int_tuple(denominator)
         p0, p1 = (*num, 0, 0)[:2]
         q0 = (*den, 0)[0]
         if p0 != 0:
-            raise ValueError(f"symbol {self.name!r}: numerator must vanish at 0")
+            raise ValueError(f"symbol {name!r}: numerator must vanish at 0")
         if q0 == 0:
-            raise ValueError(f"symbol {self.name!r}: denominator must not vanish at 0")
+            raise ValueError(f"symbol {name!r}: denominator must not vanish at 0")
         if p1 != q0:
-            raise ValueError(f"symbol {self.name!r}: expansion must have unit slope")
+            raise ValueError(f"symbol {name!r}: expansion must have unit slope")
+        return super().__new__(cls, name, num, den)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ReversiveSymbol:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TileRule:
-    """Permitted tile side-counts: finite sizes plus at most one arithmetic tail.
-
-    The tail ``start, start+step, start+2*step, ...`` is stored as ``start``
-    and ``step`` (``start`` is None for a finite rule).  Construction
-    canonicalises: sizes the tail covers are dropped and sizes that extend
-    it downwards are folded into it, so rules compare equal exactly when
-    they allow the same side-counts.
-    """
-
+class _RuleFields(NamedTuple):
     sizes: tuple[int, ...]
     start: Optional[int]
     step: int
 
-    def __init__(self, sizes: Iterable[int] = (), start: Optional[int] = None, step: int = 1):
+
+class TileRule(_RuleFields):
+    """Permitted tile side-counts: finite sizes plus at most one arithmetic tail.
+
+    The tail ``start, start+step, start+2*step, ...`` is stored as ``start``
+    and ``step`` (``start`` is None for a finite rule).  Construction,
+    ``_replace`` included, canonicalises: sizes the tail covers are dropped
+    and sizes that extend it downwards are folded into it, so rules compare
+    equal exactly when they allow the same side-counts.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sizes: Iterable[int] = (), start: Optional[int] = None, step: int = 1) -> TileRule:
         finite = set(sizes)
         if not finite and start is None:
             raise InvalidTileSet("tile rule admits no side-count")
@@ -127,10 +144,12 @@ class TileRule:
         else:
             while start - step in finite:
                 start -= step
-            finite = {s for s in finite if not self._in_tail(s, start, step)}
-        object.__setattr__(self, "sizes", tuple(sorted(finite)))
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "step", step)
+            finite = {s for s in finite if not cls._in_tail(s, start, step)}
+        return super().__new__(cls, tuple(sorted(finite)), start, step)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> TileRule:
+        return cls(*iterable)
 
     @staticmethod
     def _in_tail(side_count: int, start: Optional[int], step: int) -> bool:
@@ -182,8 +201,7 @@ def symbol_from_tile_rule(rule: TileRule) -> ReversiveSymbol:
     return ReversiveSymbol(f"tiles({rule.label()})", numerator, g_den)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A shipped sequence and everything known about it.
 
     ``rule`` is the tile rule the sequence counts; None means it counts

@@ -1,7 +1,6 @@
 """CLI contract: output formats, exit statuses, config handling."""
 
 import contextlib
-import dataclasses
 import io
 import sys
 import time
@@ -34,8 +33,8 @@ def _break_shared_conv(monkeypatch):
     """
     real = power_series._conv
 
-    def faulty(a, b, n):
-        out = real(a, b, n)
+    def faulty(a, b, n, lo=0):
+        out = real(a, b, n, lo)
         if n >= 6:
             out[n] += 2520
         return out
@@ -191,7 +190,7 @@ class TestTerms:
 
     def test_closed_form_divisibility_failure_exits_2(self, capsys, monkeypatch):
         patched = tuple(
-            dataclasses.replace(e, closed_form=lambda n: exact_div(7, 2, n)) if e.symbol.name == "catalan" else e
+            e._replace(closed_form=lambda n: exact_div(7, 2, n)) if e.symbol.name == "catalan" else e
             for e in symbols._CATALOG
         )
         monkeypatch.setattr(symbols, "_CATALOG", patched)
@@ -274,7 +273,7 @@ class TestVerify:
 
         real = next(e.closed_form for e in symbols._CATALOG if e.symbol.name == "catalan")
         patched = tuple(
-            dataclasses.replace(e, closed_form=undefined_at_zero) if e.symbol.name == "catalan" else e
+            e._replace(closed_form=undefined_at_zero) if e.symbol.name == "catalan" else e
             for e in symbols._CATALOG
         )
         monkeypatch.setattr(symbols, "_CATALOG", patched)
@@ -291,7 +290,7 @@ class TestVerify:
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         patched = tuple(
-            dataclasses.replace(e, closed_form=lambda n: 999) if e.symbol.name == "catalan" else e
+            e._replace(closed_form=lambda n: 999) if e.symbol.name == "catalan" else e
             for e in symbols._CATALOG
         )
         monkeypatch.setattr(symbols, "_CATALOG", patched)

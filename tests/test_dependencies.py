@@ -1,7 +1,9 @@
-"""The package imports nothing outside the standard library, and only
-``power_series`` holds the series kernels."""
+"""The package imports nothing outside the standard library, only
+``power_series`` holds the series kernels, and importing the CLI stays
+light."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +60,13 @@ def test_only_power_series_binds_a_series_kernel():
     bound = {name: KERNELS & set(_bound_names(tree)) for name, tree in _trees().items()}
     assert bound.pop("power_series") == KERNELS
     assert {name: kernels for name, kernels in bound.items() if kernels} == {}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command starts with this import; dataclasses and the inspect,
+    # ast, dis and tokenize it pulls in were about a third of it.  -S keeps
+    # site-packages hooks out, so only revsym's own imports count
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import revsym.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -258,13 +258,29 @@ class TestCountBySeries:
         degrees = []
         real = power_series._conv
 
-        def recording(a, b, n):
+        def recording(a, b, n, lo=0):
             degrees.append(n)
-            return real(a, b, n)
+            return real(a, b, n, lo)
 
         monkeypatch.setattr(power_series, "_conv", recording)
         count_by_series(255, parse_tile_spec(spec))
         assert degrees.count(255) <= most
+
+    @pytest.mark.parametrize("spec", ["3+", "3,5,7+", "4,3+3"])
+    def test_psi_is_computed_from_the_degree_it_is_read(self, monkeypatch, spec):
+        # the step from degree e to n = 2e + 1 reads Psi only from degree
+        # e + 1, so its two products start there: the steps to 1, 3, ..., 255
+        calls = []
+        real = power_series._conv
+
+        def recording(a, b, n, lo=0):
+            calls.append((n, lo))
+            return real(a, b, n, lo)
+
+        monkeypatch.setattr(power_series, "_conv", recording)
+        count_by_series(255, parse_tile_spec(spec))
+        steps = [(2 * e + 1, e + 1) for e in (0, 1, 3, 7, 15, 31, 63, 127)]
+        assert sorted(call for call in calls if call[1]) == sorted(2 * steps)
 
 
 _SIZE_SETS: dict[int, Counter] = {}

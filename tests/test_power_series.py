@@ -153,14 +153,31 @@ def _sum_of_powers(outer, inner, n):
     return expected
 
 
+class _Factor(int):
+    """An int that logs the index pair of every product it is the left factor of."""
+
+    def __new__(cls, value, index, log):
+        factor = super().__new__(cls, value)
+        factor.index, factor.log = index, log
+        return factor
+
+    def __mul__(self, other):
+        self.log.append((self.index, other.index))
+        return int(self) * int(other)
+
+
+def _factors(coeffs, log):
+    return [_Factor(c, k, log) for k, c in enumerate(coeffs)]
+
+
 def _record_conv_degrees(monkeypatch):
     """Wrap the product kernel so that it records the degree n of every call."""
     degrees = []
     real = power_series._conv
 
-    def recording(a, b, n):
+    def recording(a, b, n, lo=0):
         degrees.append(n)
-        return real(a, b, n)
+        return real(a, b, n, lo)
 
     monkeypatch.setattr(power_series, "_conv", recording)
     return degrees
@@ -173,6 +190,18 @@ def sparse_outers(draw):
     for _ in range(draw(st.integers(1, 5))):
         outer += [0] * (draw(st.integers(1, 20)) - 1) + [draw(small_int.filter(bool))]
     return outer
+
+
+class TestConvLowerBound:
+    @settings(max_examples=200, deadline=None)
+    @given(small_series, st.lists(small_int, max_size=8), st.integers(0, 12), st.integers(0, 14))
+    def test_takes_no_product_below_lo(self, a, b, n, lo):
+        log = []
+        out = _conv(_factors(a, log), _factors(b, log), n, lo)
+        # every product it needs, each once, and none below degree lo
+        assert sorted(log) == [(i, j) for i, ai in enumerate(a) for j, bj in enumerate(b)
+                               if ai and bj and lo <= i + j <= n]
+        assert out == [c if k >= lo else 0 for k, c in enumerate(_conv(a, b, n))]
 
 
 class TestSparseKernels:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from revsym import power_series
-from revsym.dissection_oracle import enumerate_counts
+from revsym.dissection_oracle import Dissection, enumerate_counts
 from revsym.power_series import _conv, _div_raw, lagrange_coefficients, verify_inverse, verify_tautological
 from revsym.symbols import (
     ANY_TILES,
@@ -12,6 +12,7 @@ from revsym.symbols import (
     NO_TRIANGLES,
     ODD_ONLY,
     TRIANGLES_ONLY,
+    CatalogEntry,
     InvalidTileSet,
     ParseError,
     ReversiveSymbol,
@@ -391,3 +392,54 @@ class TestTileSpecParsing:
     def test_rejects_undersized(self):
         with pytest.raises(InvalidTileSet):
             parse_tile_spec("2")
+
+
+SCHROEDER = catalog()[3]
+RECORDS = [ANY_TILES, SCHROEDER.symbol, Dissection(3, [(0, 2)]), SCHROEDER]
+
+
+class TestRecords:
+    """The four record types are NamedTuples that keep the dataclass contract:
+    immutable, printed as before, and checked by every constructor path."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_assigned(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_repr_is_the_field_list(self):
+        assert repr(ANY_TILES) == "TileRule(sizes=(), start=3, step=1)"
+        assert repr(SCHROEDER.symbol) == (
+            "ReversiveSymbol(name='schroeder', numerator=(0, 1, -2), denominator=(1, -1))")
+        assert repr(Dissection(3, [(2, 0)])) == "Dissection(n=3, diagonals=frozenset({(0, 2)}))"
+        assert repr(SCHROEDER).startswith(f"CatalogEntry(symbol={SCHROEDER.symbol!r}, rule={ANY_TILES!r}, ")
+
+    @pytest.mark.parametrize("record, change, error, message", [
+        (ANY_TILES, {"start": 2}, InvalidTileSet, ">= 3"),
+        (ANY_TILES, {"step": 0}, InvalidTileSet, "step"),
+        (SCHROEDER.symbol, {"numerator": (1, 1)}, ValueError, "vanish at 0"),
+        (SCHROEDER.symbol, {"denominator": (2, -1)}, ValueError, "unit slope"),
+        (Dissection(3, [(0, 2)]), {"diagonals": [(0, 2), (1, 3)]}, ValueError, "cross"),
+    ])
+    def test_replace_runs_the_constructor_checks(self, record, change, error, message):
+        with pytest.raises(error, match=message):
+            record._replace(**change)
+        with pytest.raises(error, match=message):
+            type(record)._make(change.get(field, value) for field, value in zip(record._fields, record))
+
+    def test_valid_replace_equals_the_directly_built_record(self):
+        # _replace canonicalises as the constructor does
+        assert ANY_TILES._replace(step=2) == TileRule(start=3, step=2) == ODD_ONLY
+        assert TileRule({3}, 6)._replace(sizes={5, 8}) == TileRule({5}, 6) == TileRule(start=5)
+        trimmed = SCHROEDER.symbol._replace(numerator=[0, 1, -2, 0])
+        assert trimmed == ReversiveSymbol("schroeder", (0, 1, -2), (1, -1)) == SCHROEDER.symbol
+        assert Dissection(3, [(0, 2)])._replace(diagonals=[(3, 0)]) == Dissection(3, [(0, 3)])
+        assert SCHROEDER._replace(rule=None) == CatalogEntry(SCHROEDER.symbol, None, SCHROEDER.closed_form)
+
+    def test_a_record_equals_the_tuple_of_its_fields(self):
+        assert ANY_TILES == ((), 3, 1) and hash(ANY_TILES) == hash(((), 3, 1))
+        assert Dissection(3, [(2, 0)]) == (3, frozenset({(0, 2)}))
+        assert tuple(SCHROEDER) == (SCHROEDER.symbol, ANY_TILES, SCHROEDER.closed_form)
+        assert len({ANY_TILES, TileRule(start=3), parse_tile_spec("3+")}) == 1
