@@ -1,8 +1,9 @@
 """Command-line front end for the dissection-sequence catalog.
 
 Subcommands: ``list``, ``terms``, ``verify``, ``from-tiles``, ``bfile``.
-Exit status: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 exhaustive-enumeration cap exceeded.
+Exit status: 0 success, 1 verification mismatch, 2 usage or parse error.
+``main`` returns 3 if an oracle raises ``CapExceeded``, which no command does
+today: ``verify`` stops each oracle column at its cap and prints ``-`` past it.
 
 ``terms`` (by its default method), ``bfile`` and ``from-tiles`` take their
 terms from direct reversion, and ``from-tiles`` checks them against the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .closed_forms import DomainError
 from .dissection_oracle import (
@@ -32,7 +33,6 @@ from .dissection_oracle import (
 from .exact_arith import NonIntegerCoefficient, _decimal
 from .power_series import count_by_series, lagrange_coefficients, revert_direct
 from .symbols import (
-    CatalogEntry,
     InvalidTileSet,
     ParseError,
     ReversiveSymbol,
@@ -105,37 +105,19 @@ def _fill_settings(args: argparse.Namespace) -> None:
             setattr(args, flag, config.get(key, default))
 
 
-def _lookup(name: str) -> CatalogEntry:
+def _resolve(text: str) -> tuple[ReversiveSymbol, Optional[TileRule], Optional[Callable[[int], int]]]:
+    """The sequence's ``(symbol, rule, closed_form)``, from a catalog name or symbol text.
+
+    A name returns its catalog entry, a NamedTuple of exactly those fields;
+    no rule (motzkin) means it counts chord diagrams.  Symbol text returns
+    its parsed symbol with neither a rule nor a closed form.
+    """
+    if "(" in text or "/" in text:
+        return parse_symbol(text), None, None
     for entry in catalog():
-        if entry.symbol.name == name:
+        if entry.symbol.name == text:
             return entry
-    raise UnknownName(f"unknown sequence {name!r}; try 'revsym list'")
-
-
-def _resolve(name_or_symbol: str) -> tuple[ReversiveSymbol, Optional[CatalogEntry]]:
-    """Returns the symbol, and its catalog entry when it is named by one."""
-    if "(" in name_or_symbol or "/" in name_or_symbol:
-        return parse_symbol(name_or_symbol), None
-    entry = _lookup(name_or_symbol)
-    return entry.symbol, entry
-
-
-def _compute_terms(
-    symbol: ReversiveSymbol,
-    entry: Optional[CatalogEntry],
-    count: int,
-    method: str,
-) -> list[int]:
-    if method == "reversion":
-        return revert_direct(symbol, count - 1)
-    if method == "closed":
-        if entry is None:
-            raise MethodUnavailable("closed forms exist only for catalog sequences")
-        return [entry.closed_form(i) for i in range(count)]
-    # "series", the last choice argparse allows
-    if entry is None or entry.rule is None:
-        raise MethodUnavailable("the series counter needs a tile rule; this sequence has none")
-    return count_by_series(count - 1, entry.rule)
+    raise UnknownName(f"unknown sequence {text!r}; try 'revsym list'")
 
 
 def _listing(terms: list[int]) -> str:
@@ -150,46 +132,58 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_terms(args: argparse.Namespace) -> int:
-    symbol, entry = _resolve(args.name_or_symbol)
-    print(_listing(_compute_terms(symbol, entry, args.count, args.method)), end="")
+    symbol, rule, closed_form = _resolve(args.name_or_symbol)
+    if args.method == "reversion":
+        terms = revert_direct(symbol, args.count - 1)
+    elif args.method == "closed":
+        if closed_form is None:
+            raise MethodUnavailable("closed forms exist only for catalog sequences")
+        terms = [closed_form(i) for i in range(args.count)]
+    elif rule is None:  # "series", the last choice argparse allows
+        raise MethodUnavailable("the series counter needs a tile rule; this sequence has none")
+    else:
+        terms = count_by_series(args.count - 1, rule)
+    print(_listing(terms), end="")
     return 0
 
 
-def _closed_column(entry: CatalogEntry, count: int) -> list[object]:
+def _closed_column(closed_form: Callable[[int], int], count: int) -> list[object]:
     """The closed form per n, ``"excluded"`` where it raises :class:`DomainError`."""
     column: list[object] = []
     for i in range(count):
         try:
-            column.append(entry.closed_form(i))
+            column.append(closed_form(i))
         except DomainError:
             column.append("excluded")
     return column
 
 
-def _oracle_column(entry: CatalogEntry, count: int, args: argparse.Namespace) -> list[int]:
+def _oracle_column(rule: Optional[TileRule], count: int, args: argparse.Namespace) -> list[int]:
     """Exhaustive ground truth per n, for as far as the caps allow.
 
-    Entries with a tile rule go to the dissection enumerator, whose one
-    walk gives every n, the others to the chord counter.
+    ``rule`` is the middle field of ``_resolve``'s triple: a tile rule goes
+    to the dissection enumerator, whose one walk gives every n, and no rule
+    (motzkin) means the chord counter.
     """
-    if entry.rule is not None:
+    if rule is not None:
         cap = args.exhaustive_cap_n
-        return enumerate_counts(min(count - 1, cap), entry.rule, cap=cap)
+        return enumerate_counts(min(count - 1, cap), rule, cap=cap)
     top = min(count - 1, args.chord_cap_p)
     return [count_chord_diagrams(i, cap=args.chord_cap_p) for i in range(top + 1)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     count = args.count
-    entry = _lookup(args.name)
-    symbol, rule = entry.symbol, entry.rule
+    symbol, rule, closed_form = _resolve(args.name)
+    if closed_form is None:  # symbol text: no closed column, and no rule would mean chords
+        raise UnknownName(f"unknown sequence {args.name!r}; try 'revsym list'")
     reversion = lagrange_coefficients(symbol, count - 1)
     # every route runs before the first row prints; a column shorter than
     # the table prints "-" past its end
     columns = {
-        "closed": _closed_column(entry, count),
+        "closed": _closed_column(closed_form, count),
         "series": count_by_series(count - 1, rule) if rule is not None else [],
-        "oracle": _oracle_column(entry, count, args),
+        "oracle": _oracle_column(rule, count, args),
     }
 
     print(f"verify {format_symbol(symbol)}")
@@ -245,7 +239,7 @@ def cmd_from_tiles(args: argparse.Namespace) -> int:
 
 
 def cmd_bfile(args: argparse.Namespace) -> int:
-    symbol, _entry = _resolve(args.name_or_symbol)
+    symbol = _resolve(args.name_or_symbol)[0]
     listing = _listing(revert_direct(symbol, args.count - 1) if args.count else [])
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(listing)

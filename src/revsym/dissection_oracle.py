@@ -152,18 +152,18 @@ def _keep_masks(
     return masks
 
 
-def iter_dissections(n: int, cap: int = DEFAULT_DISSECTION_CAP) -> Iterator[Dissection]:
+def iter_dissections(n: int) -> Iterator[Dissection]:
     """Yield every dissection of the (n+2)-gon, in lexicographic DFS order.
 
     The plain definition: the diagonals chosen so far, in candidate order,
     are extended by every later candidate that crosses none of them.  The
-    n < 1 and cap errors raise at the call, before the first dissection is
-    asked for.
+    n < 1 and n > ``DEFAULT_DISSECTION_CAP`` errors raise at the call,
+    before the first dissection is asked for.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
+    if n > DEFAULT_DISSECTION_CAP:
+        raise CapExceeded(f"n = {n} exceeds the exhaustive cap {DEFAULT_DISSECTION_CAP}")
     cands = _candidate_diagonals(n)
 
     def rec(chosen: tuple[tuple[int, int], ...], start: int) -> Iterator[Dissection]:

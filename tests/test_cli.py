@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -14,7 +16,7 @@ from revsym.closed_forms import DomainError
 from revsym.dissection_oracle import CapExceeded, count_chord_diagrams, enumerate_counts
 from revsym.exact_arith import NonIntegerCoefficient, exact_div
 from revsym.power_series import count_by_series, revert_direct
-from revsym.symbols import TileRule, catalog, parse_symbol, parse_tile_spec
+from revsym.symbols import TileRule, catalog, format_symbol, parse_symbol, parse_tile_spec
 
 
 def run(capsys, *argv):
@@ -88,6 +90,15 @@ class TestList:
         assert rc == 0
         parsed = [parse_symbol(line) for line in out.strip().splitlines()]
         assert parsed == [e.symbol for e in catalog()]
+
+    def test_module_runs_as_a_script(self):
+        # python -m revsym.cli exits with main's status; the child imports
+        # the same revsym package as this process
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "revsym.cli", "list"],
+                                capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines() == [format_symbol(e.symbol) for e in catalog()]
 
 
 class TestTerms:
@@ -239,7 +250,7 @@ class TestVerify:
         ("motzkin", "count_chord_diagrams", _perturbed_count(count_chord_diagrams, 6), "oracle", 6, "ok - {}"),
     ], ids=["series", "dissection-oracle", "chord-oracle"])
     def test_mismatch_in_each_column_exits_1(self, capsys, monkeypatch, name, route, perturbed, column, k, cells):
-        a_k = revert_direct(cli._lookup(name).symbol, k)[k]
+        a_k = revert_direct(cli._resolve(name).symbol, k)[k]
         monkeypatch.setattr(cli, route, perturbed)
         rc, out, _ = run(capsys, "verify", name, "--count", "10", "--exhaustive-cap-n", "8")
         assert rc == 1
@@ -287,6 +298,20 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "nosuch", "--count", "5")
         assert rc == 2
         assert "unknown sequence" in err
+
+    @pytest.mark.parametrize("text", ["(0,1,-1)/(1)", "schroeder: (0,1,-2)/(1,-1)", "3,5"])
+    def test_only_a_catalog_entry_is_verified(self, capsys, monkeypatch, text):
+        # symbol text resolves with neither a closed form nor a rule, and no
+        # rule would send it to the chord oracle; a tile spec names nothing
+        for route in ("lagrange_coefficients", "count_chord_diagrams", "enumerate_counts"):
+            monkeypatch.setattr(cli, route, _never_called)
+        rc, out, err = run(capsys, "verify", text, "--count", "5")
+        assert (rc, out) == (2, "")
+        assert err == f"error: unknown sequence {text!r}; try 'revsym list'\n"
+
+    def test_malformed_symbol_text_reports_the_parse_error(self, capsys):
+        rc, out, err = run(capsys, "verify", "(0,1", "--count", "5")
+        assert (rc, out, err) == (2, "", "error: expected (numerator)/(denominator)\n")
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         patched = tuple(
@@ -481,8 +506,8 @@ class TestRoutes:
         assert self._listings(capsys, tmp_path) == expected
 
     def test_terms_and_bfile_print_direct_reversion(self, capsys, monkeypatch, tmp_path):
-        schroeder = revert_direct(cli._lookup("schroeder").symbol, 29)
-        catalan = revert_direct(cli._lookup("catalan").symbol, 49)
+        schroeder = revert_direct(cli._resolve("schroeder").symbol, 29)
+        catalan = revert_direct(cli._resolve("catalan").symbol, 49)
         monkeypatch.setattr(cli, "revert_direct", _perturbed(revert_direct, 7))
         rc, out, _ = run(capsys, "terms", "schroeder", "--count", "30")
         assert rc == 0

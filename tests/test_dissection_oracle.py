@@ -1,4 +1,4 @@
-"""Exhaustive enumeration, tile extraction, series counter, chord oracle."""
+"""Exhaustive enumeration, tile extraction, chord oracle."""
 
 from collections import Counter
 from itertools import combinations
@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revsym import power_series
 from revsym.closed_forms import motzkin_term
 from revsym.dissection_oracle import (
     DEFAULT_CHORD_CAP,
@@ -24,7 +23,6 @@ from revsym.symbols import (
     ODD_ONLY,
     TRIANGLES_ONLY,
     TileRule,
-    parse_tile_spec,
     symbol_from_tile_rule,
 )
 from revsym.power_series import count_by_series, lagrange_coefficients, revert_direct, verify_tautological
@@ -200,89 +198,6 @@ class TestEnumerateCounts:
             enumerate_counts(-1, ANY_TILES)
 
 
-class TestCountBySeries:
-    def test_all_dissections(self):
-        assert count_by_series(5, ANY_TILES) == [1, 1, 3, 11, 45, 197]
-
-    def test_triangulations(self):
-        assert count_by_series(5, TRIANGLES_ONLY) == [1, 1, 2, 5, 14, 42]
-
-    def test_odd_tiles_pins_later_terms(self):
-        # n <= 6 re-derived exhaustively here; the tail values 71 and 264
-        # were first produced by this counter and frozen after that check
-        got = count_by_series(6, ODD_ONLY)
-        assert got == enumerate_counts(6, ODD_ONLY)
-        assert got == [1, 1, 2, 6, 20, 71, 264]
-
-    def test_zero_terms(self):
-        for rule in ALL_RULES:
-            assert count_by_series(0, rule) == [1]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match=r"^need n_max >= 0$"):
-            count_by_series(-1, ANY_TILES)
-
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=list(KEYWORD_RULES))
-    def test_matches_enumeration_to_seven(self, rule):
-        assert count_by_series(7, rule) == enumerate_counts(7, rule)
-
-    def test_custom_rule_matches_enumeration(self):
-        rule = TileRule({4})
-        assert count_by_series(7, rule) == enumerate_counts(7, rule)
-
-    def test_custom_tail_rule_matches_enumeration(self):
-        rule = TileRule({3}, start=6)
-        assert count_by_series(7, rule) == enumerate_counts(7, rule)
-
-    def test_stepped_tail_rule_matches_enumeration(self):
-        rule = TileRule({4}, start=3, step=3)
-        assert count_by_series(7, rule) == enumerate_counts(7, rule)
-
-    @pytest.mark.parametrize("rule", ALL_RULES + CUSTOM_RULES + TAIL_RULES, ids=TileRule.label)
-    def test_newton_matches_direct_reversion_at_every_precision(self, rule):
-        # n = 2^k takes one Newton step more than n = 2^k - 1; 0..40 crosses
-        # that boundary for every k <= 5, and 63..128 for k = 6 and 7.  The
-        # step to n = 1 reads the Jacobian to degree 0 and the steps to
-        # n = 2 and 3 to degree 1
-        expected = revert_direct(symbol_from_tile_rule(rule), 128)
-        for n in [*range(41), 63, 64, 127, 128]:
-            series = count_by_series(n, rule)
-            assert all(type(v) is int for v in series)
-            assert series == expected[: n + 1], n
-
-    @pytest.mark.parametrize("spec, most", [("3,5,7+", 8), ("4,3+3", 7), ("3+", 4)])
-    def test_last_step_reads_the_jacobian_at_half_precision(self, monkeypatch, spec, most):
-        # the step to degree 255 composes Ng and Dg at 255 but Ng' and Dg'
-        # only at 126, so only the first composition's products and psi's
-        # two run at the top degree
-        degrees = []
-        real = power_series._conv
-
-        def recording(a, b, n, lo=0):
-            degrees.append(n)
-            return real(a, b, n, lo)
-
-        monkeypatch.setattr(power_series, "_conv", recording)
-        count_by_series(255, parse_tile_spec(spec))
-        assert degrees.count(255) <= most
-
-    @pytest.mark.parametrize("spec", ["3+", "3,5,7+", "4,3+3"])
-    def test_psi_is_computed_from_the_degree_it_is_read(self, monkeypatch, spec):
-        # the step from degree e to n = 2e + 1 reads Psi only from degree
-        # e + 1, so its two products start there: the steps to 1, 3, ..., 255
-        calls = []
-        real = power_series._conv
-
-        def recording(a, b, n, lo=0):
-            calls.append((n, lo))
-            return real(a, b, n, lo)
-
-        monkeypatch.setattr(power_series, "_conv", recording)
-        count_by_series(255, parse_tile_spec(spec))
-        steps = [(2 * e + 1, e + 1) for e in (0, 1, 3, 7, 15, 31, 63, 127)]
-        assert sorted(call for call in calls if call[1]) == sorted(2 * steps)
-
-
 _SIZE_SETS: dict[int, Counter] = {}
 
 
@@ -344,27 +259,6 @@ class TestRandomRules:
         expected = [1] + [_allowed(n, rule) for n in range(1, 9)]
         assert [enumerate_counts(n, rule)[n] for n in range(9)] == expected, rule.label()
         assert enumerate_counts(8, rule) == expected, rule.label()
-
-
-@st.composite
-def sparse_tile_rules(draw):
-    """Random sparse rules: one to three sizes in 3..60, plus an optional tail."""
-    start = draw(st.none() | st.integers(3, 60))
-    sizes = draw(st.frozensets(st.integers(3, 60), min_size=0 if start else 1, max_size=3))
-    return TileRule(sizes, start, draw(st.integers(1, 20)))
-
-
-class TestSparseRules:
-    @settings(max_examples=40, deadline=None)
-    @given(sparse_tile_rules())
-    def test_newton_and_both_reversion_routes_agree(self, rule):
-        # N passes the largest size, so every nonzero coefficient of the
-        # generating pair takes part in the power tables and rows
-        n = max((*rule.sizes, rule.start or 0)) + 8
-        series = count_by_series(n, rule)
-        symbol = symbol_from_tile_rule(rule)
-        assert revert_direct(symbol, n) == series, rule.label()
-        assert lagrange_coefficients(symbol, n) == series, rule.label()
 
 
 def _chords_meet_by_coordinates(p, q):
