@@ -2,6 +2,7 @@
 
 Subcommands: ``list``, ``terms``, ``verify``, ``from-tiles``, ``bfile``.
 Exit status: 0 success, 1 verification mismatch, 2 usage or parse error.
+Every refusal of a sequence, method or config file raises ``ParseError``.
 ``main`` returns 3 if an oracle raises ``CapExceeded``, which no command does
 today: ``verify`` stops each oracle column at its cap and prints ``-`` past it.
 
@@ -44,17 +45,9 @@ from .symbols import (
     symbol_from_tile_rule,
 )
 
-__all__ = ["main", "UnknownName", "MethodUnavailable"]
+__all__ = ["main"]
 
 DEFAULT_COUNT = 10
-
-
-class UnknownName(ValueError):
-    """A sequence name that is not in the catalog."""
-
-
-class MethodUnavailable(ValueError):
-    """The requested computation path does not exist for this sequence."""
 
 
 # config key -> (the flag it fills, its built-in default)
@@ -117,7 +110,7 @@ def _resolve(text: str) -> tuple[ReversiveSymbol, Optional[TileRule], Optional[C
     for entry in catalog():
         if entry.symbol.name == text:
             return entry
-    raise UnknownName(f"unknown sequence {text!r}; try 'revsym list'")
+    raise ParseError(f"unknown sequence {text!r}; try 'revsym list'")
 
 
 def _listing(terms: list[int]) -> str:
@@ -137,10 +130,10 @@ def cmd_terms(args: argparse.Namespace) -> int:
         terms = revert_direct(symbol, args.count - 1)
     elif args.method == "closed":
         if closed_form is None:
-            raise MethodUnavailable("closed forms exist only for catalog sequences")
+            raise ParseError("closed forms exist only for catalog sequences")
         terms = [closed_form(i) for i in range(args.count)]
     elif rule is None:  # "series", the last choice argparse allows
-        raise MethodUnavailable("the series counter needs a tile rule; this sequence has none")
+        raise ParseError("the series counter needs a tile rule; this sequence has none")
     else:
         terms = count_by_series(args.count - 1, rule)
     print(_listing(terms), end="")
@@ -176,7 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     count = args.count
     symbol, rule, closed_form = _resolve(args.name)
     if closed_form is None:  # symbol text: no closed column, and no rule would mean chords
-        raise UnknownName(f"unknown sequence {args.name!r}; try 'revsym list'")
+        raise ParseError(f"unknown sequence {args.name!r}; try 'revsym list'")
     reversion = lagrange_coefficients(symbol, count - 1)
     # every route runs before the first row prints; a column shorter than
     # the table prints "-" past its end
@@ -312,8 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, UnknownName, MethodUnavailable, InvalidTileSet, DomainError,
-            NonIntegerCoefficient) as exc:
+    except (ParseError, InvalidTileSet, DomainError, NonIntegerCoefficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

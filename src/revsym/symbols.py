@@ -60,7 +60,7 @@ class InvalidTileSet(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed symbol text or tile-rule spec."""
+    """Input the package cannot use: symbol text, spec, sequence name, method or config file."""
 
 
 def _int_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:

@@ -30,6 +30,8 @@ from revsym.symbols import (
     parse_tile_spec,
 )
 
+from shared import catalog_entry
+
 _cache: dict = {}
 
 
@@ -105,7 +107,7 @@ def test_criterion_4_functional_identities():
             assert verify_inverse(e.symbol, terms), e.symbol.name
             if e.rule is not None:
                 assert verify_tautological(e.rule, terms), e.symbol.name
-        even_entry = next(e.symbol for e in catalog() if e.symbol.name == "eventiles")
+        even_entry = catalog_entry("eventiles").symbol
         rev = terms_to(even_entry, 199)
         for n in range(1, 200, 2):
             assert even_term(n) == 0, n

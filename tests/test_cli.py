@@ -18,6 +18,8 @@ from revsym.exact_arith import NonIntegerCoefficient, exact_div
 from revsym.power_series import count_by_series, revert_direct
 from revsym.symbols import TileRule, catalog, format_symbol, parse_symbol, parse_tile_spec
 
+from shared import catalog_entry
+
 
 def run(capsys, *argv):
     rc = cli.main(list(argv))
@@ -282,7 +284,7 @@ class TestVerify:
                 raise DomainError("undefined at n=0")
             return real(n)
 
-        real = next(e.closed_form for e in symbols._CATALOG if e.symbol.name == "catalan")
+        real = catalog_entry("catalan").closed_form
         patched = tuple(
             e._replace(closed_form=undefined_at_zero) if e.symbol.name == "catalan" else e
             for e in symbols._CATALOG

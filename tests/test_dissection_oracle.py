@@ -27,16 +27,7 @@ from revsym.symbols import (
 )
 from revsym.power_series import count_by_series, lagrange_coefficients, revert_direct, verify_tautological
 
-KEYWORD_RULES = {
-    "any": ANY_TILES,
-    "triangles": TRIANGLES_ONLY,
-    "notriangles": NO_TRIANGLES,
-    "odd": ODD_ONLY,
-    "even": EVEN_ONLY,
-}
-ALL_RULES = list(KEYWORD_RULES.values())
-CUSTOM_RULES = [TileRule({4}), TileRule({3}, start=6), TileRule({4}, start=3, step=3)]
-TAIL_RULES = [TileRule(set(), start=6, step=4), TileRule({3, 5}, start=7)]
+from shared import ALL_RULES, CUSTOM_RULES, TAIL_RULES
 
 
 def _crossing_by_coordinates(p, q, n):

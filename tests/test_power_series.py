@@ -1,5 +1,6 @@
-"""Series kernels on int lists, the two reversion routes, a symbol as a series, and the
-tile-equation counter (route 4)."""
+"""Series kernels on int lists, the two reversion routes, a symbol as a series, the
+tile-equation counter (route 4), and the two certificates, verify_inverse and
+verify_tautological."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from revsym.power_series import (
     lagrange_coefficients,
     revert_direct,
     verify_inverse,
+    verify_tautological,
 )
 from revsym.symbols import (
     ANY_TILES,
@@ -30,17 +32,7 @@ from revsym.symbols import (
 )
 from revsym.dissection_oracle import enumerate_counts
 
-
-KEYWORD_RULES = {
-    "any": ANY_TILES,
-    "triangles": TRIANGLES_ONLY,
-    "notriangles": NO_TRIANGLES,
-    "odd": ODD_ONLY,
-    "even": EVEN_ONLY,
-}
-ALL_RULES = list(KEYWORD_RULES.values())
-CUSTOM_RULES = [TileRule({4}), TileRule({3}, start=6), TileRule({4}, start=3, step=3)]
-TAIL_RULES = [TileRule(set(), start=6, step=4), TileRule({3, 5}, start=7)]
+from shared import ALL_RULES, CUSTOM_RULES, TAIL_RULES, catalog_entry
 
 
 def one(n):
@@ -302,13 +294,6 @@ class TestSparseSymbols:
         _assert_routes_agree(sym, 30)
 
 
-def _catalog_symbol(name):
-    for entry in catalog():
-        if entry.symbol.name == name:
-            return entry.symbol
-    raise KeyError(name)
-
-
 class TestSymbolSeries:
     # P/Q as a series, by the one division; the certificates avoid it
     @pytest.mark.parametrize("name, k, expected", [
@@ -317,7 +302,7 @@ class TestSymbolSeries:
         ("eventiles", 5, [0, 1, 0, -1, 0, -1]),
     ], ids=["schroeder", "catalan-is-polynomial", "eventiles"])
     def test_catalog_expansion(self, name, k, expected):
-        sym = _catalog_symbol(name)
+        sym = catalog_entry(name).symbol
         assert _div_raw(sym.numerator, sym.denominator, k) == expected
 
     def test_expansion_starts_with_unit_slope(self):
@@ -332,25 +317,15 @@ class TestSymbolSeries:
 
 
 class TestLagrange:
-    def test_catalan_terms_match_exhaustive_triangulations(self):
-        expected = enumerate_counts(5, TRIANGLES_ONLY)
-        assert expected == [1, 1, 2, 5, 14, 42]
-        assert lagrange_coefficients(_catalog_symbol("catalan"), 5) == expected
-
-    def test_schroeder_terms_match_exhaustive_dissections(self):
-        expected = enumerate_counts(5, ANY_TILES)
-        assert expected == [1, 1, 3, 11, 45, 197]
-        assert lagrange_coefficients(_catalog_symbol("schroeder"), 5) == expected
-
-    def test_triangle_free_terms_match_exhaustive(self):
-        expected = enumerate_counts(6, NO_TRIANGLES)
-        assert expected == [1, 0, 1, 1, 4, 8, 25]
-        assert lagrange_coefficients(_catalog_symbol("trianglefree"), 6) == expected
-
-    def test_even_terms_match_exhaustive_and_vanish_at_odd(self):
-        expected = enumerate_counts(6, EVEN_ONLY)
-        assert expected == [1, 0, 1, 0, 4, 0, 21]
-        assert lagrange_coefficients(_catalog_symbol("eventiles"), 6) == expected
+    @pytest.mark.parametrize("name, rule, n, expected", [
+        ("catalan", TRIANGLES_ONLY, 5, [1, 1, 2, 5, 14, 42]),
+        ("schroeder", ANY_TILES, 5, [1, 1, 3, 11, 45, 197]),
+        ("trianglefree", NO_TRIANGLES, 6, [1, 0, 1, 1, 4, 8, 25]),
+        ("eventiles", EVEN_ONLY, 6, [1, 0, 1, 0, 4, 0, 21]),  # vanishes at odd n
+    ], ids=["catalan", "schroeder", "trianglefree", "eventiles"])
+    def test_terms_match_exhaustive_enumeration(self, name, rule, n, expected):
+        assert enumerate_counts(n, rule) == expected
+        assert lagrange_coefficients(catalog_entry(name).symbol, n) == expected
 
     def test_n_zero_gives_single_term(self):
         for sym in (entry.symbol for entry in catalog()):
@@ -359,7 +334,7 @@ class TestLagrange:
     def test_negative_n_raises(self):
         for route in (lagrange_coefficients, revert_direct):
             with pytest.raises(ValueError, match=r"^N must be >= 0$"):
-                route(_catalog_symbol("catalan"), -1)
+                route(catalog_entry("catalan").symbol, -1)
 
     def test_non_integer_coefficient_raises(self):
         # unit slope (2/2), but the inverse series is not integral
@@ -371,7 +346,7 @@ class TestLagrange:
 
 class TestRevertDirect:
     def test_catalan_shifted(self):
-        assert revert_direct(_catalog_symbol("catalan"), 3) == [1, 1, 2, 5]
+        assert revert_direct(catalog_entry("catalan").symbol, 3) == [1, 1, 2, 5]
 
     def test_identity(self):
         assert revert_direct(parse_symbol("(0,1)/(1)"), 4) == [1, 0, 0, 0, 0]
@@ -404,7 +379,7 @@ class TestRevertDirect:
             return real(a, b)
 
         monkeypatch.setattr(power_series, "mul", counting)
-        sym = _catalog_symbol(name)
+        sym = catalog_entry(name).symbol
         assert revert_direct(sym, 200) == lagrange_coefficients(sym, 200)
         assert count <= most
 
@@ -431,20 +406,8 @@ class TestCountBySeries:
         with pytest.raises(ValueError, match=r"^need n_max >= 0$"):
             count_by_series(-1, ANY_TILES)
 
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=list(KEYWORD_RULES))
+    @pytest.mark.parametrize("rule", ALL_RULES + CUSTOM_RULES, ids=TileRule.label)
     def test_matches_enumeration_to_seven(self, rule):
-        assert count_by_series(7, rule) == enumerate_counts(7, rule)
-
-    def test_custom_rule_matches_enumeration(self):
-        rule = TileRule({4})
-        assert count_by_series(7, rule) == enumerate_counts(7, rule)
-
-    def test_custom_tail_rule_matches_enumeration(self):
-        rule = TileRule({3}, start=6)
-        assert count_by_series(7, rule) == enumerate_counts(7, rule)
-
-    def test_stepped_tail_rule_matches_enumeration(self):
-        rule = TileRule({4}, start=3, step=3)
         assert count_by_series(7, rule) == enumerate_counts(7, rule)
 
     @pytest.mark.parametrize("rule", ALL_RULES + CUSTOM_RULES + TAIL_RULES, ids=TileRule.label)
@@ -497,3 +460,91 @@ class TestSparseRules:
         symbol = symbol_from_tile_rule(rule)
         assert revert_direct(symbol, n) == series, rule.label()
         assert lagrange_coefficients(symbol, n) == series, rule.label()
+
+
+class TestVerifiers:
+    def test_verify_inverse_accepts_exhaustive_catalan_counts(self):
+        sym, rule, _ = catalog_entry("catalan")
+        terms = enumerate_counts(4, rule)
+        assert terms == [1, 1, 2, 5, 14]
+        assert verify_inverse(sym, terms)
+
+    def test_verify_inverse_rejects_perturbation(self):
+        sym = catalog_entry("catalan").symbol
+        assert not verify_inverse(sym, [1, 1, 2, 5, 15])
+
+    def test_verify_inverse_accepts_exhaustive_schroeder_counts(self):
+        sym, rule, _ = catalog_entry("schroeder")
+        terms = enumerate_counts(4, rule)
+        assert terms == [1, 1, 3, 11, 45]
+        assert verify_inverse(sym, terms)
+
+    def test_verify_inverse_needs_no_division(self):
+        # schroeder with P and Q doubled has the same inverse; (2F - F^2)/2 has no integral one
+        doubled = parse_symbol("(0,2,-4)/(2,-2)")
+        assert verify_inverse(doubled, [1, 1, 3, 11, 45])
+        assert not verify_inverse(doubled, [1, 1, 3, 11, 46])
+        assert not verify_inverse(parse_symbol("(0,2,-1)/(2)"), [1, 0, 0])
+
+    def test_verify_inverse_takes_no_quotient(self, monkeypatch):
+        # checked as P(F) = x Q(F), with no quotient P/Q.
+        # Lagrange divides, so its terms are computed before the patch
+        reverted = [(e.symbol, lagrange_coefficients(e.symbol, 30)) for e in catalog()]
+
+        def no_division(*args):
+            raise AssertionError("verify_inverse divided")
+
+        monkeypatch.setattr(power_series, "_div_raw", no_division)
+        for sym, terms in reverted:
+            assert verify_inverse(sym, terms), sym.name
+            terms[30] += 1
+            assert not verify_inverse(sym, terms), sym.name
+
+    def test_verify_tautological_needs_no_division(self, monkeypatch):
+        # checked as Dg(xA) (A - 1) = A Ng(xA), with no quotient Ng/Dg.
+        # Lagrange divides, so its terms are computed before the patch
+        tiled = [(e, lagrange_coefficients(e.symbol, 30)) for e in catalog() if e.rule is not None]
+
+        def no_division(*args):
+            raise AssertionError("verify_tautological divided")
+
+        monkeypatch.setattr(power_series, "_div_raw", no_division)
+        for e, terms in tiled:
+            assert verify_tautological(e.rule, terms), e.symbol.name
+            terms[30] += 1
+            assert not verify_tautological(e.rule, terms), e.symbol.name
+
+    def test_verifiers_need_a_0(self):
+        sym, rule, _ = catalog_entry("catalan")
+        with pytest.raises(ValueError, match=r"^need at least a_0$"):
+            verify_inverse(sym, [])
+        with pytest.raises(ValueError, match=r"^need at least a_0$"):
+            verify_tautological(rule, [])
+
+    def test_verify_tautological_accepts_exhaustive_counts(self):
+        terms = enumerate_counts(5, NO_TRIANGLES)
+        assert terms == [1, 0, 1, 1, 4, 8]
+        assert verify_tautological(NO_TRIANGLES, terms)
+
+    def test_verify_tautological_catalan_recurrence(self):
+        assert verify_tautological(TRIANGLES_ONLY, [1, 1, 2, 5, 14])
+
+    def test_verify_tautological_rejects_perturbation(self):
+        assert not verify_tautological(ANY_TILES, [1, 1, 3, 11, 46])
+
+    def test_all_catalog_symbols_verify_at_depth_sixty(self):
+        for e in catalog():
+            terms = lagrange_coefficients(e.symbol, 60)
+            assert verify_inverse(e.symbol, terms), e.symbol.name
+            if e.rule is not None:
+                assert verify_tautological(e.rule, terms), e.symbol.name
+
+    def test_custom_rule_closes_the_loop(self):
+        # synthesized symbol, reversion terms, exhaustive counts and the
+        # tile equation must all tell the same story
+        rule = TileRule({3}, start=6)
+        sym = symbol_from_tile_rule(rule)
+        terms = lagrange_coefficients(sym, 7)
+        assert terms == enumerate_counts(7, rule)
+        assert verify_inverse(sym, terms)
+        assert verify_tautological(rule, terms)

@@ -52,6 +52,20 @@ def test_series_computations_are_declared_by_power_series_alone():
         assert not (routes | wrappers) & set(vars(module)), module.__name__
 
 
+def test_cli_exports_main_alone_and_declares_no_error_type():
+    # every refusal of the CLI raises an error type of the library modules,
+    # so `main` maps one set of types to exit 2
+    from revsym import cli
+
+    assert cli.__all__ == ["main"]
+    declared = [
+        name
+        for name, value in vars(cli).items()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == cli.__name__
+    ]
+    assert declared == []
+
+
 def test_readme_library_block_runs_and_imports_only_public_names():
     block = _library_block()
     imported = {

@@ -1,11 +1,10 @@
-"""Symbol catalog, tile-rule synthesis, the two certificates on them, and the text format."""
+"""Symbol catalog, tile-rule synthesis, the text format, and the record types."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from revsym import power_series
-from revsym.dissection_oracle import Dissection, enumerate_counts
-from revsym.power_series import _conv, _div_raw, lagrange_coefficients, verify_inverse, verify_tautological
+from revsym.dissection_oracle import Dissection
+from revsym.power_series import _conv, _div_raw
 from revsym.symbols import (
     ANY_TILES,
     EVEN_ONLY,
@@ -24,6 +23,8 @@ from revsym.symbols import (
     symbol_from_tile_rule,
 )
 
+from shared import catalog_entry
+
 
 @st.composite
 def random_rules(draw):
@@ -36,13 +37,6 @@ def random_rules(draw):
     return TileRule(sizes, *tail)
 
 
-def entry(name):
-    for e in catalog():
-        if e.symbol.name == name:
-            return e.symbol, e.rule
-    raise KeyError(name)
-
-
 class TestCatalog:
     def test_has_exactly_six_entries(self):
         assert len(catalog()) == 6
@@ -51,41 +45,19 @@ class TestCatalog:
         names = [e.symbol.name for e in catalog()]
         assert names == ["trianglefree", "oddtiles", "eventiles", "schroeder", "catalan", "motzkin"]
 
-    def test_catalan_symbol(self):
-        sym, rule = entry("catalan")
-        assert sym.numerator == (0, 1, -1)
-        assert sym.denominator == (1,)
-        assert rule == TRIANGLES_ONLY
-
-    def test_triangle_free_symbol(self):
-        sym, rule = entry("trianglefree")
-        assert sym.numerator == (0, 1, -1, -1)
-        assert sym.denominator == (1, -1)
-        assert rule == NO_TRIANGLES
-
-    def test_odd_symbol(self):
-        sym, rule = entry("oddtiles")
-        assert sym.numerator == (0, 1, -1, -1)
-        assert sym.denominator == (1, 0, -1)
-        assert rule == ODD_ONLY
-
-    def test_even_symbol(self):
-        sym, rule = entry("eventiles")
-        assert sym.numerator == (0, 1, 0, -2)
-        assert sym.denominator == (1, 0, -1)
-        assert rule == EVEN_ONLY
-
-    def test_schroeder_symbol(self):
-        sym, rule = entry("schroeder")
-        assert sym.numerator == (0, 1, -2)
-        assert sym.denominator == (1, -1)
-        assert rule == ANY_TILES
-
-    def test_motzkin_symbol_has_no_rule(self):
-        sym, rule = entry("motzkin")
-        assert sym.numerator == (0, 1, -1)
-        assert sym.denominator == (1, 0, 0, -1)
-        assert rule is None
+    @pytest.mark.parametrize("name, numerator, denominator, rule", [
+        ("catalan", (0, 1, -1), (1,), TRIANGLES_ONLY),
+        ("trianglefree", (0, 1, -1, -1), (1, -1), NO_TRIANGLES),
+        ("oddtiles", (0, 1, -1, -1), (1, 0, -1), ODD_ONLY),
+        ("eventiles", (0, 1, 0, -2), (1, 0, -1), EVEN_ONLY),
+        ("schroeder", (0, 1, -2), (1, -1), ANY_TILES),
+        ("motzkin", (0, 1, -1), (1, 0, 0, -1), None),  # no rule: it counts chord diagrams
+    ], ids=["catalan", "trianglefree", "oddtiles", "eventiles", "schroeder", "motzkin-has-no-rule"])
+    def test_symbol_and_rule(self, name, numerator, denominator, rule):
+        sym, entry_rule, _ = catalog_entry(name)
+        assert sym.numerator == numerator
+        assert sym.denominator == denominator
+        assert entry_rule == rule
 
 
 class TestSymbolInvariants:
@@ -107,7 +79,7 @@ class TestSymbolInvariants:
 
     def test_trims_trailing_zeros(self):
         sym = ReversiveSymbol("c", (0, 1, -1, 0), (1, 0))
-        catalan, _ = entry("catalan")
+        catalan = catalog_entry("catalan").symbol
         assert (sym.numerator, sym.denominator) == (catalan.numerator, catalan.denominator)
 
     def test_rejects_non_int(self):
@@ -162,25 +134,16 @@ class TestTileRule:
 
 
 class TestSynthesis:
-    def test_no_triangles(self):
-        sym = symbol_from_tile_rule(NO_TRIANGLES)
-        assert sym.numerator == (0, 1, -1, -1)
-        assert sym.denominator == (1, -1)
-
-    def test_odd_only(self):
-        sym = symbol_from_tile_rule(ODD_ONLY)
-        assert sym.numerator == (0, 1, -1, -1)
-        assert sym.denominator == (1, 0, -1)
-
-    def test_triangles_only(self):
-        sym = symbol_from_tile_rule(TRIANGLES_ONLY)
-        assert sym.numerator == (0, 1, -1)
-        assert sym.denominator == (1,)
-
-    def test_single_custom_size(self):
-        sym = symbol_from_tile_rule(TileRule({4}))
-        assert sym.numerator == (0, 1, 0, -1)
-        assert sym.denominator == (1,)
+    @pytest.mark.parametrize("rule, numerator, denominator", [
+        (NO_TRIANGLES, (0, 1, -1, -1), (1, -1)),
+        (ODD_ONLY, (0, 1, -1, -1), (1, 0, -1)),
+        (TRIANGLES_ONLY, (0, 1, -1), (1,)),
+        (TileRule({4}), (0, 1, 0, -1), (1,)),
+    ], ids=["no_triangles", "odd_only", "triangles_only", "single_custom_size"])
+    def test_symbol_of_rule(self, rule, numerator, denominator):
+        sym = symbol_from_tile_rule(rule)
+        assert sym.numerator == numerator
+        assert sym.denominator == denominator
 
     def test_matches_catalog_after_cross_multiplication(self):
         # P1 Q2 == P2 Q1 identifies equal rational functions
@@ -213,97 +176,9 @@ class TestSynthesis:
 
     def test_custom_tail_reconstructs_triangle_free(self):
         sym = symbol_from_tile_rule(TileRule(start=4))
-        ref, _ = entry("trianglefree")
+        ref = catalog_entry("trianglefree").symbol
         assert sym.numerator == ref.numerator
         assert sym.denominator == ref.denominator
-
-
-class TestVerifiers:
-    def test_verify_inverse_accepts_exhaustive_catalan_counts(self):
-        sym, rule = entry("catalan")
-        terms = enumerate_counts(4, rule)
-        assert terms == [1, 1, 2, 5, 14]
-        assert verify_inverse(sym, terms)
-
-    def test_verify_inverse_rejects_perturbation(self):
-        sym, _ = entry("catalan")
-        assert not verify_inverse(sym, [1, 1, 2, 5, 15])
-
-    def test_verify_inverse_accepts_exhaustive_schroeder_counts(self):
-        sym, rule = entry("schroeder")
-        terms = enumerate_counts(4, rule)
-        assert terms == [1, 1, 3, 11, 45]
-        assert verify_inverse(sym, terms)
-
-    def test_verify_inverse_needs_no_division(self):
-        # schroeder with P and Q doubled has the same inverse; (2F - F^2)/2 has no integral one
-        doubled = parse_symbol("(0,2,-4)/(2,-2)")
-        assert verify_inverse(doubled, [1, 1, 3, 11, 45])
-        assert not verify_inverse(doubled, [1, 1, 3, 11, 46])
-        assert not verify_inverse(parse_symbol("(0,2,-1)/(2)"), [1, 0, 0])
-
-    def test_verify_inverse_takes_no_quotient(self, monkeypatch):
-        # checked as P(F) = x Q(F), with no quotient P/Q.
-        # Lagrange divides, so its terms are computed before the patch
-        reverted = [(e.symbol, lagrange_coefficients(e.symbol, 30)) for e in catalog()]
-
-        def no_division(*args):
-            raise AssertionError("verify_inverse divided")
-
-        monkeypatch.setattr(power_series, "_div_raw", no_division)
-        for sym, terms in reverted:
-            assert verify_inverse(sym, terms), sym.name
-            terms[30] += 1
-            assert not verify_inverse(sym, terms), sym.name
-
-    def test_verify_tautological_needs_no_division(self, monkeypatch):
-        # checked as Dg(xA) (A - 1) = A Ng(xA), with no quotient Ng/Dg.
-        # Lagrange divides, so its terms are computed before the patch
-        tiled = [(e, lagrange_coefficients(e.symbol, 30)) for e in catalog() if e.rule is not None]
-
-        def no_division(*args):
-            raise AssertionError("verify_tautological divided")
-
-        monkeypatch.setattr(power_series, "_div_raw", no_division)
-        for e, terms in tiled:
-            assert verify_tautological(e.rule, terms), e.symbol.name
-            terms[30] += 1
-            assert not verify_tautological(e.rule, terms), e.symbol.name
-
-    def test_verifiers_need_a_0(self):
-        sym, rule = entry("catalan")
-        with pytest.raises(ValueError, match=r"^need at least a_0$"):
-            verify_inverse(sym, [])
-        with pytest.raises(ValueError, match=r"^need at least a_0$"):
-            verify_tautological(rule, [])
-
-    def test_verify_tautological_accepts_exhaustive_counts(self):
-        terms = enumerate_counts(5, NO_TRIANGLES)
-        assert terms == [1, 0, 1, 1, 4, 8]
-        assert verify_tautological(NO_TRIANGLES, terms)
-
-    def test_verify_tautological_catalan_recurrence(self):
-        assert verify_tautological(TRIANGLES_ONLY, [1, 1, 2, 5, 14])
-
-    def test_verify_tautological_rejects_perturbation(self):
-        assert not verify_tautological(ANY_TILES, [1, 1, 3, 11, 46])
-
-    def test_all_catalog_symbols_verify_at_depth_sixty(self):
-        for e in catalog():
-            terms = lagrange_coefficients(e.symbol, 60)
-            assert verify_inverse(e.symbol, terms), e.symbol.name
-            if e.rule is not None:
-                assert verify_tautological(e.rule, terms), e.symbol.name
-
-    def test_custom_rule_closes_the_loop(self):
-        # synthesized symbol, reversion terms, exhaustive counts and the
-        # tile equation must all tell the same story
-        rule = TileRule({3}, start=6)
-        sym = symbol_from_tile_rule(rule)
-        terms = lagrange_coefficients(sym, 7)
-        assert terms == enumerate_counts(7, rule)
-        assert verify_inverse(sym, terms)
-        assert verify_tautological(rule, terms)
 
 
 class TestTextFormat:
