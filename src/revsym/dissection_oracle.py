@@ -21,30 +21,23 @@ defect in :mod:`power_series` can reach them:
   points, the model behind the motzkin entry.  It walks the same way,
   one mask of free chords per node.
 
-The reference the walk is tested against, :func:`iter_dissections` with
-:func:`tiles_of`, is the plain definition: it shares the crossing test
-and the candidate list with the walk but none of its masks, its order or
-its tally, so a defect in the walk's bookkeeping cannot reach both sides
-of that check and cancel.
+These two counters are all the module holds.  Their reference, the plain
+definition, lives in ``tests/test_dissection_oracle.py`` and shares no code
+with them, not even the crossing test, so no defect here can reach both
+sides of that check and cancel.
 
 Vertices are labelled 0..n+1 in convex position; dissections are distinct
-as diagonal sets, with no quotient by rotation or reflection.  A
-:class:`Dissection` is a NamedTuple like the records of :mod:`revsym.symbols`:
-its constructor, ``_make`` and ``_replace`` all check the diagonals, and it
-equals the plain tuple ``(n, diagonals)``.
+as diagonal sets, with no quotient by rotation or reflection.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable
 
 from .symbols import TileRule
 
 __all__ = [
     "CapExceeded",
-    "Dissection",
-    "tiles_of",
-    "iter_dissections",
     "enumerate_counts",
     "count_chord_diagrams",
 ]
@@ -67,78 +60,6 @@ def _touches_or_crosses(a: int, b: int, c: int, d: int) -> bool:
     return a in (c, d) or b in (c, d) or _crosses(a, b, c, d)
 
 
-class _DissectionFields(NamedTuple):
-    n: int
-    diagonals: frozenset[tuple[int, int]]
-
-
-class Dissection(_DissectionFields):
-    """A set of pairwise non-crossing diagonals of the labelled (n+2)-gon.
-
-    Requires n >= 1 (the degenerate 2-gon has no tiles and is handled by
-    the counting conventions, not by this type).  Diagonals are stored as
-    (i, j) pairs with i < j; construction validates that each pair is a
-    genuine diagonal and that no two cross, which leaves at most n-1.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, diagonals: Iterable[tuple[int, int]] = ()) -> Dissection:
-        if n < 1:
-            raise ValueError("need n >= 1 (a polygon with at least 3 vertices)")
-        v = n + 2
-        normed = set()
-        for pair in diagonals:
-            i, j = pair
-            if i > j:
-                i, j = j, i
-            if not (0 <= i < j <= v - 1):
-                raise ValueError(f"vertex out of range in diagonal {pair}")
-            if j - i < 2 or (i == 0 and j == v - 1):
-                raise ValueError(f"{(i, j)} is an edge of the polygon, not a diagonal")
-            normed.add((i, j))
-        pairs = sorted(normed)
-        for x in range(len(pairs)):
-            for y in range(x + 1, len(pairs)):
-                a, b = pairs[x]
-                c, d = pairs[y]
-                if _crosses(a, b, c, d):
-                    raise ValueError(f"diagonals {(a, b)} and {(c, d)} cross")
-        return super().__new__(cls, n, frozenset(pairs))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Dissection:
-        return cls(*iterable)
-
-
-def tiles_of(d: Dissection) -> list[tuple[int, ...]]:
-    """The m+1 faces of the subdivision: the polygon, split by one diagonal at a time.
-
-    Each face is its vertex labels in increasing order.  The polygon is
-    convex and labelled in cyclic order, so that is also the face's cyclic
-    order, starting from the smallest label, and its side count is its
-    length.  A diagonal (a, b) lies in the one face holding both ends and
-    splits it into the labels from a to b and the labels <= a or >= b.
-    The list is sorted.
-    """
-    faces = [tuple(range(d.n + 2))]
-    for a, b in d.diagonals:
-        face = next(f for f in faces if a in f and b in f)
-        faces.remove(face)
-        faces += [tuple(v for v in face if a <= v <= b), tuple(v for v in face if v <= a or v >= b)]
-    return sorted(faces)
-
-
-def _candidate_diagonals(n: int) -> list[tuple[int, int]]:
-    v = n + 2
-    return [
-        (i, j)
-        for i in range(v)
-        for j in range(i + 2, v)
-        if not (i == 0 and j == v - 1)
-    ]
-
-
 def _keep_masks(
     cands: list[tuple[int, int]], clash: Callable[[int, int, int, int], bool]
 ) -> list[int]:
@@ -150,29 +71,6 @@ def _keep_masks(
             if not clash(a, b, c, d):
                 masks[x] |= 1 << y
     return masks
-
-
-def iter_dissections(n: int) -> Iterator[Dissection]:
-    """Yield every dissection of the (n+2)-gon, in lexicographic DFS order.
-
-    The plain definition: the diagonals chosen so far, in candidate order,
-    are extended by every later candidate that crosses none of them.  The
-    n < 1 and n > ``DEFAULT_DISSECTION_CAP`` errors raise at the call,
-    before the first dissection is asked for.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > DEFAULT_DISSECTION_CAP:
-        raise CapExceeded(f"n = {n} exceeds the exhaustive cap {DEFAULT_DISSECTION_CAP}")
-    cands = _candidate_diagonals(n)
-
-    def rec(chosen: tuple[tuple[int, int], ...], start: int) -> Iterator[Dissection]:
-        yield Dissection(n, chosen)
-        for i in range(start, len(cands)):
-            if not any(_crosses(*cands[i], *diagonal) for diagonal in chosen):
-                yield from rec(chosen + (cands[i],), i + 1)
-
-    return rec((), 0)
 
 
 def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -> list[int]:
@@ -209,7 +107,8 @@ def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) 
         raise ValueError("need n >= 0")
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
-    cands = sorted(_candidate_diagonals(n), key=lambda d: (d[1], -d[0]))
+    cands = [(i, j) for i in range(n + 2) for j in range(i + 2, n + 2) if (i, j) != (0, n + 1)]
+    cands = sorted(cands, key=lambda d: (d[1], -d[0]))
     keep = _keep_masks(cands, _crosses)
     inside = [(1 << b + 1) - (1 << a) for a, b in cands]
     outside = [~((1 << b) - (1 << a + 1)) for a, b in cands]

@@ -1,4 +1,4 @@
-"""Exhaustive enumeration, tile extraction, chord oracle."""
+"""Exhaustive enumeration against a test-local reference, tile extraction, chord oracle."""
 
 from collections import Counter
 from itertools import combinations
@@ -6,16 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revsym import dissection_oracle
 from revsym.closed_forms import motzkin_term
-from revsym.dissection_oracle import (
-    DEFAULT_CHORD_CAP,
-    CapExceeded,
-    Dissection,
-    count_chord_diagrams,
-    enumerate_counts,
-    iter_dissections,
-    tiles_of,
-)
+from revsym.dissection_oracle import DEFAULT_CHORD_CAP, CapExceeded, count_chord_diagrams, enumerate_counts
 from revsym.symbols import (
     ANY_TILES,
     EVEN_ONLY,
@@ -47,50 +40,78 @@ def _crossing_by_coordinates(p, q, n):
     return separates(a, b, c, d) and separates(c, d, a, b)
 
 
-class TestDissectionType:
-    def test_normalizes_pair_order(self):
-        d = Dissection(2, [(2, 0)])
-        assert d.diagonals == frozenset({(0, 2)})
+# The reference the walk is checked against: the plain definition, sharing
+# no code with revsym.dissection_oracle, not even the crossing test, so a
+# defect in the walk cannot reach both sides of a comparison and cancel.
 
-    def test_rejects_two_gon(self):
-        with pytest.raises(ValueError):
-            Dissection(0)
 
-    def test_rejects_polygon_edge(self):
-        with pytest.raises(ValueError):
-            Dissection(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            Dissection(2, [(0, 3)])  # wrap-around edge of the square
+def _diagonals_cross(p, q):
+    """The reference's crossing test for diagonals (a, b) and (c, d), each with
+    its smaller end first: four distinct ends, and exactly one of c, d strictly
+    between a and b."""
+    (a, b), (c, d) = p, q
+    return len({a, b, c, d}) == 4 and (a < c < b) != (a < d < b)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Dissection(2, [(0, 4)])
 
-    def test_rejects_crossing_pair(self):
-        with pytest.raises(ValueError):
-            Dissection(3, [(0, 2), (1, 3)])
-        # two diagonals of the square cross: n-1 non-crossing ones is the most that fit
-        with pytest.raises(ValueError, match="cross"):
-            Dissection(2, [(0, 2), (1, 3)])
+def _diagonals(n):
+    """The diagonals of the (n+2)-gon in lexicographic order."""
+    return [(i, j) for i, j in combinations(range(n + 2), 2) if 1 < j - i < n + 1]
 
-    def test_shared_endpoints_allowed(self):
-        d = Dissection(3, [(0, 2), (0, 3)])
-        assert len(d.diagonals) == 2
+
+def iter_dissections(n):
+    """Every dissection of the (n+2)-gon as a frozenset of diagonals, in
+    lexicographic DFS order: the diagonals chosen so far, in lexicographic
+    order, are extended by every later diagonal that crosses none of them."""
+    cands = _diagonals(n)
+
+    def rec(chosen, start):
+        yield frozenset(chosen)
+        for i in range(start, len(cands)):
+            if not any(_diagonals_cross(cands[i], diagonal) for diagonal in chosen):
+                yield from rec(chosen + (cands[i],), i + 1)
+
+    return rec((), 0)
+
+
+def tiles_of(n, diagonals):
+    """The faces of the (n+2)-gon split by the diagonals, one at a time, sorted.
+
+    Each face is its vertex labels in increasing order, which is also its
+    cyclic order, so its side count is its length.  A diagonal (a, b) lies in
+    the one face holding both ends and splits it into the labels from a to b
+    and the labels <= a or >= b."""
+    faces = [tuple(range(n + 2))]
+    for a, b in diagonals:
+        face = next(f for f in faces if a in f and b in f)
+        faces.remove(face)
+        faces += [tuple(v for v in face if a <= v <= b), tuple(v for v in face if v <= a or v >= b)]
+    return sorted(faces)
+
+
+class TestReferenceCrossing:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_crossing_by_coordinates(self, n):
+        # among the pairs: the square's two diagonals, which cross (n = 2), and
+        # the pentagon's (0, 2) and (0, 3), which share an end (n = 3)
+        for p in _diagonals(n):
+            for q in _diagonals(n):
+                if p != q:
+                    assert _diagonals_cross(p, q) == _crossing_by_coordinates(p, q, n), (p, q)
 
 
 class TestTilesOf:
     def test_empty_dissection_is_one_tile(self):
-        assert tiles_of(Dissection(2)) == [(0, 1, 2, 3)]
+        assert tiles_of(2, []) == [(0, 1, 2, 3)]
 
     def test_square_single_diagonal(self):
-        assert tiles_of(Dissection(2, [(0, 2)])) == [(0, 1, 2), (0, 2, 3)]
+        assert tiles_of(2, [(0, 2)]) == [(0, 1, 2), (0, 2, 3)]
 
     def test_hexagon_long_diagonal(self):
-        tiles = tiles_of(Dissection(4, [(0, 3)]))
+        tiles = tiles_of(4, [(0, 3)])
         assert tiles == [(0, 1, 2, 3), (0, 3, 4, 5)]
 
     def test_fan_triangulation(self):
-        tiles = tiles_of(Dissection(4, [(0, 2), (0, 3), (0, 4)]))
+        tiles = tiles_of(4, [(0, 2), (0, 3), (0, 4)])
         assert all(len(face) == 3 for face in tiles)
         assert len(tiles) == 4
 
@@ -103,13 +124,13 @@ class TestEnumeratorInvariants:
         count = 0
         for d in iter_dissections(n):
             count += 1
-            assert d.diagonals not in seen, "duplicate dissection"
-            seen.add(d.diagonals)
-            diags = sorted(d.diagonals)
+            assert d not in seen, "duplicate dissection"
+            seen.add(d)
+            diags = sorted(d)
             for x in range(len(diags)):
                 for y in range(x + 1, len(diags)):
                     assert not _crossing_by_coordinates(diags[x], diags[y], n)
-            tiles = tiles_of(d)
+            tiles = tiles_of(n, d)
             m = len(diags)
             assert len(tiles) == m + 1
             assert all(type(face) is tuple for face in tiles)
@@ -126,23 +147,33 @@ class TestEnumeratorInvariants:
     def test_pruned_walk_matches_independent_generation(self, n):
         # the pruned bitmask walk against the unpruned generator and the
         # tuple faces of tiles_of, rule by rule
-        sizes = [frozenset(len(face) for face in tiles_of(d)) for d in iter_dissections(n)]
+        sizes = [frozenset(len(face) for face in tiles_of(n, d)) for d in iter_dissections(n)]
         for rule in ALL_RULES + CUSTOM_RULES:
             expected = sum(1 for used in sizes if all(rule.allows(s) for s in used))
             assert enumerate_counts(n, rule)[n] == expected, rule.label()
 
-    def test_walk_rejects_n_outside_one_to_the_cap(self):
-        with pytest.raises(ValueError, match=r"^need n >= 1$") as exc:
-            iter_dissections(0)
-        assert exc.type is ValueError
-        with pytest.raises(CapExceeded, match=r"^n = 13 exceeds the exhaustive cap 12$"):
-            iter_dissections(13)
-
     @pytest.mark.parametrize("n", range(1, 8))
     def test_catalan_counts_maximal_diagonal_sets(self, n):
         # triangulations are exactly the dissections with m = n-1 diagonals
-        maximal = sum(1 for d in iter_dissections(n) if len(d.diagonals) == n - 1)
+        maximal = sum(1 for d in iter_dissections(n) if len(d) == n - 1)
         assert maximal == enumerate_counts(n, TRIANGLES_ONLY)[n]
+
+    @pytest.mark.parametrize("clause", [
+        lambda a, b, c, d: b == d and a > 0 and c > 0 and a != c,
+        lambda a, b, c, d: a == c and b != d,
+        lambda a, b, c, d: c < a < b < d or a < c < d < b,
+    ], ids=["same-right-end", "same-left-end", "nested"])
+    def test_walk_and_reference_share_no_crossing_test(self, monkeypatch, clause):
+        # the walk's crossing test, made to call one more kind of pair
+        # crossing, must change a count the reference's own test does not
+        real = dissection_oracle._crosses
+
+        def mutant(a, b, c, d):
+            return real(a, b, c, d) or clause(a, b, c, d)
+
+        monkeypatch.setattr(dissection_oracle, "_crosses", mutant)
+        walk = [enumerate_counts(n, ANY_TILES)[n] for n in range(1, 6)]
+        assert walk != [sum(1 for _ in iter_dissections(n)) for n in range(1, 6)]
 
 
 class TestEnumerateCounts:
@@ -198,7 +229,7 @@ def _size_sets(n):
     per n."""
     if n not in _SIZE_SETS:
         _SIZE_SETS[n] = Counter(
-            frozenset(len(face) for face in tiles_of(d)) for d in iter_dissections(n)
+            frozenset(len(face) for face in tiles_of(n, d)) for d in iter_dissections(n)
         )
     return _SIZE_SETS[n]
 

@@ -41,15 +41,16 @@ def test_each_package_name_is_its_declaring_submodules_object():
 
 def test_series_computations_are_declared_by_power_series_alone():
     # the routes on the kernels and both certificates live beside them; the
-    # deleted wrappers expand and enumerate_count have no alias anywhere
+    # deleted wrappers expand and enumerate_count, and the dissection
+    # reference that moved into the tests, have no alias anywhere
     from revsym import dissection_oracle, power_series, symbols
 
     routes = {"lagrange_coefficients", "revert_direct", "count_by_series", "verify_inverse", "verify_tautological"}
-    wrappers = {"expand", "enumerate_count"}
+    deleted = {"expand", "enumerate_count", "Dissection", "tiles_of", "iter_dissections"}
     assert routes <= set(power_series.__all__)
-    assert not wrappers & set(vars(revsym))
+    assert not deleted & set(vars(revsym))
     for module in (dissection_oracle, symbols):
-        assert not (routes | wrappers) & set(vars(module)), module.__name__
+        assert not (routes | deleted) & set(vars(module)), module.__name__
 
 
 def test_cli_exports_main_alone_and_declares_no_error_type():

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from revsym.dissection_oracle import Dissection
 from revsym.power_series import _conv, _div_raw
 from revsym.symbols import (
     ANY_TILES,
@@ -270,11 +269,11 @@ class TestTileSpecParsing:
 
 
 SCHROEDER = catalog()[3]
-RECORDS = [ANY_TILES, SCHROEDER.symbol, Dissection(3, [(0, 2)]), SCHROEDER]
+RECORDS = [ANY_TILES, SCHROEDER.symbol, SCHROEDER]
 
 
 class TestRecords:
-    """The four record types are NamedTuples that keep the dataclass contract:
+    """The three record types are NamedTuples that keep the dataclass contract:
     immutable, printed as before, and checked by every constructor path."""
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -288,7 +287,6 @@ class TestRecords:
         assert repr(ANY_TILES) == "TileRule(sizes=(), start=3, step=1)"
         assert repr(SCHROEDER.symbol) == (
             "ReversiveSymbol(name='schroeder', numerator=(0, 1, -2), denominator=(1, -1))")
-        assert repr(Dissection(3, [(2, 0)])) == "Dissection(n=3, diagonals=frozenset({(0, 2)}))"
         assert repr(SCHROEDER).startswith(f"CatalogEntry(symbol={SCHROEDER.symbol!r}, rule={ANY_TILES!r}, ")
 
     @pytest.mark.parametrize("record, change, error, message", [
@@ -296,7 +294,6 @@ class TestRecords:
         (ANY_TILES, {"step": 0}, InvalidTileSet, "step"),
         (SCHROEDER.symbol, {"numerator": (1, 1)}, ValueError, "vanish at 0"),
         (SCHROEDER.symbol, {"denominator": (2, -1)}, ValueError, "unit slope"),
-        (Dissection(3, [(0, 2)]), {"diagonals": [(0, 2), (1, 3)]}, ValueError, "cross"),
     ])
     def test_replace_runs_the_constructor_checks(self, record, change, error, message):
         with pytest.raises(error, match=message):
@@ -310,11 +307,9 @@ class TestRecords:
         assert TileRule({3}, 6)._replace(sizes={5, 8}) == TileRule({5}, 6) == TileRule(start=5)
         trimmed = SCHROEDER.symbol._replace(numerator=[0, 1, -2, 0])
         assert trimmed == ReversiveSymbol("schroeder", (0, 1, -2), (1, -1)) == SCHROEDER.symbol
-        assert Dissection(3, [(0, 2)])._replace(diagonals=[(3, 0)]) == Dissection(3, [(0, 3)])
         assert SCHROEDER._replace(rule=None) == CatalogEntry(SCHROEDER.symbol, None, SCHROEDER.closed_form)
 
     def test_a_record_equals_the_tuple_of_its_fields(self):
         assert ANY_TILES == ((), 3, 1) and hash(ANY_TILES) == hash(((), 3, 1))
-        assert Dissection(3, [(2, 0)]) == (3, frozenset({(0, 2)}))
         assert tuple(SCHROEDER) == (SCHROEDER.symbol, ANY_TILES, SCHROEDER.closed_form)
         assert len({ANY_TILES, TileRule(start=3), parse_tile_spec("3+")}) == 1
