@@ -6,11 +6,14 @@ Every refusal of a sequence, method or config file raises ``ParseError``.
 ``main`` returns 3 if an oracle raises ``CapExceeded``, which no command does
 today: ``verify`` stops each oracle column at its cap and prints ``-`` past it.
 
-``terms`` (by its default method), ``bfile`` and ``from-tiles`` take their
-terms from direct reversion, and ``from-tiles`` checks them against the
-tile-equation counter.  ``verify`` takes its ``a(n)`` column from Lagrange
-inversion, the independent route, and checks the others against it: every
-route runs, each to one column of terms, before the table prints.
+``terms`` (by its default method), ``bfile`` of symbol text and
+``from-tiles`` take their terms from direct reversion, and ``from-tiles``
+checks them against the tile-equation counter.  ``bfile`` of a catalog
+entry takes its first terms from direct reversion and unrolls the entry's
+differential equation from there, in linear time.  ``verify`` takes its
+``a(n)`` column from Lagrange inversion, the independent route, and checks
+the others against it: every route runs, each to one column of terms,
+before the table prints.
 
 Settings come from built-in defaults, optionally overridden by a plain
 ``key=value`` config file (keys ``exhaustive_cap_n``, ``chord_cap_p``,
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .closed_forms import DomainError
 from .dissection_oracle import (
@@ -32,7 +35,7 @@ from .dissection_oracle import (
     enumerate_counts,
 )
 from .exact_arith import NonIntegerCoefficient, _decimal
-from .power_series import count_by_series, lagrange_coefficients, revert_direct
+from .power_series import count_by_series, lagrange_coefficients, revert_direct, unroll_ode
 from .symbols import (
     InvalidTileSet,
     ParseError,
@@ -48,6 +51,9 @@ from .symbols import (
 __all__ = ["main"]
 
 DEFAULT_COUNT = 10
+# terms of direct reversion that start the unroll of a catalog entry's
+# equation: past every root of its recurrence's leading coefficient
+_ODE_HEAD = 12
 
 
 # config key -> (the flag it fills, its built-in default)
@@ -98,24 +104,25 @@ def _fill_settings(args: argparse.Namespace) -> None:
             setattr(args, flag, config.get(key, default))
 
 
-def _resolve(text: str) -> tuple[ReversiveSymbol, Optional[TileRule], Optional[Callable[[int], int]]]:
-    """The sequence's ``(symbol, rule, closed_form)``, from a catalog name or symbol text.
+def _resolve(text: str) -> tuple[ReversiveSymbol, Optional[TileRule], Optional[Callable[[int], int]],
+                                 Optional[tuple[tuple[int, ...], ...]]]:
+    """The sequence's ``(symbol, rule, closed_form, ode)``, from a catalog name or symbol text.
 
     A name returns its catalog entry, a NamedTuple of exactly those fields;
     no rule (motzkin) means it counts chord diagrams.  Symbol text returns
-    its parsed symbol with neither a rule nor a closed form.
+    its parsed symbol with neither a rule, a closed form nor an equation.
     """
     if "(" in text or "/" in text:
-        return parse_symbol(text), None, None
+        return parse_symbol(text), None, None, None
     for entry in catalog():
         if entry.symbol.name == text:
             return entry
     raise ParseError(f"unknown sequence {text!r}; try 'revsym list'")
 
 
-def _listing(terms: list[int]) -> str:
-    """The ``n a(n)`` lines of a term listing, one per term."""
-    return "".join(f"{i} {_decimal(value)}\n" for i, value in enumerate(terms))
+def _listing(terms: list[int]) -> Iterator[str]:
+    """The ``n a(n)`` lines of a term listing, one per term, each made as it is written."""
+    return (f"{i} {_decimal(value)}\n" for i, value in enumerate(terms))
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -125,7 +132,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_terms(args: argparse.Namespace) -> int:
-    symbol, rule, closed_form = _resolve(args.name_or_symbol)
+    symbol, rule, closed_form, _ = _resolve(args.name_or_symbol)
     if args.method == "reversion":
         terms = revert_direct(symbol, args.count - 1)
     elif args.method == "closed":
@@ -136,7 +143,7 @@ def cmd_terms(args: argparse.Namespace) -> int:
         raise ParseError("the series counter needs a tile rule; this sequence has none")
     else:
         terms = count_by_series(args.count - 1, rule)
-    print(_listing(terms), end="")
+    sys.stdout.writelines(_listing(terms))
     return 0
 
 
@@ -167,7 +174,7 @@ def _oracle_column(rule: Optional[TileRule], count: int, args: argparse.Namespac
 
 def cmd_verify(args: argparse.Namespace) -> int:
     count = args.count
-    symbol, rule, closed_form = _resolve(args.name)
+    symbol, rule, closed_form, _ = _resolve(args.name)
     if closed_form is None:  # symbol text: no closed column, and no rule would mean chords
         raise ParseError(f"unknown sequence {args.name!r}; try 'revsym list'")
     reversion = lagrange_coefficients(symbol, count - 1)
@@ -227,15 +234,21 @@ def cmd_from_tiles(args: argparse.Namespace) -> int:
         if a != b:
             print(f"MISMATCH at n={i}: reversion={_decimal(a)}, series={_decimal(b)}")
             return 1
-    print(_listing(terms), end="")
+    sys.stdout.writelines(_listing(terms))
     return 0
 
 
 def cmd_bfile(args: argparse.Namespace) -> int:
-    symbol = _resolve(args.name_or_symbol)[0]
-    listing = _listing(revert_direct(symbol, args.count - 1) if args.count else [])
+    symbol, _, _, ode = _resolve(args.name_or_symbol)
+    top = args.count - 1
+    if top < 0:
+        terms = []
+    elif ode is None:
+        terms = revert_direct(symbol, top)
+    else:
+        terms = unroll_ode(ode, revert_direct(symbol, min(top, _ODE_HEAD - 1)), top)
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(listing)
+        fh.writelines(_listing(terms))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Every series computation: truncated kernels on ``int`` lists, three routes, two certificates.
+"""Every series computation: truncated kernels on ``int`` lists, three routes, an unroll, two certificates.
 
 A series is a list of coefficients c_0..c_N; every kernel takes the degree
 n to truncate at and returns exactly n + 1 coefficients, so all identities
@@ -22,9 +22,9 @@ each step exactly by the divisor's constant term through
 :func:`revsym.exact_arith.exact_div`, which raises ``NonIntegerCoefficient``
 where the quotient would leave the integers, so nothing is ever rounded.
 
-Three routes return the inverse-series coefficients a_0..a_N of a
-reversive symbol alpha = P/Q, or of a tile rule's symbol, certifying that
-every one is an integer:
+Three routes and an unroll return the inverse-series coefficients
+a_0..a_N of a reversive symbol alpha = P/Q, or of a tile rule's symbol,
+certifying that every one is an integer:
 
 * Route 1, :func:`lagrange_coefficients`, extracts
   a_{n-1} = (1/n) [t^{n-1}] (t/alpha(t))^n through N truncated products,
@@ -36,7 +36,12 @@ every one is an integer:
   per row, and fills the rows itself, with no kernel.  A row k = h + h is
   a square and takes half the products of the others, since its terms
   pair up.  It is the production route: every command that lists terms
-  runs it.
+  runs it, and ``bfile`` of a catalog entry runs it for the first terms.
+* The unroll, :func:`unroll_ode`, continues route 2's first terms of a
+  catalog entry through the linear differential equation for F that the
+  entry stores, read as a recurrence with polynomial coefficients: one
+  product of a term by a small integer per coefficient of the equation,
+  O(N) big-integer operations in all.  ``bfile`` of a catalog entry prints it.
 * Route 4, :func:`count_by_series`, solves a tile rule's equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration.  It runs on
   the same kernels as route 1, but the two algorithms feed them different
@@ -51,6 +56,7 @@ two products.
 
 from __future__ import annotations
 
+from math import perm
 from operator import mul
 from typing import Sequence
 
@@ -60,6 +66,7 @@ from .symbols import ReversiveSymbol, TileRule
 __all__ = [
     "lagrange_coefficients",
     "revert_direct",
+    "unroll_ode",
     "count_by_series",
     "verify_inverse",
     "verify_tautological",
@@ -249,6 +256,45 @@ def revert_direct(alpha: ReversiveSymbol, N: int) -> list[int]:
         rhs = sum(c * row[n - 1] for c, row in q_rows)
         rhs -= sum(c * row[n] for c, row in p_rows)
         f[n] = exact_div(rhs, p[1], n - 1)
+    return f[1:]
+
+
+def unroll_ode(ode: Sequence[Sequence[int]], head: Sequence[int], N: int) -> list[int]:
+    """Inverse-series coefficients a_0..a_N from a linear ODE for F and its first terms.
+
+    ``ode[k + 1][j]`` is c_{k,j} in sum_{k,j} c_{k,j} x^j F^(k) = 0, where
+    F^(k) is the k-th derivative of F = sum a_n x^{n+1} and the row k = -1
+    is the constant column.  ``head`` is a_0..a_{h-1}.  With F = sum f_i x^i,
+    [x^n] x^j F^(k) is i(i-1)...(i-k+1) f_i for i = n + s, s = k - j.  The
+    largest shift s_max with a nonzero coefficient solves [x^n] of the
+    equation for f_m, m = n + s_max: L(m) f_m, with L(m) the sum of
+    c_{k,j} m(m-1)...(m-k+1) over that shift, equals minus the lower shifts
+    and the constant column.  So a term costs one product of an earlier
+    term by a small integer per coefficient, and one division by L(m)
+    through ``exact_div``: a wrong equation raises ``NonIntegerCoefficient``
+    rather than round, and an L(m) that vanishes past the head raises
+    ZeroDivisionError.  tests/test_ode.py proves each catalog entry's
+    equation and checks that its L has no root past the CLI's head.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    constant = ode[0]
+    terms = [(k - j, k, c) for k, row in enumerate(ode[1:]) for j, c in enumerate(row) if c]
+    lead = max(terms)[0]
+    if len(head) + 1 < lead:
+        raise ValueError(f"the recurrence needs at least {lead - 1} head terms")
+    f = [0, *head[:N + 1]]  # f[i] = [x^i] F = a_{i-1}, and f_0 = 0
+    for m in range(len(f), N + 2):
+        n = m - lead  # the equation [x^n] solves for f_m
+        rhs = -constant[n] if n < len(constant) else 0
+        divisor = 0
+        for s, k, c in terms:
+            i = n + s
+            if i == m:
+                divisor += c * perm(m, k)
+            elif i >= 0:
+                rhs -= c * perm(i, k) * f[i]
+        f.append(exact_div(rhs, divisor, m - 1))
     return f[1:]
 
 

@@ -209,28 +209,44 @@ class CatalogEntry(NamedTuple):
     ``closed_form`` evaluates the binomial sum for one n, and raises
     :class:`~revsym.closed_forms.DomainError` where it is undefined (odd
     tiles at n = 0, a boundary anomaly).
+
+    ``ode`` is a linear differential equation that the inverse series F
+    of the symbol satisfies, sum_{k,j} c_{k,j} x^j F^(k) = 0, as rows of
+    integer coefficients: ``ode[k + 1][j]`` is c_{k,j}, and the first row,
+    k = -1, is the constant column.  F is algebraic, so such an equation
+    exists (Stanley 1980); these were found once by a search over order
+    and degree and are stored, not derived per command.  tests/test_ode.py
+    proves each from the symbol.
     """
 
     symbol: ReversiveSymbol
     rule: Optional[TileRule]
     closed_form: Callable[[int], int]
+    ode: tuple[tuple[int, ...], ...]
 
 
 # The six catalog entries.  Coefficient tuples are in increasing degree, so
-# e.g. schroeder is (F - 2F^2)/(1 - F).
+# e.g. schroeder is (F - 2F^2)/(1 - F), and its equation
+# (x - 1) + (3 - x) F + (1 - 6x + x^2) F' = 0.
 _CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry(ReversiveSymbol("trianglefree", (0, 1, -1, -1), (1, -1)),
-                 NO_TRIANGLES, closed_forms.triangle_free_term),
+                 NO_TRIANGLES, closed_forms.triangle_free_term,
+                 ((8, 6), (24, 18), (-8, -240, 42, -8), (35, -76, -192, 156, -16))),
     CatalogEntry(ReversiveSymbol("oddtiles", (0, 1, -1, -1), (1, 0, -1)),
-                 ODD_ONLY, closed_forms.odd_term),
+                 ODD_ONLY, closed_forms.odd_term,
+                 ((11, 0, 24), (-8, 36, -18, 8), (-41, 44, -126, 26, -8), (15, -67, -22, 16, -8, 28, -8))),
     CatalogEntry(ReversiveSymbol("eventiles", (0, 1, 0, -2), (1, 0, -1)),
-                 EVEN_ONLY, closed_forms.even_term),
+                 EVEN_ONLY, closed_forms.even_term,
+                 ((0, 48, 0, 8), (35, 0, 54), (0, -323, 0, -102), (40, 0, -371, 0, 162, 0, -8))),
     CatalogEntry(ReversiveSymbol("schroeder", (0, 1, -2), (1, -1)),
-                 ANY_TILES, closed_forms.schroeder_term),
+                 ANY_TILES, closed_forms.schroeder_term,
+                 ((-1, 1), (3, -1), (1, -6, 1))),
     CatalogEntry(ReversiveSymbol("catalan", (0, 1, -1), (1,)),
-                 TRIANGLES_ONLY, closed_forms.catalan_term),
+                 TRIANGLES_ONLY, closed_forms.catalan_term,
+                 ((-1,), (2,), (1, -4))),
     CatalogEntry(ReversiveSymbol("motzkin", (0, 1, -1), (1, 0, 0, -1)),
-                 None, closed_forms.motzkin_term),
+                 None, closed_forms.motzkin_term,
+                 ((0, -2), (1, -1), (0, 1, -2, -3))),
 )
 
 

@@ -471,17 +471,22 @@ class TestBfile:
         run(capsys, "bfile", "trianglefree", "--count", "40", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_deep_bfile_runs_in_bounded_time(self, capsys, tmp_path):
-        # about 0.5 s on 2 vCPUs; cubic Lagrange took several minutes
+    @pytest.mark.parametrize("name, count, seconds", [
+        # about 0.03 s on 2 vCPUs; direct reversion throughout took about 0.35 s
+        ("schroeder", 1000, 5.0),
+        # about 3 s on 2 vCPUs, mostly turning 22,000-bit terms into decimal text
+        ("oddtiles", 10000, 60.0),
+    ], ids=["schroeder-1000", "oddtiles-10000"])
+    def test_deep_bfile_runs_in_bounded_time(self, capsys, tmp_path, name, count, seconds):
         out_path = tmp_path / "b.txt"
         t0 = time.perf_counter()
-        rc, _, err = run(capsys, "bfile", "schroeder", "--count", "1000", "--out", str(out_path))
+        rc, _, err = run(capsys, "bfile", name, "--count", str(count), "--out", str(out_path))
         elapsed = time.perf_counter() - t0
         assert (rc, err) == (0, "")
         lines = out_path.read_bytes().splitlines()
-        assert len(lines) == 1000
-        assert lines[-1].startswith(b"999 ")
-        assert elapsed < 5.0
+        assert len(lines) == count
+        assert lines[-1].startswith(b"%d " % (count - 1))
+        assert elapsed < seconds
 
     def test_unwritable_path_exits_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "bfile", "catalan", "--count", "3",
@@ -491,7 +496,8 @@ class TestBfile:
 
 
 class TestRoutes:
-    """Term listing runs direct reversion; verify's a(n) column runs Lagrange."""
+    """Term listing runs direct reversion, which ``bfile`` of a catalog entry
+    continues by the entry's equation; verify's a(n) column runs Lagrange."""
 
     def _listings(self, capsys, tmp_path):
         out_path = tmp_path / "b.txt"
@@ -507,17 +513,45 @@ class TestRoutes:
         monkeypatch.setattr(cli, "lagrange_coefficients", _never_called)
         assert self._listings(capsys, tmp_path) == expected
 
-    def test_terms_and_bfile_print_direct_reversion(self, capsys, monkeypatch, tmp_path):
+    def test_terms_prints_direct_reversion(self, capsys, monkeypatch):
         schroeder = revert_direct(cli._resolve("schroeder").symbol, 29)
-        catalan = revert_direct(cli._resolve("catalan").symbol, 49)
         monkeypatch.setattr(cli, "revert_direct", _perturbed(revert_direct, 7))
         rc, out, _ = run(capsys, "terms", "schroeder", "--count", "30")
         assert rc == 0
         assert out.splitlines()[7] == f"7 {schroeder[7] + 1}"
+
+    def _bfile_lines(self, capsys, tmp_path, name_or_symbol, count):
         out_path = tmp_path / "b.txt"
-        rc, _, _ = run(capsys, "bfile", "catalan", "--count", "50", "--out", str(out_path))
-        assert rc == 0
-        assert out_path.read_text().splitlines()[7] == f"7 {catalan[7] + 1}"
+        rc, _, err = run(capsys, "bfile", name_or_symbol, "--count", str(count), "--out", str(out_path))
+        assert (rc, err) == (0, "")
+        return out_path.read_text().splitlines()
+
+    def test_bfile_of_a_name_prints_the_unroll(self, capsys, monkeypatch, tmp_path):
+        expected = self._bfile_lines(capsys, tmp_path, "catalan", 50)
+        # direct reversion beyond the head is never read
+        def perturbed_past_head(*args):
+            terms = revert_direct(*args)
+            return terms[:cli._ODE_HEAD] + [t + 1 for t in terms[cli._ODE_HEAD:]]
+        monkeypatch.setattr(cli, "revert_direct", perturbed_past_head)
+        assert self._bfile_lines(capsys, tmp_path, "catalan", 50) == expected
+        monkeypatch.setattr(cli, "unroll_ode", _perturbed(power_series.unroll_ode, 30))
+        lines = self._bfile_lines(capsys, tmp_path, "catalan", 50)
+        assert lines[30] == f"30 {int(expected[30].split()[1]) + 1}"
+        assert lines[:30] + lines[31:] == expected[:30] + expected[31:]
+
+    def test_bfile_of_symbol_text_prints_direct_reversion(self, capsys, monkeypatch, tmp_path):
+        symbol = cli._resolve("catalan").symbol
+        catalan = revert_direct(symbol, 49)
+        monkeypatch.setattr(cli, "unroll_ode", _never_called)
+        monkeypatch.setattr(cli, "revert_direct", _perturbed(revert_direct, 30))
+        lines = self._bfile_lines(capsys, tmp_path, format_symbol(symbol), 50)
+        assert lines[30] == f"30 {catalan[30] + 1}"
+
+    @pytest.mark.parametrize("name", [entry.symbol.name for entry in catalog()])
+    def test_bfile_of_a_name_equals_bfile_of_its_list_line(self, capsys, tmp_path, name):
+        # the unroll against direct reversion, byte for byte
+        assert self._bfile_lines(capsys, tmp_path, name, 400) == self._bfile_lines(
+            capsys, tmp_path, format_symbol(cli._resolve(name).symbol), 400)
 
     def test_from_tiles_checks_direct_reversion_against_the_series(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "revert_direct", _perturbed(revert_direct, 7))

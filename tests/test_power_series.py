@@ -14,6 +14,7 @@ from revsym.power_series import (
     count_by_series,
     lagrange_coefficients,
     revert_direct,
+    unroll_ode,
     verify_inverse,
     verify_tautological,
 )
@@ -344,6 +345,42 @@ class TestLagrange:
                 route(bad, 3)
 
 
+class TestUnrollOde:
+    """The unroll of a catalog entry's equation continues direct reversion's first terms."""
+
+    @pytest.mark.parametrize("name", [entry.symbol.name for entry in catalog()])
+    def test_equals_direct_reversion_from_a_one_or_twelve_term_head(self, name):
+        # every leading coefficient vanishes only at f_0 or f_1, so a_0 alone starts it
+        sym, *_, ode = catalog_entry(name)
+        direct = revert_direct(sym, 300)
+        assert unroll_ode(ode, direct[:1], 300) == unroll_ode(ode, direct[:12], 300) == direct
+
+    def test_catalan_from_a_0(self):
+        assert unroll_ode(catalog_entry("catalan").ode, [1], 8) == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+
+    def test_short_n_returns_the_head(self):
+        assert unroll_ode(catalog_entry("schroeder").ode, [1, 1, 3, 11], 2) == [1, 1, 3]
+
+    def test_negative_n_raises(self):
+        with pytest.raises(ValueError, match=r"^N must be >= 0$"):
+            unroll_ode(catalog_entry("catalan").ode, [1], -1)
+
+    def test_head_shorter_than_the_shift_raises(self):
+        # F''' = 0 solves [x^n] for f_{n+3}, so f_1 and f_2 must be given
+        with pytest.raises(ValueError, match="at least 2 head terms"):
+            unroll_ode(((), (), (), (), (1,)), [1], 5)
+
+    def test_wrong_equation_raises(self):
+        # (1 - 3x) F' + 2F - 1 = 0 is not catalan's: its f_2 is 1/2
+        with pytest.raises(NonIntegerCoefficient, match=r"^a_1 = 1/2 is not an integer$"):
+            unroll_ode(((-1,), (2,), (1, -3)), [1], 5)
+
+    def test_vanishing_leading_coefficient_raises(self):
+        # x F' - F = 0 gives (m - 1) f_m = 0, which leaves f_1 free
+        with pytest.raises(ZeroDivisionError):
+            unroll_ode(((), (-1,), (0, 1)), [], 3)
+
+
 class TestRevertDirect:
     def test_catalan_shifted(self):
         assert revert_direct(catalog_entry("catalan").symbol, 3) == [1, 1, 2, 5]
@@ -464,7 +501,7 @@ class TestSparseRules:
 
 class TestVerifiers:
     def test_verify_inverse_accepts_exhaustive_catalan_counts(self):
-        sym, rule, _ = catalog_entry("catalan")
+        sym, rule, *_ = catalog_entry("catalan")
         terms = enumerate_counts(4, rule)
         assert terms == [1, 1, 2, 5, 14]
         assert verify_inverse(sym, terms)
@@ -474,7 +511,7 @@ class TestVerifiers:
         assert not verify_inverse(sym, [1, 1, 2, 5, 15])
 
     def test_verify_inverse_accepts_exhaustive_schroeder_counts(self):
-        sym, rule, _ = catalog_entry("schroeder")
+        sym, rule, *_ = catalog_entry("schroeder")
         terms = enumerate_counts(4, rule)
         assert terms == [1, 1, 3, 11, 45]
         assert verify_inverse(sym, terms)
@@ -515,7 +552,7 @@ class TestVerifiers:
             assert not verify_tautological(e.rule, terms), e.symbol.name
 
     def test_verifiers_need_a_0(self):
-        sym, rule, _ = catalog_entry("catalan")
+        sym, rule, *_ = catalog_entry("catalan")
         with pytest.raises(ValueError, match=r"^need at least a_0$"):
             verify_inverse(sym, [])
         with pytest.raises(ValueError, match=r"^need at least a_0$"):

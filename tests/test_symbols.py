@@ -53,7 +53,7 @@ class TestCatalog:
         ("motzkin", (0, 1, -1), (1, 0, 0, -1), None),  # no rule: it counts chord diagrams
     ], ids=["catalan", "trianglefree", "oddtiles", "eventiles", "schroeder", "motzkin-has-no-rule"])
     def test_symbol_and_rule(self, name, numerator, denominator, rule):
-        sym, entry_rule, _ = catalog_entry(name)
+        sym, entry_rule, *_ = catalog_entry(name)
         assert sym.numerator == numerator
         assert sym.denominator == denominator
         assert entry_rule == rule
@@ -307,9 +307,10 @@ class TestRecords:
         assert TileRule({3}, 6)._replace(sizes={5, 8}) == TileRule({5}, 6) == TileRule(start=5)
         trimmed = SCHROEDER.symbol._replace(numerator=[0, 1, -2, 0])
         assert trimmed == ReversiveSymbol("schroeder", (0, 1, -2), (1, -1)) == SCHROEDER.symbol
-        assert SCHROEDER._replace(rule=None) == CatalogEntry(SCHROEDER.symbol, None, SCHROEDER.closed_form)
+        assert SCHROEDER._replace(rule=None) == CatalogEntry(SCHROEDER.symbol, None, SCHROEDER.closed_form,
+                                                             SCHROEDER.ode)
 
     def test_a_record_equals_the_tuple_of_its_fields(self):
         assert ANY_TILES == ((), 3, 1) and hash(ANY_TILES) == hash(((), 3, 1))
-        assert tuple(SCHROEDER) == (SCHROEDER.symbol, ANY_TILES, SCHROEDER.closed_form)
+        assert tuple(SCHROEDER) == (SCHROEDER.symbol, ANY_TILES, SCHROEDER.closed_form, SCHROEDER.ode)
         assert len({ANY_TILES, TileRule(start=3), parse_tile_spec("3+")}) == 1
