@@ -18,6 +18,10 @@ before the table prints.
 Settings come from built-in defaults, optionally overridden by a plain
 ``key=value`` config file (keys ``exhaustive_cap_n``, ``chord_cap_p``,
 ``default_count``), overridden in turn by command flags.
+
+``main`` builds the root parser and, from the ``_COMMANDS`` table, only the
+parser of the command named first; help, no command or an unknown word
+builds all five.  Help, usage lines and errors read the same either way.
 """
 
 from __future__ import annotations
@@ -247,7 +251,7 @@ def cmd_bfile(args: argparse.Namespace) -> int:
         terms = revert_direct(symbol, top)
     else:
         terms = unroll_ode(ode, revert_direct(symbol, min(top, _ODE_HEAD - 1)), top)
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_listing(terms))
     return 0
 
@@ -266,52 +270,63 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", metavar="PATH", help="key=value settings file")
+# name -> (help, handler, whether it reads --config, its arguments as
+# (flag, add_argument options) in the order its help lists them)
+_COMMANDS = {
+    "list": ("print the symbol catalog", cmd_list, False, ()),
+    "terms": ("print sequence terms", cmd_terms, True, (
+        ("name_or_symbol", dict(help="catalog name or (p0,p1,..)/(q0,q1,..)")),
+        ("--count", dict(type=_positive, help="number of terms (n = 0..count-1)")),
+        ("--method", dict(choices=("reversion", "closed", "series"), default="reversion")),
+    )),
+    "verify": ("cross-check every computation path for a catalog entry", cmd_verify, True, (
+        ("name", dict(help="catalog name")),
+        ("--exhaustive-cap-n", dict(type=_non_negative, metavar="N", help=(
+            f"max n for exhaustive dissection runs (default {DEFAULT_DISSECTION_CAP})"))),
+        ("--chord-cap-p", dict(type=_non_negative, metavar="P", help=(
+            f"max points for exhaustive chord runs (default {DEFAULT_CHORD_CAP})"))),
+        ("--count", dict(type=_positive, help="number of terms to verify")),
+    )),
+    "from-tiles": ("synthesize a symbol from a tile rule and print its terms", cmd_from_tiles, True, (
+        ("spec", dict(help="odd|even|any|triangles|notriangles or sizes like 3,5 or 4+")),
+        ("--count", dict(type=_positive, help="number of terms")),
+    )),
+    "bfile": ("export terms in b-file format", cmd_bfile, False, (
+        ("name_or_symbol", dict(help="catalog name or symbol text")),
+        ("--count", dict(type=_non_negative, required=True, help="number of terms")),
+        ("--out", dict(required=True, metavar="PATH", help="output file")),
+    )),
+}
 
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The root parser, with a subcommand parser for ``command`` only, or for all five if None.
+
+    Usage lines and errors name all five either way: the others are choices with no parser.
+    """
     parser = argparse.ArgumentParser(
         prog="revsym",
         description="Exact dissection-counting sequences from reversive symbols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("list", help="print the symbol catalog")
-    p.set_defaults(func=cmd_list)
-
-    p = sub.add_parser("terms", parents=[config], help="print sequence terms")
-    p.add_argument("name_or_symbol", help="catalog name or (p0,p1,..)/(q0,q1,..)")
-    p.add_argument("--count", type=_positive, help="number of terms (n = 0..count-1)")
-    p.add_argument("--method", choices=("reversion", "closed", "series"), default="reversion")
-    p.set_defaults(func=cmd_terms)
-
-    p = sub.add_parser("verify", parents=[config],
-                       help="cross-check every computation path for a catalog entry")
-    p.add_argument("name", help="catalog name")
-    p.add_argument("--exhaustive-cap-n", type=_non_negative, metavar="N",
-                   help=f"max n for exhaustive dissection runs (default {DEFAULT_DISSECTION_CAP})")
-    p.add_argument("--chord-cap-p", type=_non_negative, metavar="P",
-                   help=f"max points for exhaustive chord runs (default {DEFAULT_CHORD_CAP})")
-    p.add_argument("--count", type=_positive, help="number of terms to verify")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("from-tiles", parents=[config],
-                       help="synthesize a symbol from a tile rule and print its terms")
-    p.add_argument("spec", help="odd|even|any|triangles|notriangles or sizes like 3,5 or 4+")
-    p.add_argument("--count", type=_positive, help="number of terms")
-    p.set_defaults(func=cmd_from_tiles)
-
-    p = sub.add_parser("bfile", help="export terms in b-file format")
-    p.add_argument("name_or_symbol", help="catalog name or symbol text")
-    p.add_argument("--count", type=_non_negative, required=True, help="number of terms")
-    p.add_argument("--out", required=True, metavar="PATH", help="output file")
-    p.set_defaults(func=cmd_bfile)
+    for name, (summary, handler, reads_config, arguments) in _COMMANDS.items():
+        if command not in (None, name):
+            sub.choices[name] = None  # choices is the subparsers' name -> parser map
+            continue
+        p = sub.add_parser(name, help=summary)
+        if reads_config:
+            p.add_argument("--config", metavar="PATH", help="key=value settings file")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command named first is the only one whose parser can run
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         _fill_settings(args)
         return args.func(args)

@@ -1,8 +1,10 @@
 """CLI contract: output formats, exit statuses, config handling."""
 
+import argparse
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -93,14 +95,23 @@ class TestList:
         parsed = [parse_symbol(line) for line in out.strip().splitlines()]
         assert parsed == [e.symbol for e in catalog()]
 
-    def test_module_runs_as_a_script(self):
+    def test_module_runs_as_a_script(self, capsys, monkeypatch):
         # python -m revsym.cli exits with main's status; the child imports
         # the same revsym package as this process
+        monkeypatch.setenv("COLUMNS", "80")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-m", "revsym.cli", "list"],
                                 capture_output=True, text=True, env=env)
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.splitlines() == [format_symbol(e.symbol) for e in catalog()]
+        # a subcommand's help comes from the one parser main builds for it
+        result = subprocess.run([sys.executable, "-m", "revsym.cli", "bfile", "--help"],
+                                capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: revsym bfile [-h] --count COUNT --out PATH name_or_symbol\n")
+        with pytest.raises(SystemExit):
+            cli.main(["bfile", "--help"])
+        assert result.stdout == capsys.readouterr().out
 
 
 class TestTerms:
@@ -488,6 +499,18 @@ class TestBfile:
         assert lines[-1].startswith(b"%d " % (count - 1))
         assert elapsed < seconds
 
+    @pytest.mark.parametrize("name", [*(e.symbol.name for e in catalog()), "(0,1,-2)/(1,-1)"])
+    def test_every_line_is_ascii_index_and_term(self, capsys, tmp_path, name):
+        # the file is written as UTF-8, whose bytes for this text are ASCII
+        out_path = tmp_path / "b.txt"
+        rc, _, err = run(capsys, "bfile", name, "--count", "50", "--out", str(out_path))
+        assert (rc, err) == (0, "")
+        data = out_path.read_bytes()
+        data.decode("ascii")
+        lines = data.splitlines(keepends=True)
+        assert len(lines) == 50
+        assert all(re.fullmatch(rb"\d+ -?\d+\n", line) for line in lines)
+
     def test_unwritable_path_exits_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "bfile", "catalan", "--count", "3",
                          "--out", str(tmp_path / "missing dir" / "b.txt"))
@@ -684,3 +707,78 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+# one case per message path: no command, root help, an unknown command,
+# unrecognized arguments after each kind of subcommand, each subcommand's
+# help, a bad value, and a flag that only another subcommand reads
+_MESSAGE_CASES = [
+    [], ["--help"], ["ter", "catalan"],
+    ["list", "extra"], ["bfile", "catalan", "--count", "1", "--out", "X", "extra"],
+    *([name, "--help"] for name in ("list", "terms", "verify", "from-tiles", "bfile")),
+    ["terms", "catalan", "--count", "0"], ["verify", "catalan", "--count", "x"],
+    ["bfile", "catalan", "--count", "1", "--out", "X", "--chord-cap-p", "3"],
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "no-arguments"
+
+
+def _exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestOneParserPerCommand:
+    """``main`` builds the subcommand parser only for the command named first."""
+
+    @pytest.mark.parametrize("columns", [80, 40])
+    @pytest.mark.parametrize("argv", _MESSAGE_CASES, ids=_argv_id)
+    def test_messages_equal_the_all_commands_parser(self, capsys, monkeypatch, tmp_path, argv, columns):
+        # compared in this interpreter, since argparse's wording differs between releases
+        monkeypatch.setenv("COLUMNS", str(columns))
+        monkeypatch.chdir(tmp_path)
+        expected = _exit_and_output(capsys, lambda a: cli._build_parser().parse_args(a), argv)
+        assert expected[0] in (0, 2) and expected[1] + expected[2]
+        assert _exit_and_output(capsys, cli.main, argv) == expected
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, built", [
+        (["list"], 2),
+        (["terms", "catalan", "--count", "3"], 2),
+        (["verify", "catalan", "--count", "3"], 2),
+        (["from-tiles", "3", "--count", "3"], 2),
+        (["bfile", "catalan", "--count", "3", "--out", "b.txt"], 2),
+        (["--help"], 6),
+        ([], 6),
+    ], ids=lambda value: _argv_id(value) if isinstance(value, list) else None)
+    def test_parsers_built(self, capsys, monkeypatch, tmp_path, argv, built):
+        monkeypatch.chdir(tmp_path)
+        created = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            created.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        assert len(created) == built
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, tmp_path):
+        # the console script calls main() with no arguments
+        out_path = tmp_path / "b.txt"
+        monkeypatch.setattr(sys, "argv", ["revsym", "bfile", "catalan", "--count", "6", "--out", str(out_path)])
+        assert cli.main() == 0
+        assert out_path.read_bytes() == GOLDEN_CATALAN_6
+        monkeypatch.setattr(sys, "argv", ["revsym", "list", "extra"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "{list,terms,verify,from-tiles,bfile}" in err
+        assert err.endswith("revsym: error: unrecognized arguments: extra\n")
