@@ -9,8 +9,8 @@ today: ``verify`` stops each oracle column at its cap and prints ``-`` past it.
 ``terms`` (by its default method), ``bfile`` of symbol text and
 ``from-tiles`` take their terms from direct reversion, and ``from-tiles``
 checks them against the tile-equation counter.  ``bfile`` of a catalog
-entry takes its first terms from direct reversion and unrolls the entry's
-differential equation from there, in linear time.  ``verify`` takes its
+entry unrolls the entry's differential equation from a_0 = 1 alone, in
+linear time, and runs no direct reversion.  ``verify`` takes its
 ``a(n)`` column from Lagrange inversion, the independent route, and checks
 the others against it: every route runs, each to one column of terms,
 before the table prints.
@@ -55,9 +55,6 @@ from .symbols import (
 __all__ = ["main"]
 
 DEFAULT_COUNT = 10
-# terms of direct reversion that start the unroll of a catalog entry's
-# equation: past every root of its recurrence's leading coefficient
-_ODE_HEAD = 12
 
 
 # config key -> (the flag it fills, its built-in default)
@@ -165,7 +162,7 @@ def _closed_column(closed_form: Callable[[int], int], count: int) -> list[object
 def _oracle_column(rule: Optional[TileRule], count: int, args: argparse.Namespace) -> list[int]:
     """Exhaustive ground truth per n, for as far as the caps allow.
 
-    ``rule`` is the middle field of ``_resolve``'s triple: a tile rule goes
+    ``rule`` is the second of ``_resolve``'s four fields: a tile rule goes
     to the dissection enumerator, whose one walk gives every n, and no rule
     (motzkin) means the chord counter.
     """
@@ -250,7 +247,7 @@ def cmd_bfile(args: argparse.Namespace) -> int:
     elif ode is None:
         terms = revert_direct(symbol, top)
     else:
-        terms = unroll_ode(ode, revert_direct(symbol, min(top, _ODE_HEAD - 1)), top)
+        terms = unroll_ode(ode, top)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_listing(terms))
     return 0

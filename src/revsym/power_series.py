@@ -36,12 +36,12 @@ certifying that every one is an integer:
   per row, and fills the rows itself, with no kernel.  A row k = h + h is
   a square and takes half the products of the others, since its terms
   pair up.  It is the production route: every command that lists terms
-  runs it, and ``bfile`` of a catalog entry runs it for the first terms.
-* The unroll, :func:`unroll_ode`, continues route 2's first terms of a
-  catalog entry through the linear differential equation for F that the
-  entry stores, read as a recurrence with polynomial coefficients: one
-  product of a term by a small integer per coefficient of the equation,
-  O(N) big-integer operations in all.  ``bfile`` of a catalog entry prints it.
+  runs it, except ``bfile`` of a catalog entry.
+* The unroll, :func:`unroll_ode`, computes a catalog entry's terms from
+  a_0 = 1 alone through the linear differential equation for F that the
+  entry stores, read as a recurrence with polynomial coefficients, in
+  O(N) big-integer operations and with no code of route 2's.  ``bfile``
+  of a catalog entry prints it.
 * Route 4, :func:`count_by_series`, solves a tile rule's equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration.  It runs on
   the same kernels as route 1, but the two algorithms feed them different
@@ -259,12 +259,13 @@ def revert_direct(alpha: ReversiveSymbol, N: int) -> list[int]:
     return f[1:]
 
 
-def unroll_ode(ode: Sequence[Sequence[int]], head: Sequence[int], N: int) -> list[int]:
-    """Inverse-series coefficients a_0..a_N from a linear ODE for F and its first terms.
+def unroll_ode(ode: Sequence[Sequence[int]], N: int) -> list[int]:
+    """Inverse-series coefficients a_0..a_N from a linear ODE for F and a_0 = 1.
 
     ``ode[k + 1][j]`` is c_{k,j} in sum_{k,j} c_{k,j} x^j F^(k) = 0, where
     F^(k) is the k-th derivative of F = sum a_n x^{n+1} and the row k = -1
-    is the constant column.  ``head`` is a_0..a_{h-1}.  With F = sum f_i x^i,
+    is the constant column.  F = x + ..., as for every reversive symbol, so
+    f_0 = 0 and f_1 = a_0 = 1 start it.  With F = sum f_i x^i,
     [x^n] x^j F^(k) is i(i-1)...(i-k+1) f_i for i = n + s, s = k - j.  The
     largest shift s_max with a nonzero coefficient solves [x^n] of the
     equation for f_m, m = n + s_max: L(m) f_m, with L(m) the sum of
@@ -272,19 +273,20 @@ def unroll_ode(ode: Sequence[Sequence[int]], head: Sequence[int], N: int) -> lis
     and the constant column.  So a term costs one product of an earlier
     term by a small integer per coefficient, and one division by L(m)
     through ``exact_div``: a wrong equation raises ``NonIntegerCoefficient``
-    rather than round, and an L(m) that vanishes past the head raises
-    ZeroDivisionError.  tests/test_ode.py proves each catalog entry's
-    equation and checks that its L has no root past the CLI's head.
+    rather than round, an L(m) that vanishes at m >= 2 raises
+    ZeroDivisionError, and an s_max above 2, which f_1 alone cannot start,
+    raises ValueError.  tests/test_ode.py proves each catalog entry's
+    equation and checks that its L has no root at m >= 2.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     constant = ode[0]
     terms = [(k - j, k, c) for k, row in enumerate(ode[1:]) for j, c in enumerate(row) if c]
     lead = max(terms)[0]
-    if len(head) + 1 < lead:
-        raise ValueError(f"the recurrence needs at least {lead - 1} head terms")
-    f = [0, *head[:N + 1]]  # f[i] = [x^i] F = a_{i-1}, and f_0 = 0
-    for m in range(len(f), N + 2):
+    if lead > 2:
+        raise ValueError(f"the recurrence's leading shift {lead} exceeds 2")
+    f = [0, 1]  # f[i] = [x^i] F = a_{i-1}
+    for m in range(2, N + 2):
         n = m - lead  # the equation [x^n] solves for f_m
         rhs = -constant[n] if n < len(constant) else 0
         divisor = 0

@@ -27,7 +27,7 @@ TAIL_RULES = [TileRule(set(), start=6, step=4), TileRule({3, 5}, start=7)]
 
 
 def catalog_entry(name):
-    """The catalog's entry named ``name``: its symbol, rule and closed form."""
+    """The catalog's entry named ``name``: its symbol, rule, closed form and equation."""
     for entry in catalog():
         if entry.symbol.name == name:
             return entry

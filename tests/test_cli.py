@@ -543,24 +543,29 @@ class TestRoutes:
         assert rc == 0
         assert out.splitlines()[7] == f"7 {schroeder[7] + 1}"
 
-    def _bfile_lines(self, capsys, tmp_path, name_or_symbol, count):
+    def _bfile_bytes(self, capsys, tmp_path, name_or_symbol, count):
         out_path = tmp_path / "b.txt"
         rc, _, err = run(capsys, "bfile", name_or_symbol, "--count", str(count), "--out", str(out_path))
         assert (rc, err) == (0, "")
-        return out_path.read_text().splitlines()
+        return out_path.read_bytes()
+
+    def _bfile_lines(self, capsys, tmp_path, name_or_symbol, count):
+        return self._bfile_bytes(capsys, tmp_path, name_or_symbol, count).decode().splitlines()
 
     def test_bfile_of_a_name_prints_the_unroll(self, capsys, monkeypatch, tmp_path):
-        expected = self._bfile_lines(capsys, tmp_path, "catalan", 50)
-        # direct reversion beyond the head is never read
-        def perturbed_past_head(*args):
-            terms = revert_direct(*args)
-            return terms[:cli._ODE_HEAD] + [t + 1 for t in terms[cli._ODE_HEAD:]]
-        monkeypatch.setattr(cli, "revert_direct", perturbed_past_head)
-        assert self._bfile_lines(capsys, tmp_path, "catalan", 50) == expected
+        # each list line's b-file, by direct reversion throughout
+        expected = {
+            (entry.symbol.name, count): self._bfile_bytes(capsys, tmp_path, format_symbol(entry.symbol), count)
+            for entry in catalog() for count in (1, 2, 12, 13, 60)
+        }
+        # a name's b-file runs no direct reversion, not even for its first terms
+        monkeypatch.setattr(cli, "revert_direct", _never_called)
+        assert {key: self._bfile_bytes(capsys, tmp_path, *key) for key in expected} == expected
+        catalan = expected["catalan", 60].decode().splitlines()
         monkeypatch.setattr(cli, "unroll_ode", _perturbed(power_series.unroll_ode, 30))
-        lines = self._bfile_lines(capsys, tmp_path, "catalan", 50)
-        assert lines[30] == f"30 {int(expected[30].split()[1]) + 1}"
-        assert lines[:30] + lines[31:] == expected[:30] + expected[31:]
+        lines = self._bfile_lines(capsys, tmp_path, "catalan", 60)
+        assert lines[30] == f"30 {int(catalan[30].split()[1]) + 1}"
+        assert lines[:30] + lines[31:] == catalan[:30] + catalan[31:]
 
     def test_bfile_of_symbol_text_prints_direct_reversion(self, capsys, monkeypatch, tmp_path):
         symbol = cli._resolve("catalan").symbol

@@ -125,12 +125,12 @@ def test_stored_equation_holds_for_the_inverse_series(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_recurrence_divides_by_no_zero_past_the_head(name):
-    # the unroll solves [x^n] for f_m, m = n + s, from f_{head+1} = a_head on:
-    # that needs n >= 0 and L(m) != 0 for every such m
-    first = cli._ODE_HEAD + 1
+def test_recurrence_divides_by_no_zero_past_a_0(name):
+    # f_1 = a_0 = 1 is given, and the unroll solves [x^n] for f_m, m = n + s,
+    # from f_2 on: that needs s <= 2, so that n >= 0, and L(m) != 0 for m >= 2
+    first = 2
     s, lead = _leading_coefficient(catalog_entry(name).ode)
-    assert lead and first >= s
+    assert lead and s <= first
     # every real root of L lies within 1 + max |l_i / l_top| (Cauchy's bound)
     bound = 1 + max(-(-abs(c) // abs(lead[-1])) for c in lead)
     assert [m for m in range(first, bound + 1) if _evaluate(lead, m) == 0] == []

@@ -346,39 +346,38 @@ class TestLagrange:
 
 
 class TestUnrollOde:
-    """The unroll of a catalog entry's equation continues direct reversion's first terms."""
+    """The unroll of a catalog entry's equation from a_0 = 1 alone equals direct reversion."""
 
     @pytest.mark.parametrize("name", [entry.symbol.name for entry in catalog()])
-    def test_equals_direct_reversion_from_a_one_or_twelve_term_head(self, name):
+    def test_equals_direct_reversion(self, name):
         # every leading coefficient vanishes only at f_0 or f_1, so a_0 alone starts it
         sym, *_, ode = catalog_entry(name)
-        direct = revert_direct(sym, 300)
-        assert unroll_ode(ode, direct[:1], 300) == unroll_ode(ode, direct[:12], 300) == direct
+        assert unroll_ode(ode, 300) == revert_direct(sym, 300)
 
     def test_catalan_from_a_0(self):
-        assert unroll_ode(catalog_entry("catalan").ode, [1], 8) == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+        assert unroll_ode(catalog_entry("catalan").ode, 8) == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
-    def test_short_n_returns_the_head(self):
-        assert unroll_ode(catalog_entry("schroeder").ode, [1, 1, 3, 11], 2) == [1, 1, 3]
+    def test_n_zero_gives_a_0(self):
+        assert unroll_ode(catalog_entry("schroeder").ode, 0) == [1]
 
     def test_negative_n_raises(self):
         with pytest.raises(ValueError, match=r"^N must be >= 0$"):
-            unroll_ode(catalog_entry("catalan").ode, [1], -1)
+            unroll_ode(catalog_entry("catalan").ode, -1)
 
-    def test_head_shorter_than_the_shift_raises(self):
-        # F''' = 0 solves [x^n] for f_{n+3}, so f_1 and f_2 must be given
-        with pytest.raises(ValueError, match="at least 2 head terms"):
-            unroll_ode(((), (), (), (), (1,)), [1], 5)
+    def test_shift_past_two_raises(self):
+        # F''' = 0 solves [x^n] for f_{n+3}, so f_1 alone cannot reach f_2
+        with pytest.raises(ValueError, match=r"^the recurrence's leading shift 3 exceeds 2$"):
+            unroll_ode(((), (), (), (), (1,)), 5)
 
     def test_wrong_equation_raises(self):
         # (1 - 3x) F' + 2F - 1 = 0 is not catalan's: its f_2 is 1/2
         with pytest.raises(NonIntegerCoefficient, match=r"^a_1 = 1/2 is not an integer$"):
-            unroll_ode(((-1,), (2,), (1, -3)), [1], 5)
+            unroll_ode(((-1,), (2,), (1, -3)), 5)
 
     def test_vanishing_leading_coefficient_raises(self):
-        # x F' - F = 0 gives (m - 1) f_m = 0, which leaves f_1 free
+        # x F' - 2F = 0 gives (m - 2) f_m = 0, which leaves f_2 free
         with pytest.raises(ZeroDivisionError):
-            unroll_ode(((), (-1,), (0, 1)), [], 3)
+            unroll_ode(((), (-2,), (0, 1)), 3)
 
 
 class TestRevertDirect:
