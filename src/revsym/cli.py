@@ -19,16 +19,18 @@ Settings come from built-in defaults, optionally overridden by a plain
 ``key=value`` config file (keys ``exhaustive_cap_n``, ``chord_cap_p``,
 ``default_count``), overridden in turn by command flags.
 
-``main`` builds the root parser and, from the ``_COMMANDS`` table, only the
-parser of the command named first; help, no command or an unknown word
-builds all five.  Help, usage lines and errors read the same either way.
+``main`` reads a well-formed command line straight from the ``_COMMANDS``
+table (``_read_argv``), so such a command never imports ``argparse``, nor the
+``gettext`` and ``locale`` that argparse loads.  Every other line, help
+included, goes to the argparse parser built from the same table, which
+writes every help text, usage line and error message.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Callable, Iterator, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .closed_forms import DomainError
 from .dissection_oracle import (
@@ -51,6 +53,9 @@ from .symbols import (
     parse_tile_spec,
     symbol_from_tile_rule,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main"]
 
@@ -97,7 +102,7 @@ def _read_config(path: str) -> dict[str, int]:
     return values
 
 
-def _fill_settings(args: argparse.Namespace) -> None:
+def _fill_settings(args: SimpleNamespace) -> None:
     """Give every flag the subcommand has and was not passed its config value, else its default."""
     config = _read_config(args.config) if getattr(args, "config", None) is not None else {}
     for key, (flag, default) in _SETTINGS.items():
@@ -126,13 +131,13 @@ def _listing(terms: list[int]) -> Iterator[str]:
     return (f"{i} {_decimal(value)}\n" for i, value in enumerate(terms))
 
 
-def cmd_list(args: argparse.Namespace) -> int:
+def cmd_list(args: SimpleNamespace) -> int:
     for entry in catalog():
         print(format_symbol(entry.symbol))
     return 0
 
 
-def cmd_terms(args: argparse.Namespace) -> int:
+def cmd_terms(args: SimpleNamespace) -> int:
     symbol, rule, closed_form, _ = _resolve(args.name_or_symbol)
     if args.method == "reversion":
         terms = revert_direct(symbol, args.count - 1)
@@ -140,7 +145,7 @@ def cmd_terms(args: argparse.Namespace) -> int:
         if closed_form is None:
             raise ParseError("closed forms exist only for catalog sequences")
         terms = [closed_form(i) for i in range(args.count)]
-    elif rule is None:  # "series", the last choice argparse allows
+    elif rule is None:  # "series", the last of --method's choices
         raise ParseError("the series counter needs a tile rule; this sequence has none")
     else:
         terms = count_by_series(args.count - 1, rule)
@@ -159,7 +164,7 @@ def _closed_column(closed_form: Callable[[int], int], count: int) -> list[object
     return column
 
 
-def _oracle_column(rule: Optional[TileRule], count: int, args: argparse.Namespace) -> list[int]:
+def _oracle_column(rule: Optional[TileRule], count: int, args: SimpleNamespace) -> list[int]:
     """Exhaustive ground truth per n, for as far as the caps allow.
 
     ``rule`` is the second of ``_resolve``'s four fields: a tile rule goes
@@ -173,7 +178,7 @@ def _oracle_column(rule: Optional[TileRule], count: int, args: argparse.Namespac
     return [count_chord_diagrams(i, cap=args.chord_cap_p) for i in range(top + 1)]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     count = args.count
     symbol, rule, closed_form, _ = _resolve(args.name)
     if closed_form is None:  # symbol text: no closed column, and no rule would mean chords
@@ -223,7 +228,7 @@ def _check_sizes_fit(rule: TileRule, count: int) -> None:
         raise InvalidTileSet(f"tail step {rule.step} exceeds count+1 = {limit}")
 
 
-def cmd_from_tiles(args: argparse.Namespace) -> int:
+def cmd_from_tiles(args: SimpleNamespace) -> int:
     count = args.count
     rule = parse_tile_spec(args.spec)
     _check_sizes_fit(rule, count)
@@ -239,7 +244,7 @@ def cmd_from_tiles(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bfile(args: argparse.Namespace) -> int:
+def cmd_bfile(args: SimpleNamespace) -> int:
     symbol, _, _, ode = _resolve(args.name_or_symbol)
     top = args.count - 1
     if top < 0:
@@ -256,6 +261,8 @@ def cmd_bfile(args: argparse.Namespace) -> int:
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
@@ -263,20 +270,26 @@ def _positive(text: str) -> int:
 def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
-# name -> (help, handler, whether it reads --config, its arguments as
-# (flag, add_argument options) in the order its help lists them)
+_CONFIG = ("--config", dict(metavar="PATH", help="key=value settings file"))
+
+# name -> (help, handler, its arguments as (flag, add_argument options) in the
+# order its help lists them)
 _COMMANDS = {
-    "list": ("print the symbol catalog", cmd_list, False, ()),
-    "terms": ("print sequence terms", cmd_terms, True, (
+    "list": ("print the symbol catalog", cmd_list, ()),
+    "terms": ("print sequence terms", cmd_terms, (
+        _CONFIG,
         ("name_or_symbol", dict(help="catalog name or (p0,p1,..)/(q0,q1,..)")),
         ("--count", dict(type=_positive, help="number of terms (n = 0..count-1)")),
         ("--method", dict(choices=("reversion", "closed", "series"), default="reversion")),
     )),
-    "verify": ("cross-check every computation path for a catalog entry", cmd_verify, True, (
+    "verify": ("cross-check every computation path for a catalog entry", cmd_verify, (
+        _CONFIG,
         ("name", dict(help="catalog name")),
         ("--exhaustive-cap-n", dict(type=_non_negative, metavar="N", help=(
             f"max n for exhaustive dissection runs (default {DEFAULT_DISSECTION_CAP})"))),
@@ -284,11 +297,12 @@ _COMMANDS = {
             f"max points for exhaustive chord runs (default {DEFAULT_CHORD_CAP})"))),
         ("--count", dict(type=_positive, help="number of terms to verify")),
     )),
-    "from-tiles": ("synthesize a symbol from a tile rule and print its terms", cmd_from_tiles, True, (
+    "from-tiles": ("synthesize a symbol from a tile rule and print its terms", cmd_from_tiles, (
+        _CONFIG,
         ("spec", dict(help="odd|even|any|triangles|notriangles or sizes like 3,5 or 4+")),
         ("--count", dict(type=_positive, help="number of terms")),
     )),
-    "bfile": ("export terms in b-file format", cmd_bfile, False, (
+    "bfile": ("export terms in b-file format", cmd_bfile, (
         ("name_or_symbol", dict(help="catalog name or symbol text")),
         ("--count", dict(type=_non_negative, required=True, help="number of terms")),
         ("--out", dict(required=True, metavar="PATH", help="output file")),
@@ -296,23 +310,71 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The root parser, with a subcommand parser for ``command`` only, or for all five if None.
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace ``_build_parser().parse_args(argv)`` gives, read from ``_COMMANDS`` alone, or None.
 
-    Usage lines and errors name all five either way: the others are choices with no parser.
+    Only the plain form is read: the command first, then positionals that do
+    not start with ``-`` and the command's flags, each written out in full at
+    most once and followed by a value that does not start with ``-``; the
+    positionals exactly as many as declared, every required flag given, and
+    every value passing its type and choices.  Any other line returns None
+    and goes to argparse, which alone reads ``--count=3``, ``--cou 3``, ``--``
+    and ``-h``, and writes every help text, usage line and error.
     """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    declared = dict(arguments)
+    given: dict[str, str] = {}
+    positionals: list[str] = []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        value = next(words, "-")  # a flag at the end has no value
+        if word not in declared or word in given or value.startswith("-"):
+            return None
+        given[word] = value
+    names = [flag for flag in declared if not flag.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    given.update(zip(names, positionals))
+    args = SimpleNamespace(command=argv[0], func=handler)
+    for flag, options in arguments:
+        if flag not in given:
+            if options.get("required"):
+                return None
+            value = options.get("default")
+        else:
+            try:
+                value = options.get("type", str)(given[flag])
+            except Exception:
+                # int's ValueError or the range check's ArgumentTypeError:
+                # argparse calls the type on this word again and reports it
+                return None
+            choices = options.get("choices")
+            if choices is not None and value not in choices:
+                return None
+        setattr(args, flag.lstrip("-").replace("-", "_"), value)
+    return args
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of all five commands, from ``_COMMANDS``.
+
+    ``main`` builds it only for a line that ``_read_argv`` does not read:
+    help, an error, or a form that only argparse reads.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="revsym",
         description="Exact dissection-counting sequences from reversive symbols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, handler, reads_config, arguments) in _COMMANDS.items():
-        if command not in (None, name):
-            sub.choices[name] = None  # choices is the subparsers' name -> parser map
-            continue
+    for name, (summary, handler, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        if reads_config:
-            p.add_argument("--config", metavar="PATH", help="key=value settings file")
         for flag, options in arguments:
             p.add_argument(flag, **options)
         p.set_defaults(func=handler)
@@ -322,8 +384,7 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a command named first is the only one whose parser can run
-    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv, SimpleNamespace())
     try:
         _fill_settings(args)
         return args.func(args)

@@ -723,6 +723,10 @@ _MESSAGE_CASES = [
     *([name, "--help"] for name in ("list", "terms", "verify", "from-tiles", "bfile")),
     ["terms", "catalan", "--count", "0"], ["verify", "catalan", "--count", "x"],
     ["bfile", "catalan", "--count", "1", "--out", "X", "--chord-cap-p", "3"],
+    # lines that _read_argv leaves to argparse: a joined or shortened flag
+    # with a bad value, a flag with no value, and help after a positional
+    ["terms", "catalan", "--count=0"], ["terms", "catalan", "--cou", "0"],
+    ["bfile", "catalan", "--out"], ["verify", "catalan", "-h"],
 ]
 
 
@@ -737,8 +741,46 @@ def _exit_and_output(capsys, parse, argv):
     return exc.value.code, captured.out, captured.err
 
 
+# every flag of every command, words that pass or fail their types and
+# choices, and the forms that only argparse reads
+_FLAGS = sorted({flag for _, _, arguments in cli._COMMANDS.values() for flag, _ in arguments if flag[0] == "-"})
+_WORDS = ["0", "1", "3", "x", "", "catalan", "odd", "reversion", "series", "b.txt",
+          "-h", "--", "--count=3", "--cou", "-1", "-"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, most of its own arguments, and stray flags and words, in any order.
+
+    An argument's value is one it accepts or, as often, any of ``_WORDS``.
+    """
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    word = st.sampled_from(_WORDS)
+    pieces = []
+    for flag, options in cli._COMMANDS[command][2]:
+        if draw(st.integers(0, 3)):
+            fits = options.get("choices") or (["1", "3"] if "type" in options else ["catalan", "", "b.txt"])
+            value = draw(st.one_of(st.sampled_from(fits), word))
+            pieces.append([flag, value] if flag[0] == "-" else [value])
+    pieces += draw(st.lists(st.one_of(st.tuples(st.sampled_from(_FLAGS), word),
+                                      st.tuples(st.sampled_from(_WORDS + _FLAGS))), max_size=3))
+    return [command, *(w for piece in draw(st.permutations(pieces)) for w in piece)]
+
+
 class TestOneParserPerCommand:
-    """``main`` builds the subcommand parser only for the command named first."""
+    """``main`` reads a well-formed line without argparse and leaves every other line to it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    def test_reader_agrees_with_argparse(self, argv):
+        read = cli._read_argv(argv)
+        if read is None:
+            return
+        try:
+            parsed = cli._build_parser().parse_args(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"argparse exits {exc.code} on {argv}, which _read_argv read") from None
+        assert vars(read) == vars(parsed)
 
     @pytest.mark.parametrize("columns", [80, 40])
     @pytest.mark.parametrize("argv", _MESSAGE_CASES, ids=_argv_id)
@@ -752,11 +794,13 @@ class TestOneParserPerCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, built", [
-        (["list"], 2),
-        (["terms", "catalan", "--count", "3"], 2),
-        (["verify", "catalan", "--count", "3"], 2),
-        (["from-tiles", "3", "--count", "3"], 2),
-        (["bfile", "catalan", "--count", "3", "--out", "b.txt"], 2),
+        (["list"], 0),
+        (["terms", "catalan", "--count", "3"], 0),
+        (["verify", "catalan", "--count", "3"], 0),
+        (["from-tiles", "3", "--count", "3"], 0),
+        (["bfile", "catalan", "--count", "3", "--out", "b.txt"], 0),
+        (["terms", "catalan", "--count=3"], 6),
+        (["terms", "catalan", "--cou", "3"], 6),
         (["--help"], 6),
         ([], 6),
     ], ids=lambda value: _argv_id(value) if isinstance(value, list) else None)
@@ -773,6 +817,8 @@ class TestOneParserPerCommand:
         with contextlib.suppress(SystemExit):
             cli.main(argv)
         assert len(created) == built
+        if argv[:2] == ["terms", "catalan"]:  # every spelling of --count 3 prints its terms
+            assert capsys.readouterr().out == "0 1\n1 1\n2 2\n"
 
     def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, tmp_path):
         # the console script calls main() with no arguments

@@ -62,11 +62,27 @@ def test_only_power_series_binds_a_series_kernel():
     assert {name: kernels for name, kernels in bound.items() if kernels} == {}
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # every command starts with this import; dataclasses and the inspect,
-    # ast, dis and tokenize it pulls in were about a third of it.  -S keeps
-    # site-packages hooks out, so only revsym's own imports count
-    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import revsym.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def _loaded(code, modules):
+    """Which of ``modules`` are loaded after ``code`` runs in a fresh ``-S`` interpreter.
+
+    -S keeps site-packages hooks out, so only revsym's own imports count.
+    """
+    code = f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {code}; print(sorted({modules!r} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    return result.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_stays_light():
+    # every command starts with this import; dataclasses and the inspect,
+    # ast, dis and tokenize it pulls in were about a third of it, and
+    # argparse loads only when main falls back to it
+    assert _loaded("import revsym.cli", {"dataclasses", "inspect", "argparse", "gettext"}) == "[]"
+
+
+def test_a_well_formed_command_of_each_kind_runs_without_argparse(tmp_path):
+    # argparse's first parser build imports gettext and locale; main reads
+    # these lines itself
+    lines = [["list"], ["terms", "catalan", "--count", "3"], ["verify", "catalan", "--count", "3"],
+             ["from-tiles", "3", "--count", "3"], ["bfile", "catalan", "--count", "3", "--out", str(tmp_path / "b")]]
+    code = f"from revsym.cli import main; assert [main(argv) for argv in {lines!r}] == [0] * 5"
+    assert _loaded(code, {"argparse", "gettext", "locale"}) == "[]"
