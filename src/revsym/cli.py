@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
 
 from .closed_forms import DomainError
 from .dissection_oracle import (
@@ -40,7 +40,7 @@ from .dissection_oracle import (
     count_chord_diagrams,
     enumerate_counts,
 )
-from .exact_arith import NonIntegerCoefficient, _decimal
+from .exact_arith import NonIntegerCoefficient, _decimal, _unlimited_digits
 from .power_series import count_by_series, lagrange_coefficients, revert_direct, unroll_ode
 from .symbols import (
     InvalidTileSet,
@@ -126,9 +126,15 @@ def _resolve(text: str) -> tuple[ReversiveSymbol, Optional[TileRule], Optional[C
     raise ParseError(f"unknown sequence {text!r}; try 'revsym list'")
 
 
-def _listing(terms: list[int]) -> Iterator[str]:
-    """The ``n a(n)`` lines of a term listing, one per term, each made as it is written."""
-    return (f"{i} {_decimal(value)}\n" for i, value in enumerate(terms))
+def _write_listing(out: TextIO, terms: list[int]) -> None:
+    """Write the ``n a(n)`` lines of a term listing to out, each made as it is written.
+
+    The lines are streamed, never all held at once.  The digit limit is
+    lifted once for the whole listing and restored after it, also when a
+    write raises.
+    """
+    with _unlimited_digits():
+        out.writelines(f"{i} {value}\n" for i, value in enumerate(terms))
 
 
 def cmd_list(args: SimpleNamespace) -> int:
@@ -149,7 +155,7 @@ def cmd_terms(args: SimpleNamespace) -> int:
         raise ParseError("the series counter needs a tile rule; this sequence has none")
     else:
         terms = count_by_series(args.count - 1, rule)
-    sys.stdout.writelines(_listing(terms))
+    _write_listing(sys.stdout, terms)
     return 0
 
 
@@ -240,7 +246,7 @@ def cmd_from_tiles(args: SimpleNamespace) -> int:
         if a != b:
             print(f"MISMATCH at n={i}: reversion={_decimal(a)}, series={_decimal(b)}")
             return 1
-    sys.stdout.writelines(_listing(terms))
+    _write_listing(sys.stdout, terms)
     return 0
 
 
@@ -254,7 +260,7 @@ def cmd_bfile(args: SimpleNamespace) -> int:
     else:
         terms = unroll_ode(ode, top)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_listing(terms))
+        _write_listing(fh, terms)
     return 0
 
 

@@ -12,7 +12,9 @@ every non-integral quotient raises the same :class:`NonIntegerCoefficient`.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from math import comb, gcd
+from typing import Iterator
 
 __all__ = [
     "NonIntegerCoefficient",
@@ -64,18 +66,31 @@ def exact_div(value: int, divisor: int, index: int, name: str = "a") -> int:
     return q
 
 
-def _decimal(value: int) -> str:
-    """An integer in decimal, however many digits it has.
+@contextmanager
+def _unlimited_digits() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit limit for the block, and restore it after.
 
-    The interpreter's int-to-str digit limit, which guards the parsing of
-    input, is lifted for this one conversion and then restored.
+    The limit guards the parsing of input; a term of any length may be
+    written out.  A Python without the limit (3.10 before 3.10.7) runs the
+    block as it is.
     """
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:
-        return str(value)
+        yield
+        return
     limit = get_limit()
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _decimal(value: int) -> str:
+    """An integer in decimal, however many digits it has.
+
+    For one conversion; a listing of many terms lifts the digit limit once
+    for all of them with :func:`_unlimited_digits`.
+    """
+    with _unlimited_digits():
+        return str(value)

@@ -40,8 +40,10 @@ certifying that every one is an integer:
 * The unroll, :func:`unroll_ode`, computes a catalog entry's terms from
   a_0 = 1 alone through the linear differential equation for F that the
   entry stores, read as a recurrence with polynomial coefficients, in
-  O(N) big-integer operations and with no code of route 2's.  ``bfile``
-  of a catalog entry prints it.
+  O(N) big-integer operations and with no code of route 2's.  The
+  equation's coefficients fold into one polynomial per shift before the
+  first term, so a term costs one big-integer product per shift, not
+  per coefficient.  ``bfile`` of a catalog entry prints it.
 * Route 4, :func:`count_by_series`, solves a tile rule's equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration.  It runs on
   the same kernels as route 1, but the two algorithms feed them different
@@ -56,7 +58,6 @@ two products.
 
 from __future__ import annotations
 
-from math import perm
 from operator import mul
 from typing import Sequence
 
@@ -266,36 +267,54 @@ def unroll_ode(ode: Sequence[Sequence[int]], N: int) -> list[int]:
     F^(k) is the k-th derivative of F = sum a_n x^{n+1} and the row k = -1
     is the constant column.  F = x + ..., as for every reversive symbol, so
     f_0 = 0 and f_1 = a_0 = 1 start it.  With F = sum f_i x^i,
-    [x^n] x^j F^(k) is i(i-1)...(i-k+1) f_i for i = n + s, s = k - j.  The
-    largest shift s_max with a nonzero coefficient solves [x^n] of the
-    equation for f_m, m = n + s_max: L(m) f_m, with L(m) the sum of
-    c_{k,j} m(m-1)...(m-k+1) over that shift, equals minus the lower shifts
-    and the constant column.  So a term costs one product of an earlier
-    term by a small integer per coefficient, and one division by L(m)
-    through ``exact_div``: a wrong equation raises ``NonIntegerCoefficient``
-    rather than round, an L(m) that vanishes at m >= 2 raises
-    ZeroDivisionError, and an s_max above 2, which f_1 alone cannot start,
-    raises ValueError.  tests/test_ode.py proves each catalog entry's
-    equation and checks that its L has no root at m >= 2.
+    [x^n] x^j F^(k) is i(i-1)...(i-k+1) f_i for i = n + s, s = k - j.  So
+    the coefficients of one shift s fold, before the first term, into one
+    integer polynomial in i, the sum of their c_{k,j} i(i-1)...(i-k+1);
+    falling factorials of different k are linearly independent, so no
+    shift's polynomial cancels to zero.  The largest shift s_max solves
+    [x^n] of the equation for f_m, m = n + s_max: L(m) f_m, with L its
+    polynomial, equals minus the lower shifts and the constant column.
+    So a term costs one product of an earlier term by a small integer per
+    shift, each a small polynomial evaluated by Horner's rule, and one
+    division by L(m) through ``exact_div``: a wrong equation raises
+    ``NonIntegerCoefficient`` rather than round, an L(m) that vanishes at
+    m >= 2 raises ZeroDivisionError, and an s_max above 2, which f_1 alone
+    cannot start, raises ValueError.  tests/test_ode.py proves each catalog
+    entry's equation and checks that its L has no root at m >= 2.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     constant = ode[0]
-    terms = [(k - j, k, c) for k, row in enumerate(ode[1:]) for j, c in enumerate(row) if c]
-    lead = max(terms)[0]
+    folded: dict[int, list[int]] = {}  # shift -> its polynomial in i, lowest power first
+    falling = [1]  # i(i-1)...(i-k+1), lowest power first
+    for k, row in enumerate(ode[1:]):
+        for j, c in enumerate(row):
+            if c:
+                poly = folded.setdefault(k - j, [])
+                poly += [0] * (k + 1 - len(poly))  # rows come by ascending k
+                for d, b in enumerate(falling):
+                    poly[d] += c * b
+        falling = [a - k * b for a, b in zip([0, *falling], [*falling, 0])]
+    lead = max(folded)
     if lead > 2:
         raise ValueError(f"the recurrence's leading shift {lead} exceeds 2")
+    # highest power first, for Horner's rule
+    leading = folded.pop(lead)[::-1]
+    lower = [(s, poly[::-1]) for s, poly in folded.items()]
     f = [0, 1]  # f[i] = [x^i] F = a_{i-1}
     for m in range(2, N + 2):
         n = m - lead  # the equation [x^n] solves for f_m
         rhs = -constant[n] if n < len(constant) else 0
-        divisor = 0
-        for s, k, c in terms:
+        for s, poly in lower:
             i = n + s
-            if i == m:
-                divisor += c * perm(m, k)
-            elif i >= 0:
-                rhs -= c * perm(i, k) * f[i]
+            if i >= 0:
+                value = 0
+                for c in poly:
+                    value = value * i + c
+                rhs -= value * f[i]
+        divisor = 0
+        for c in leading:
+            divisor = divisor * m + c
         f.append(exact_div(rhs, divisor, m - 1))
     return f[1:]
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import os
 import re
@@ -516,6 +517,57 @@ class TestBfile:
                          "--out", str(tmp_path / "missing dir" / "b.txt"))
         assert rc == 2
         assert "missing dir" in err
+
+
+class TestDigitLimit:
+    """A listing lifts the interpreter's int-to-str digit limit once for all its lines, then restores it."""
+
+    @pytest.fixture
+    def limit(self):
+        # a limit other than the default, so that restoring the default would show
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        yield 5000
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("command", ["terms", "bfile"])
+    def test_restored_after_a_listing(self, capsys, tmp_path, limit, command):
+        # a_2 = 2 X^2 has 8,001 digits, past the limit
+        out_path = tmp_path / "b.txt"
+        argv = [command, f"(0,1,-{'9' * 4000})/(1)", "--count", "3"]
+        if command == "bfile":
+            argv += ["--out", str(out_path)]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        listing = out if command == "terms" else out_path.read_text()
+        assert len(listing.splitlines()[2]) == len("2 ") + 8001
+
+    def test_restored_when_a_write_fails_midway(self, capsys, monkeypatch, limit):
+        lifted = []
+
+        class FullDisk(io.StringIO):
+            def write(self, line):
+                lifted.append(sys.get_int_max_str_digits())
+                if len(lifted) > 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(line)
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        rc, _, err = run(capsys, "bfile", "catalan", "--count", "10", "--out", "b.txt")
+        assert (rc, err) == (2, "error: i/o: No space left on device\n")
+        assert lifted == [0, 0, 0, 0]  # lifted while the lines are made, once for all of them
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_same_bytes_on_a_python_without_the_limit(self, capsys, monkeypatch, tmp_path):
+        # Python 3.10 before 3.10.7 has neither function; str() then has no limit to lift
+        with_limit, without = tmp_path / "a.txt", tmp_path / "b.txt"
+        run(capsys, "bfile", "oddtiles", "--count", "300", "--out", str(with_limit))
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        rc, _, err = run(capsys, "bfile", "oddtiles", "--count", "300", "--out", str(without))
+        assert (rc, err) == (0, "")
+        assert without.read_bytes() == with_limit.read_bytes()
 
 
 class TestRoutes:

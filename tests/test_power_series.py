@@ -2,15 +2,18 @@
 tile-equation counter (route 4), and the two certificates, verify_inverse and
 verify_tautological."""
 
+from math import comb, perm
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from revsym import power_series
-from revsym.exact_arith import NonIntegerCoefficient
+from revsym.exact_arith import NonIntegerCoefficient, exact_div
 from revsym.power_series import (
     _compose_raw,
     _conv,
     _div_raw,
+    _halving_plan,
     count_by_series,
     lagrange_coefficients,
     revert_direct,
@@ -233,6 +236,18 @@ class TestSparseKernels:
         assert _compose_raw([[0] * 50 + [1]], [0, 1, 1, 1], 3) == [[0, 0, 0, 0]]
         assert calls == []
 
+    def test_each_half_is_built_to_the_degree_it_is_read(self, monkeypatch):
+        # y^7 = y^3 y^4 at degree 20; y^h starts at degree h, so y^3 is read
+        # to 20 - 4 and y^4 to 20 - 3, and y^2, half of both y^4 = y^2 y^2
+        # and y^3 = y y^2, to 17 - 2 = 16 - 1 = 15
+        assert _halving_plan({7: 20}) == {7: 20, 4: 17, 3: 16, 2: 15}
+        calls = _record_conv_calls(monkeypatch)
+        n = 20
+        composed = _compose_raw([[0] * 7 + [1]], [0] + [1] * n, n)  # y^7, y = x/(1-x)
+        assert composed == [[0] * 7 + [comb(d - 1, 6) for d in range(7, n + 1)]]
+        # y^2, y^3, y^4 and y^7, then one Horner product by y^7
+        assert calls == [(15, 0), (16, 0), (17, 0), (20, 0), (20, 0)]
+
     def test_high_power_is_built_only_as_far_as_it_is_read(self, monkeypatch):
         # y + y^599 over y = x/(1-x): Horner multiplies by y^598 and by y at
         # degree 599, and y^598 = y^299 y^299 is the one table entry read that
@@ -345,6 +360,49 @@ class TestLagrange:
                 route(bad, 3)
 
 
+def _unroll_by_coefficient(ode, N):
+    """The unroll term by term: one product per coefficient c_{k,j}, its falling factorial from perm."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    constant = ode[0]
+    terms = [(k - j, k, c) for k, row in enumerate(ode[1:]) for j, c in enumerate(row) if c]
+    lead = max(terms)[0]
+    if lead > 2:
+        raise ValueError(f"the recurrence's leading shift {lead} exceeds 2")
+    f = [0, 1]
+    for m in range(2, N + 2):
+        n = m - lead
+        rhs = -constant[n] if n < len(constant) else 0
+        divisor = 0
+        for s, k, c in terms:
+            i = n + s
+            if i == m:
+                divisor += c * perm(m, k)
+            elif i >= 0:
+                rhs -= c * perm(i, k) * f[i]
+        f.append(exact_div(rhs, divisor, m - 1))
+    return f[1:]
+
+
+def _outcome(unroll, ode, N):
+    """The terms, or the type and text of what the unroll raised."""
+    try:
+        return unroll(ode, N)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def random_odes(draw):
+    """Equations of order <= 3 and x-degree <= 3, coefficients in -3..3, leading shift <= 2."""
+    small = st.integers(-3, 3)
+    ode = [draw(st.lists(small, max_size=4))]  # the constant column
+    for k in range(draw(st.integers(1, 4))):
+        ode.append([c if k - j <= 2 else 0 for j, c in enumerate(draw(st.lists(small, max_size=4)))])
+    assume(any(map(any, ode[1:])))
+    return tuple(map(tuple, ode))
+
+
 class TestUnrollOde:
     """The unroll of a catalog entry's equation from a_0 = 1 alone equals direct reversion."""
 
@@ -378,6 +436,11 @@ class TestUnrollOde:
         # x F' - 2F = 0 gives (m - 2) f_m = 0, which leaves f_2 free
         with pytest.raises(ZeroDivisionError):
             unroll_ode(((), (-2,), (0, 1)), 3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(random_odes(), st.integers(0, 12))
+    def test_fold_per_shift_equals_the_unroll_per_coefficient(self, ode, N):
+        assert _outcome(unroll_ode, ode, N) == _outcome(_unroll_by_coefficient, ode, N)
 
 
 class TestRevertDirect:
@@ -466,6 +529,22 @@ class TestCountBySeries:
         calls = _record_conv_calls(monkeypatch)
         count_by_series(255, parse_tile_spec(spec))
         assert [n for n, _ in calls].count(255) <= most
+
+    def test_each_step_takes_its_products_at_fixed_degrees(self, monkeypatch):
+        # A = 1 + x A^2 + x^2 A^3 has Ng = y + y^2, Dg = 1.  A step from
+        # degree e to n composes Ng at n (two products by xA; y^2 lies
+        # above degree 1 in the first step), Ng' = 1 + 2y at m - 1 with
+        # m = n - e - 1 (one product, none below degree 0), then takes psi's
+        # two products from degree e + 1 and the slope's two at m - 1
+        calls = _record_conv_calls(monkeypatch)
+        assert count_by_series(20, parse_tile_spec("3,4"))[-1] == 2177832612120
+        assert calls == [
+            (1, 0), (1, 1), (1, 1), (-1, 0), (-1, 0),  # 0 -> 1
+            (2, 0), (2, 0), (2, 2), (2, 2), (-1, 0), (-1, 0),  # 1 -> 2
+            (5, 0), (5, 0), (1, 0), (5, 3), (5, 3), (1, 0), (1, 0),  # 2 -> 5
+            (10, 0), (10, 0), (3, 0), (10, 6), (10, 6), (3, 0), (3, 0),  # 5 -> 10
+            (20, 0), (20, 0), (8, 0), (20, 11), (20, 11), (8, 0), (8, 0),  # 10 -> 20
+        ]
 
     @pytest.mark.parametrize("spec", ["3+", "3,5,7+", "4,3+3"])
     def test_psi_is_computed_from_the_degree_it_is_read(self, monkeypatch, spec):
