@@ -8,14 +8,17 @@ the composition :func:`_compose_raw`.  Their cost follows the nonzero
 coefficients: a product or quotient runs over its second operand's span
 of nonzero coefficients only, and a composition multiplies once per gap
 between the outer polynomial's nonzero coefficients, by powers of the
-inner series.  No other module binds them: the closed forms and both
-brute-force counters use no series kernel, so a kernel defect cannot
-reach those checks.
+inner series.  A product of a list by itself is a square and takes each
+pair of coefficients once, about half the products.  No other module
+binds the kernels: the closed forms and both brute-force counters use no
+series kernel, so a kernel defect cannot reach those checks.
 
 Which powers to build by halving, k = k//2 + (k - k//2), and how far to
 build each, is decided in one place, :func:`_halving_plan`: a power is
-built only up to the last degree that is read of it.  The compositions
-and :func:`revert_direct` both take their powers from it.
+built only up to the last degree that is read of it, and an even power
+is a square.  A composition builds one table for all its outers, each
+composed at its own degree, and :func:`revert_direct` keeps its rows by
+the same plan.
 
 Coefficients are Python ints.  The one division, :func:`_div_raw`, divides
 each step exactly by the divisor's constant term through
@@ -45,10 +48,10 @@ certifying that every one is an integer:
   first term, so a term costs one big-integer product per shift, not
   per coefficient.  ``bfile`` of a catalog entry prints it.
 * Route 4, :func:`count_by_series`, solves a tile rule's equation
-  A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration.  It runs on
-  the same kernels as route 1, but the two algorithms feed them different
-  operands, so a kernel defect makes them disagree, and the closed forms
-  and the enumeration check both.
+  A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration, with one
+  composition per step.  It runs on the same kernels as route 1, but the
+  two algorithms feed them different operands, so a kernel defect makes
+  them disagree, and the closed forms and the enumeration check both.
 
 Two certificates check given terms with no division: :func:`verify_inverse`
 that alpha(F(x)) = x, and :func:`verify_tautological` that A solves the
@@ -93,10 +96,25 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int, lo: int = 0) -> list[int]:
     without constant term costs only the degrees it reaches.  Degrees below
     lo are not computed and read 0, for a caller that reads only the top of
     the product (the truncated case of the middle product: Hanrot, Quercia
-    and Zimmermann 2004).
+    and Zimmermann 2004).  When a and b are the same list the product is a
+    square, whose terms a_i a_j and a_j a_i are equal: each unordered pair
+    i < j is taken once and doubled, beside the diagonal a_i^2, so a square
+    takes about half the products (Knuth, TAOCP vol. 2, 4.6.3).
     """
     out = [0] * (n + 1)
     first, last = _support(b)
+    if a is b:
+        for i in range(first, min(last, n // 2) + 1):
+            ai = a[i]
+            if ai:
+                if 2 * i >= lo:
+                    out[2 * i] += ai * ai
+                twice = 2 * ai
+                for j in range(max(i + 1, lo - i), min(n - i, last) + 1):
+                    aj = a[j]
+                    if aj:
+                        out[i + j] += twice * aj
+        return out
     for i, ai in enumerate(a):
         if i + first > n:
             break
@@ -145,28 +163,36 @@ def _halving_plan(reach: dict[int, int]) -> dict[int, int]:
     return reach
 
 
-def _compose_raw(outers: Sequence[Sequence[int]], inner: Sequence[int], n: int) -> list[list[int]]:
-    """outer(inner(x)) mod x^{n+1} for each outer; inner[0] must be 0.
+def _compose_raw(outers: Sequence[Sequence[int]], inner: Sequence[int],
+                 degrees: Sequence[int]) -> list[list[int]]:
+    """outer(inner(x)) mod x^{n+1} for each outer and its own degree n; inner[0] must be 0.
 
     Horner over each outer's nonzero coefficients only: between
     consecutive nonzero exponents hi > lo the sum is multiplied by
     inner^{hi-lo}, and at the end by inner^{lo} of the lowest one.  For a
     dense outer every gap is 1, one product by inner per degree.  The
-    outers share one table of the powers these products read in full,
-    built by :func:`_halving_plan`, one product per entry, each truncated
-    at the last degree read, so a high power costs little beyond its own
-    degree.  Coefficients of an outer above degree n are ignored, since
-    inner^k vanishes mod x^{n+1} for k > n.
+    outers share one table of the powers these products read in full: a
+    power is read to the largest degree among the outers whose gaps need
+    it, and :func:`_halving_plan` builds each power once, one product per
+    entry, each truncated at the last degree read, so a high power costs
+    little beyond its own degree and an even one is a square.
+    Coefficients of an outer above its degree are ignored, since inner^k
+    vanishes mod x^{n+1} for k > n.
     """
-    exponents = [[k for k in range(min(len(outer) - 1, n), -1, -1) if outer[k]] for outer in outers]
-    gaps = {hi - lo for ks in exponents for hi, lo in zip(ks, [*ks[1:], 0]) if hi > lo}
-    plan = _halving_plan(dict.fromkeys(gaps, n))
+    exponents = [[k for k in range(min(len(outer) - 1, n), -1, -1) if outer[k]]
+                 for outer, n in zip(outers, degrees)]
+    reach: dict[int, int] = {}
+    for ks, n in zip(exponents, degrees):
+        for hi, lo in zip(ks, [*ks[1:], 0]):
+            if hi > lo:
+                reach[hi - lo] = max(n, reach.get(hi - lo, n))
+    plan = _halving_plan(reach)
     powers = {1: inner}
     for k in sorted(plan):
         if k >= 2:
             powers[k] = _conv(powers[k // 2], powers[k - k // 2], plan[k])
     out = []
-    for outer, ks in zip(outers, exponents):
+    for outer, ks, n in zip(outers, exponents, degrees):
         res = [0] * (n + 1)
         for hi, lo in zip(ks, [*ks[1:], 0]):
             res[0] += outer[hi]
@@ -336,14 +362,14 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     n_max, costs more than all the others together.  Psi(A) vanishes
     below degree e + 1, so its two products are computed only from there,
     the correction starts there and J is read only to degree
-    m = n - e - 1 (Brent and Kung 1978).  Each step composes Ng and Dg
-    with xA at degree n in one call to ``_compose_raw``, and Ng' and Dg',
-    which only J reads, in a second call at degree m - 1, about a quarter
-    of the cost.  Each call builds its powers of xA from one halving
-    plan, each only as far as it is read.  The step ends in one exact
-    division at degree m: J has constant term Dg(0) - Ng(0) = 1.  The size
-    sum is applied in its closed rational form, so sizes with s-2 > n_max
-    vanish under truncation either way.
+    m = n - e - 1 (Brent and Kung 1978).  Each step composes Ng, Dg,
+    Ng' and Dg' with xA in one call to ``_compose_raw``: Ng and Dg at
+    degree n, and Ng' and Dg', which only J reads, at degree m - 1.  So
+    each power of xA is built once per step, by one halving plan, only as
+    far as the outers read it, and each even power is a square.  The step
+    ends in one exact division at degree m: J has constant term
+    Dg(0) - Ng(0) = 1.  The size sum is applied in its closed rational
+    form, so sizes with s-2 > n_max vanish under truncation either way.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
@@ -359,8 +385,7 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
         m = n - e - 1  # the correction starts at degree e + 1, so J is read to degree m
         a += [0] * (n - e)
         xa = [0, *a[:n]]
-        ng, dg = _compose_raw(polys[:2], xa, n)
-        ng_d, dg_d = _compose_raw(polys[2:], xa, m - 1)
+        ng, dg, ng_d, dg_d = _compose_raw(polys, xa, (n, n, m - 1, m - 1))
         a_less_1 = [0, *a[1:]]  # A - 1, since a_0 stays 1
         psi = [u - v for u, v in zip(_conv(dg, a_less_1, n, e + 1), _conv(ng, a, n, e + 1))]
         slope = [u - v for u, v in zip(_conv(dg_d, a_less_1, m - 1), _conv(ng_d, a, m - 1))]
@@ -378,7 +403,7 @@ def verify_inverse(symbol: ReversiveSymbol, terms: Sequence[int]) -> bool:
     if not terms:
         raise ValueError("need at least a_0")
     n = len(terms)  # precision N+1
-    p_of_f, q_of_f = _compose_raw((symbol.numerator, symbol.denominator), [0, *terms], n)
+    p_of_f, q_of_f = _compose_raw((symbol.numerator, symbol.denominator), [0, *terms], (n, n))
     return p_of_f == [0, *q_of_f[:n]]
 
 
@@ -394,5 +419,5 @@ def verify_tautological(rule: TileRule, terms: Sequence[int]) -> bool:
     if not terms:
         raise ValueError("need at least a_0")
     n = len(terms) - 1
-    num_xa, den_xa = _compose_raw(rule.generating_pair(), [0, *terms[:n]], n)
+    num_xa, den_xa = _compose_raw(rule.generating_pair(), [0, *terms[:n]], (n, n))
     return _conv(den_xa, [terms[0] - 1, *terms[1:]], n) == _conv(num_xa, terms, n)

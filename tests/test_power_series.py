@@ -92,11 +92,11 @@ class TestArithmetic:
             _div_raw([1], [0, 1], 2)
 
     def test_compose_identity_inner(self):
-        assert _compose_raw([[1, 1, 1]], [0, 1, 0], 2) == [[1, 1, 1]]
+        assert _compose_raw([[1, 1, 1]], [0, 1, 0], [2]) == [[1, 1, 1]]
 
     def test_compose_catalan_start(self):
         # (x + x^2) - (x + x^2)^2 = x - 2x^3 - x^4, so x to degree 2
-        assert _compose_raw([[0, 1, -1]], [0, 1, 1], 2) == [[0, 1, 0]]
+        assert _compose_raw([[0, 1, -1]], [0, 1, 1], [2]) == [[0, 1, 0]]
 
     @given(small_series, small_inner)
     def test_compose_is_sum_of_powers(self, s, t):
@@ -106,7 +106,7 @@ class TestArithmetic:
         for k in range(n + 1):
             expected = [e + s[k] * c for e, c in zip(expected, power)]
             power = _conv(power, t, n)
-        assert _compose_raw([s[: n + 1]], t, n) == [expected]
+        assert _compose_raw([s[: n + 1]], t, [n]) == [expected]
 
     @given(small_series, small_series)
     def test_mul_commutative(self, s, t):
@@ -179,9 +179,56 @@ class _Factor(int):
         self.log.append((self.index, other.index))
         return int(self) * int(other)
 
+    def __rmul__(self, other):
+        # 2 * factor, a doubled coefficient: no product of two coefficients, and it keeps its index
+        return _Factor(other * int(self), self.index, self.log)
+
 
 def _factors(coeffs, log):
     return [_Factor(c, k, log) for k, c in enumerate(coeffs)]
+
+
+def _count_row_products(monkeypatch):
+    """A list as long as the number of products route 2 takes: it fills its rows through ``mul`` alone."""
+    products = []
+    real = power_series.mul
+
+    def counting(a, b):
+        products.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(power_series, "mul", counting)
+    return products
+
+
+def _record_table_builds(monkeypatch):
+    """Per call of the composition kernel, the ``(k, n)`` of each power inner^k that a product builds at degree n.
+
+    A product is a table entry when both operands are the inner series or
+    entries built from it in the same call; Horner's products multiply a
+    running sum by an entry, and the sum is neither.
+    """
+    steps = []
+    exponent = {}  # id of the inner or an entry -> (the list, kept alive, and its k)
+    real_compose, real_conv = power_series._compose_raw, power_series._conv
+
+    def compose(outers, inner, degrees):
+        exponent.clear()
+        exponent[id(inner)] = (inner, 1)
+        steps.append([])
+        return real_compose(outers, inner, degrees)
+
+    def conv(a, b, n, lo=0):
+        out = real_conv(a, b, n, lo)
+        if id(a) in exponent and id(b) in exponent:
+            k = exponent[id(a)][1] + exponent[id(b)][1]
+            exponent[id(out)] = (out, k)
+            steps[-1].append((k, n))
+        return out
+
+    monkeypatch.setattr(power_series, "_compose_raw", compose)
+    monkeypatch.setattr(power_series, "_conv", conv)
+    return steps
 
 
 def _record_conv_calls(monkeypatch):
@@ -217,23 +264,40 @@ class TestConvLowerBound:
                                if ai and bj and lo <= i + j <= n]
         assert out == [c if k >= lo else 0 for k, c in enumerate(_conv(a, b, n))]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_int, max_size=10), st.integers(0, 20), st.integers(0, 22))
+    def test_square_equals_the_product_of_two_lists(self, s, n, lo):
+        # the same list twice takes the square branch, a copy the general one
+        assert _conv(s, s, n, lo) == _conv(s, list(s), n, lo)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_int, max_size=10), st.integers(0, 20), st.integers(0, 22))
+    def test_square_takes_each_unordered_pair_once(self, a, n, lo):
+        log = []
+        factors = _factors(a, log)
+        _conv(factors, factors, n, lo)
+        # a_i a_j and a_j a_i are one product, doubled, and a_i^2 is taken once
+        assert sorted(log) == [(i, j) for i, ai in enumerate(a) for j, aj in enumerate(a)
+                               if i <= j and ai and aj and lo <= i + j <= n]
+
 
 class TestSparseKernels:
     @settings(max_examples=150, deadline=None)
     @given(sparse_outers(), small_inner, st.integers(0, 40))
     def test_compose_is_sum_of_powers_for_sparse_outers(self, outer, inner, n):
-        assert _compose_raw([outer], inner, n) == [_sum_of_powers(outer, inner, n)]
+        assert _compose_raw([outer], inner, [n]) == [_sum_of_powers(outer, inner, n)]
 
     @settings(max_examples=100, deadline=None)
-    @given(sparse_outers(), sparse_outers(), small_inner, st.integers(0, 40))
-    def test_composing_outers_together_equals_composing_each_alone(self, first, second, inner, n):
-        together = _compose_raw([first, second], inner, n)
-        assert together == [*_compose_raw([first], inner, n), *_compose_raw([second], inner, n)]
+    @given(sparse_outers(), sparse_outers(), small_inner, st.integers(0, 40), st.integers(-1, 40))
+    def test_composing_outers_together_equals_composing_each_alone(self, first, second, inner, n, m):
+        # each outer at its own degree, over one table of powers read to the larger
+        together = _compose_raw([first, second], inner, [n, m])
+        assert together == [*_compose_raw([first], inner, [n]), *_compose_raw([second], inner, [m])]
 
     def test_compose_ignores_outer_terms_above_the_degree(self, monkeypatch):
         # inner^50 vanishes mod x^4, so no product is taken for it
         calls = _record_conv_calls(monkeypatch)
-        assert _compose_raw([[0] * 50 + [1]], [0, 1, 1, 1], 3) == [[0, 0, 0, 0]]
+        assert _compose_raw([[0] * 50 + [1]], [0, 1, 1, 1], [3]) == [[0, 0, 0, 0]]
         assert calls == []
 
     def test_each_half_is_built_to_the_degree_it_is_read(self, monkeypatch):
@@ -243,7 +307,7 @@ class TestSparseKernels:
         assert _halving_plan({7: 20}) == {7: 20, 4: 17, 3: 16, 2: 15}
         calls = _record_conv_calls(monkeypatch)
         n = 20
-        composed = _compose_raw([[0] * 7 + [1]], [0] + [1] * n, n)  # y^7, y = x/(1-x)
+        composed = _compose_raw([[0] * 7 + [1]], [0] + [1] * n, [n])  # y^7, y = x/(1-x)
         assert composed == [[0] * 7 + [comb(d - 1, 6) for d in range(7, n + 1)]]
         # y^2, y^3, y^4 and y^7, then one Horner product by y^7
         assert calls == [(15, 0), (16, 0), (17, 0), (20, 0), (20, 0)]
@@ -254,7 +318,7 @@ class TestSparseKernels:
         # far; its halves are read only up to degree 300 and below
         n = 599
         calls = _record_conv_calls(monkeypatch)
-        composed = _compose_raw([[0, 1] + [0] * 597 + [1]], [0] + [1] * n, n)
+        composed = _compose_raw([[0, 1] + [0] * 597 + [1]], [0] + [1] * n, [n])
         assert composed == [[0] + [1] * (n - 1) + [2]]
         assert [m for m, _ in calls].count(n) <= 3
 
@@ -469,18 +533,22 @@ class TestRevertDirect:
         # catalan reads only F^2, a square of about n/2 products per column
         # where a general row takes n; trianglefree's row 2 is a square and
         # its row 3 = 1 + 2 is not
-        count = 0
-        real = power_series.mul
-
-        def counting(a, b):
-            nonlocal count
-            count += 1
-            return real(a, b)
-
-        monkeypatch.setattr(power_series, "mul", counting)
+        products = _count_row_products(monkeypatch)
         sym = catalog_entry(name).symbol
         assert revert_direct(sym, 200) == lagrange_coefficients(sym, 200)
-        assert count <= most
+        assert len(products) <= most
+
+    def test_each_row_is_filled_to_the_last_column_read(self, monkeypatch):
+        # 3,601's symbol is (F - F^2 - F^600)/1: row 2 is read to column 600
+        # and takes sum_{n=2}^{600} ((n+1)//2 - 1) = 89,700 products.  Row
+        # 600 = 300 + 300 is read only at column 600, so row 300 is read
+        # only at its own first column, and so on down the halving: the
+        # other 12 rows take 6 products together.  Filling every half-row
+        # to column 600 would take 1,503,955
+        products = _count_row_products(monkeypatch)
+        rule = parse_tile_spec("3,601")
+        assert revert_direct(symbol_from_tile_rule(rule), 599) == count_by_series(599, rule)
+        assert len(products) == 89_706
 
 
 class TestCountBySeries:
@@ -524,8 +592,9 @@ class TestCountBySeries:
     @pytest.mark.parametrize("spec, most", [("3,5,7+", 8), ("4,3+3", 7), ("3+", 4)])
     def test_last_step_reads_the_jacobian_at_half_precision(self, monkeypatch, spec, most):
         # the step to degree 255 composes Ng and Dg at 255 but Ng' and Dg'
-        # only at 126, so only the first composition's products and psi's
-        # two run at the top degree
+        # only at 126, in the same call, so only Ng's and Dg's Horner
+        # products, the table entries they read at 255 and psi's two run at
+        # the top degree
         calls = _record_conv_calls(monkeypatch)
         count_by_series(255, parse_tile_spec(spec))
         assert [n for n, _ in calls].count(255) <= most
@@ -545,6 +614,22 @@ class TestCountBySeries:
             (10, 0), (10, 0), (3, 0), (10, 6), (10, 6), (3, 0), (3, 0),  # 5 -> 10
             (20, 0), (20, 0), (8, 0), (20, 11), (20, 11), (8, 0), (8, 0),  # 10 -> 20
         ]
+
+    @pytest.mark.parametrize("spec", ["3,5,7+", "4,10"])
+    def test_each_step_builds_one_table_of_powers(self, monkeypatch, spec):
+        # each step composes Ng, Dg, Ng' and Dg' with xA in one call, so a
+        # power of xA that both Ng and Ng' read is built once, by one product
+        steps = _record_table_builds(monkeypatch)
+        count_by_series(255, parse_tile_spec(spec))
+        assert len(steps) == 8  # the steps to 1, 3, 7, ..., 255
+        for built in steps:
+            exponents = [k for k, _ in built]
+            assert len(exponents) == len(set(exponents))
+        if spec == "4,10":
+            # Ng = y^2 + y^8 reads y^6 and y^2 at 255, and Ng' = 2y + 8y^7
+            # reads y^6 at 126; y^6 = y^3 y^3 and y^2 = y y are squares,
+            # and y^3 = y y^2 is read to 255 - 3
+            assert steps[-1] == [(2, 255), (3, 252), (6, 255)]
 
     @pytest.mark.parametrize("spec", ["3+", "3,5,7+", "4,3+3"])
     def test_psi_is_computed_from_the_degree_it_is_read(self, monkeypatch, spec):
