@@ -6,11 +6,11 @@ Every refusal of a sequence, method or config file raises ``ParseError``.
 ``main`` returns 3 if an oracle raises ``CapExceeded``, which no command does
 today: ``verify`` stops each oracle column at its cap and prints ``-`` past it.
 
-``terms`` (by its default method), ``bfile`` of symbol text and
-``from-tiles`` take their terms from direct reversion, and ``from-tiles``
-checks them against the tile-equation counter.  ``bfile`` of a catalog
-entry unrolls the entry's differential equation from a_0 = 1 alone, in
-linear time, and runs no direct reversion.  ``verify`` takes its
+``terms`` (by its default method) and ``bfile`` list a catalog entry by
+unrolling its differential equation from a_0 = 1 alone, in linear time,
+and symbol text, an entry's list line among it, by direct reversion.
+``from-tiles`` checks direct reversion against the tile-equation
+counter.  ``verify`` takes its
 ``a(n)`` column from Lagrange inversion, the independent route, and checks
 the others against it: every route runs, each to one column of terms,
 before the table prints.
@@ -40,7 +40,7 @@ from .dissection_oracle import (
     count_chord_diagrams,
     enumerate_counts,
 )
-from .exact_arith import NonIntegerCoefficient, _decimal, _unlimited_digits
+from .exact_arith import NonIntegerCoefficient, _unlimited_digits
 from .power_series import count_by_series, lagrange_coefficients, revert_direct, unroll_ode
 from .symbols import (
     InvalidTileSet,
@@ -126,6 +126,13 @@ def _resolve(text: str) -> tuple[ReversiveSymbol, Optional[TileRule], Optional[C
     raise ParseError(f"unknown sequence {text!r}; try 'revsym list'")
 
 
+def _listing(symbol: ReversiveSymbol, ode: Optional[tuple[tuple[int, ...], ...]], top: int) -> list[int]:
+    """a_0..a_top for ``terms`` and ``bfile``: the stored equation's unroll, else direct reversion."""
+    if top < 0:
+        return []
+    return revert_direct(symbol, top) if ode is None else unroll_ode(ode, top)
+
+
 def _write_listing(out: TextIO, terms: list[int]) -> None:
     """Write the ``n a(n)`` lines of a term listing to out, each made as it is written.
 
@@ -144,9 +151,9 @@ def cmd_list(args: SimpleNamespace) -> int:
 
 
 def cmd_terms(args: SimpleNamespace) -> int:
-    symbol, rule, closed_form, _ = _resolve(args.name_or_symbol)
+    symbol, rule, closed_form, ode = _resolve(args.name_or_symbol)
     if args.method == "reversion":
-        terms = revert_direct(symbol, args.count - 1)
+        terms = _listing(symbol, ode, args.count - 1)
     elif args.method == "closed":
         if closed_form is None:
             raise ParseError("closed forms exist only for catalog sequences")
@@ -200,16 +207,17 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
     print(f"verify {format_symbol(symbol)}")
     print("n a(n) " + " ".join(columns))
-    for i, expected in enumerate(reversion):
-        cells = {name: column[i] if i < len(column) else "-" for name, column in columns.items()}
-        print(f"{i} {_decimal(expected)} " + " ".join(
-            value if isinstance(value, str) else "ok" if value == expected else _decimal(value)
-            for value in cells.values()
-        ))
-        for name, value in cells.items():
-            if not isinstance(value, str) and value != expected:
-                print(f"MISMATCH at n={i}: {name}={_decimal(value)}, reversion={_decimal(expected)}")
-                return 1
+    with _unlimited_digits():
+        for i, expected in enumerate(reversion):
+            cells = {name: column[i] if i < len(column) else "-" for name, column in columns.items()}
+            print(f"{i} {expected} " + " ".join(
+                value if isinstance(value, str) else "ok" if value == expected else str(value)
+                for value in cells.values()
+            ))
+            for name, value in cells.items():
+                if not isinstance(value, str) and value != expected:
+                    print(f"MISMATCH at n={i}: {name}={value}, reversion={expected}")
+                    return 1
     if "excluded" in columns["closed"]:
         print("note: closed form excluded at n=0 (boundary convention anomaly; reversion pins a_0 = 1)")
     print(f"ok: {symbol.name} agrees on {count} terms across all available paths")
@@ -242,23 +250,18 @@ def cmd_from_tiles(args: SimpleNamespace) -> int:
     print(format_symbol(symbol, include_name=False))
     terms = revert_direct(symbol, count - 1)
     series = count_by_series(count - 1, rule)
-    for i, (a, b) in enumerate(zip(terms, series)):
-        if a != b:
-            print(f"MISMATCH at n={i}: reversion={_decimal(a)}, series={_decimal(b)}")
-            return 1
+    with _unlimited_digits():
+        for i, (a, b) in enumerate(zip(terms, series)):
+            if a != b:
+                print(f"MISMATCH at n={i}: reversion={a}, series={b}")
+                return 1
     _write_listing(sys.stdout, terms)
     return 0
 
 
 def cmd_bfile(args: SimpleNamespace) -> int:
     symbol, _, _, ode = _resolve(args.name_or_symbol)
-    top = args.count - 1
-    if top < 0:
-        terms = []
-    elif ode is None:
-        terms = revert_direct(symbol, top)
-    else:
-        terms = unroll_ode(ode, top)
+    terms = _listing(symbol, ode, args.count - 1)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         _write_listing(fh, terms)
     return 0

@@ -3,10 +3,11 @@
 Python's built-in ``int`` is already an arbitrary-precision integer, so it
 is used directly as the one scalar type.  What this module adds is the
 binomial-coefficient convention the rest of the package depends on,
-:func:`exact_div`, the division that refuses to round, and the decimal
-text of an integer of any length.  The closed forms, the series division
-kernel and both reversion routes divide through :func:`exact_div`, so
-every non-integral quotient raises the same :class:`NonIntegerCoefficient`.
+:func:`exact_div`, the division that refuses to round, and the lifted
+digit limit under which a term of any length is written out in decimal.
+The closed forms, the series division kernel and both reversion routes
+divide through :func:`exact_div`, so every non-integral quotient raises
+the same :class:`NonIntegerCoefficient`.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ def exact_div(value: int, divisor: int, index: int, name: str = "a") -> int:
     q, r = divmod(value, divisor)
     if r != 0:
         g = gcd(value, divisor) if divisor > 0 else -gcd(value, divisor)
-        raise NonIntegerCoefficient(
-            f"{name}_{index} = {_decimal(value // g)}/{_decimal(divisor // g)} is not an integer"
-        )
+        with _unlimited_digits():
+            message = f"{name}_{index} = {value // g}/{divisor // g} is not an integer"
+        raise NonIntegerCoefficient(message)
     return q
 
 
@@ -84,13 +85,3 @@ def _unlimited_digits() -> Iterator[None]:
         yield
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def _decimal(value: int) -> str:
-    """An integer in decimal, however many digits it has.
-
-    For one conversion; a listing of many terms lifts the digit limit once
-    for all of them with :func:`_unlimited_digits`.
-    """
-    with _unlimited_digits():
-        return str(value)

@@ -38,15 +38,15 @@ certifying that every one is an integer:
   that :func:`_halving_plan` splits them into, O(N^2) integer operations
   per row, and fills the rows itself, with no kernel.  A row k = h + h is
   a square and takes half the products of the others, since its terms
-  pair up.  It is the production route: every command that lists terms
-  runs it, except ``bfile`` of a catalog entry.
+  pair up.  It is the production route for symbol text: ``from-tiles``
+  and ``terms`` and ``bfile`` of symbol text list its terms.
 * The unroll, :func:`unroll_ode`, computes a catalog entry's terms from
   a_0 = 1 alone through the linear differential equation for F that the
   entry stores, read as a recurrence with polynomial coefficients, in
   O(N) big-integer operations and with no code of route 2's.  The
   equation's coefficients fold into one polynomial per shift before the
   first term, so a term costs one big-integer product per shift, not
-  per coefficient.  ``bfile`` of a catalog entry prints it.
+  per coefficient.  ``terms`` and ``bfile`` of a catalog entry list it.
 * Route 4, :func:`count_by_series`, solves a tile rule's equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration, with one
   composition per step.  It runs on the same kernels as route 1, but the

@@ -184,6 +184,27 @@ class _Factor(int):
         return _Factor(other * int(self), self.index, self.log)
 
 
+class _Point(int):
+    """An int that logs every product it is a factor of, and stays a _Point through + and -."""
+
+    def __new__(cls, value, log):
+        point = super().__new__(cls, value)
+        point.log = log
+        return point
+
+    def __add__(self, other):
+        return _Point(int(self) + other, self.log)
+
+    def __sub__(self, other):
+        return _Point(int(self) - other, self.log)
+
+    def __mul__(self, other):
+        self.log.append(None)
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
 def _factors(coeffs, log):
     return [_Factor(c, k, log) for k, c in enumerate(coeffs)]
 
@@ -506,6 +527,29 @@ class TestUnrollOde:
     def test_fold_per_shift_equals_the_unroll_per_coefficient(self, ode, N):
         assert _outcome(unroll_ode, ode, N) == _outcome(_unroll_by_coefficient, ode, N)
 
+    @pytest.mark.parametrize("name", [entry.symbol.name for entry in catalog()])
+    def test_each_term_takes_one_horner_step_per_folded_coefficient(self, monkeypatch, name):
+        # shift s = k - j folds into a polynomial of degree max k over its
+        # c_{k,j}, and Horner's rule multiplies by the point i (or m) once per
+        # coefficient; term m reads the leading shift and each lower shift
+        # with i = m - lead + s >= 0.  A zero padded above that degree would
+        # keep every term and cost a step per term
+        sym, *_, ode = catalog_entry(name)
+        degree = {}
+        for k, row in enumerate(ode[1:]):
+            for j, c in enumerate(row):
+                if c:
+                    degree[k - j] = k  # rows come by ascending k
+        lead = max(degree)
+        expected = sum(d + 1 for m in range(2, 42) for s, d in degree.items() if s == lead or m - lead + s >= 0)
+        terms = revert_direct(sym, 40)
+        steps = []
+        # the unroll runs its terms m = 2..N+1 from range, as points that log their products
+        monkeypatch.setattr(power_series, "range", lambda *bounds: (_Point(m, steps) for m in range(*bounds)),
+                            raising=False)
+        assert unroll_ode(ode, 40) == terms
+        assert len(steps) == expected
+
 
 class TestRevertDirect:
     def test_catalan_shifted(self):
@@ -537,6 +581,23 @@ class TestRevertDirect:
         sym = catalog_entry(name).symbol
         assert revert_direct(sym, 200) == lagrange_coefficients(sym, 200)
         assert len(products) <= most
+
+    def test_each_product_reads_both_slices_to_the_end(self, monkeypatch):
+        # a row entry is one map(mul, ...) over a slice of each factor row;
+        # map stops at the shorter, so a longer slice is copied but never read
+        lengths = []
+
+        def checked(func, a, b):
+            lengths.append((len(a), len(b)))
+            return map(func, a, b)
+
+        monkeypatch.setattr(power_series, "map", checked, raising=False)
+        # catalan's row 2 is a square, trianglefree's row 3 = 1 + 2 is not,
+        # and 3,601 halves its row 600 down to row 2
+        for sym, n in [(catalog_entry("catalan").symbol, 60), (catalog_entry("trianglefree").symbol, 60),
+                       (symbol_from_tile_rule(parse_tile_spec("3,601")), 599)]:
+            revert_direct(sym, n)
+        assert lengths and all(a == b for a, b in lengths)
 
     def test_each_row_is_filled_to_the_last_column_read(self, monkeypatch):
         # 3,601's symbol is (F - F^2 - F^600)/1: row 2 is read to column 600
