@@ -295,7 +295,10 @@ _COMMANDS = {
         _CONFIG,
         ("name_or_symbol", dict(help="catalog name or (p0,p1,..)/(q0,q1,..)")),
         ("--count", dict(type=_positive, help="number of terms (n = 0..count-1)")),
-        ("--method", dict(choices=("reversion", "closed", "series"), default="reversion")),
+        ("--method", dict(choices=("reversion", "closed", "series"), default="reversion", help=(
+            "reversion (default): the listing route, which unrolls a catalog name's stored equation and "
+            "reverts symbol text directly; closed: the name's closed binomial sum; series: the "
+            "tile-equation series counter on the name's tile rule"))),
     )),
     "verify": ("cross-check every computation path for a catalog entry", cmd_verify, (
         _CONFIG,

@@ -2,6 +2,7 @@
 tile-equation counter (route 4), and the two certificates, verify_inverse and
 verify_tautological."""
 
+from collections import Counter
 from math import comb, perm
 
 import pytest
@@ -488,6 +489,22 @@ def random_odes(draw):
     return tuple(map(tuple, ode))
 
 
+@st.composite
+def unit_leading_odes(draw):
+    """Equations +-F + sum_{j > k} c_{k,j} x^j F^(k) = the constant column, of order <= 3.
+
+    The leading shift is 0 and L = +-1, so every term is an integer and the
+    unroll runs to N; each lower shift s = k - j lies in -4..-1 and folds
+    into a polynomial of degree k, coefficients in -3..3.
+    """
+    small = st.integers(-3, 3)
+    ode = [draw(st.lists(small, max_size=4))]  # the constant column
+    for k in range(draw(st.integers(1, 4))):
+        ode.append([0] * (k + 1) + draw(st.lists(small, max_size=4)))
+    ode[1][0] = draw(st.sampled_from([-1, 1]))
+    return tuple(map(tuple, ode))
+
+
 class TestUnrollOde:
     """The unroll of a catalog entry's equation from a_0 = 1 alone equals direct reversion."""
 
@@ -522,33 +539,44 @@ class TestUnrollOde:
         with pytest.raises(ZeroDivisionError):
             unroll_ode(((), (-2,), (0, 1)), 3)
 
-    @settings(max_examples=500, deadline=None)
-    @given(random_odes(), st.integers(0, 12))
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(random_odes(), unit_leading_odes()), st.integers(0, 40))
     def test_fold_per_shift_equals_the_unroll_per_coefficient(self, ode, N):
+        # up to 40 terms run each difference chain, of up to 3 orders, well
+        # past the points that Horner's rule starts it from, and the first
+        # terms of a shift below lead - 2 read f_i below f_0.  Most random
+        # equations stop at a non-integral a_1..a_3; those with L = +-1 run
+        # to N, so about 4 draws in 10 give nonzero terms past a_0
         assert _outcome(unroll_ode, ode, N) == _outcome(_unroll_by_coefficient, ode, N)
 
     @pytest.mark.parametrize("name", [entry.symbol.name for entry in catalog()])
-    def test_each_term_takes_one_horner_step_per_folded_coefficient(self, monkeypatch, name):
+    def test_each_shift_is_tabulated_once_and_each_term_takes_one_product_per_lower_shift(self, monkeypatch, name):
         # shift s = k - j folds into a polynomial of degree max k over its
-        # c_{k,j}, and Horner's rule multiplies by the point i (or m) once per
-        # coefficient; term m reads the leading shift and each lower shift
-        # with i = m - lead + s >= 0.  A zero padded above that degree would
-        # keep every term and cost a step per term
+        # c_{k,j}.  Its table starts from Horner's rule at degree + 1 points
+        # and runs on by forward differences, so a zero padded above that
+        # degree costs a point and a table rebuilt per term costs points per
+        # term.  Each point's value is a _Point, and so are the differences
+        # and running sums built from it, so every product of a table entry
+        # by a term is logged
         sym, *_, ode = catalog_entry(name)
         degree = {}
         for k, row in enumerate(ode[1:]):
             for j, c in enumerate(row):
                 if c:
                     degree[k - j] = k  # rows come by ascending k
-        lead = max(degree)
-        expected = sum(d + 1 for m in range(2, 42) for s, d in degree.items() if s == lead or m - lead + s >= 0)
         terms = revert_direct(sym, 40)
-        steps = []
-        # the unroll runs its terms m = 2..N+1 from range, as points that log their products
-        monkeypatch.setattr(power_series, "range", lambda *bounds: (_Point(m, steps) for m in range(*bounds)),
-                            raising=False)
-        assert unroll_ode(ode, 40) == terms
-        assert len(steps) == expected
+        real = power_series._horner
+        for N in (0, 3, 40):
+            points, products = [], []
+
+            def logged(poly, x):
+                points.append(id(poly))  # the folded polynomials share one dict, so their ids differ
+                return _Point(real(poly, x), products)
+
+            monkeypatch.setattr(power_series, "_horner", logged)
+            assert unroll_ode(ode, N) == terms[:N + 1]
+            assert sorted(Counter(points).values()) == sorted(d + 1 for d in degree.values())
+            assert len(products) == N * (len(degree) - 1)
 
 
 class TestRevertDirect:
