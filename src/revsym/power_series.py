@@ -44,11 +44,12 @@ certifying that every one is an integer:
   a_0 = 1 alone through the linear differential equation for F that the
   entry stores, read as a recurrence with polynomial coefficients, in
   O(N) big-integer operations and with no code of route 2's.  The
-  equation's coefficients fold into one polynomial per shift, and each
-  polynomial is tabulated over the N terms by forward differences,
-  before the first term, so a term costs one big-integer product per
-  lower shift and one exact division, with no polynomial evaluated per
-  term.  ``terms`` and ``bfile`` of a catalog entry list it.
+  equation's coefficients group into one polynomial per shift, kept in
+  the falling factorials the equation gives, and each polynomial is
+  tabulated over the N terms before the first term, by running sums of
+  the forward differences its falling factorials give exactly.  So a
+  term costs one big-integer product per lower shift and one exact
+  division.  ``terms`` and ``bfile`` of a catalog entry list it.
 * Route 4, :func:`count_by_series`, solves a tile rule's equation
   A = 1 + sum_{s in S} x^{s-2} A^{s-1} by Newton iteration, with one
   composition per step.  It runs on the same kernels as route 1, but the
@@ -64,6 +65,7 @@ two products.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import perm, prod
 from operator import mul
 from typing import Sequence
 
@@ -297,39 +299,36 @@ def unroll_ode(ode: Sequence[Sequence[int]], N: int) -> list[int]:
     is the constant column.  F = x + ..., as for every reversive symbol, so
     f_0 = 0 and f_1 = a_0 = 1 start it.  With F = sum f_i x^i,
     [x^n] x^j F^(k) is i(i-1)...(i-k+1) f_i for i = n + s, s = k - j.  So
-    the coefficients of one shift s fold, before the first term, into one
-    integer polynomial in i, the sum of their c_{k,j} i(i-1)...(i-k+1);
-    falling factorials of different k are linearly independent, so no
-    shift's polynomial cancels to zero.  The largest shift s_max solves
-    [x^n] of the equation for f_m, m = n + s_max: L(m) f_m, with L its
-    polynomial, equals minus the lower shifts and the constant column.
-    Before the first term, each lower shift's polynomial, L and the
-    constant column are tabulated over the N terms: :func:`_tabulate` runs
-    Horner's rule at degree + 1 points of a polynomial only and takes the
-    rest of its values from exact forward differences.  The tables hold
-    O(shifts N) small ints: at N = 10,000, 2.5 MiB for oddtiles' 7 shifts
-    against 15 MiB for its terms (64-bit CPython).  f is padded with zeros
-    below f_0, which the first terms of a shift below lead - 2 read.  So a
-    term costs one product of an earlier term by a table entry per lower
-    shift and one division by L(m) through ``exact_div``: a wrong
-    equation raises ``NonIntegerCoefficient`` rather than round, an L(m)
-    that vanishes at m >= 2 raises ZeroDivisionError, and an s_max above
-    2, which f_1 alone cannot start, raises ValueError.  tests/test_ode.py proves each catalog
-    entry's equation and checks that its L has no root at m >= 2.
+    the coefficients of one shift s make one integer polynomial in i, kept
+    as the falling factorials their equation gives, {k: c_{k,j}}; falling
+    factorials of different k are linearly independent, so no shift's
+    polynomial cancels to zero.  The largest shift s_max solves [x^n] of
+    the equation for f_m, m = n + s_max: L(m) f_m, with L its polynomial,
+    equals minus the lower shifts and the constant column.  Before the
+    first term, each lower shift's polynomial and L are tabulated over the
+    N terms by :func:`_tabulate`, from forward differences that the
+    falling factorials give exactly.  The tables hold O(shifts N) small
+    ints: at N = 10,000, 2.5 MiB for oddtiles' 7 shifts against 15 MiB
+    for its terms (64-bit CPython).  f is padded with zeros below
+    f_0, which the first terms of a shift below lead - 2 read.  So a term
+    costs one product of an earlier term by a table entry per lower shift
+    and one division by L(m) through ``exact_div``: a wrong equation
+    raises ``NonIntegerCoefficient`` rather than round, an L(m) that
+    vanishes at m >= 2 raises ZeroDivisionError, and an s_max above 2,
+    which f_1 alone cannot start, or an equation with no nonzero
+    coefficient of F or its derivatives raises ValueError.
+    tests/test_ode.py proves each catalog entry's equation and checks that
+    its L has no root at m >= 2.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    constant = ode[0]
-    folded: dict[int, list[int]] = {}  # shift -> its polynomial in i, lowest power first
-    falling = [1]  # i(i-1)...(i-k+1), lowest power first
+    folded: dict[int, dict[int, int]] = {}  # shift -> {k: c_{k,j}}, in falling factorials
     for k, row in enumerate(ode[1:]):
         for j, c in enumerate(row):
             if c:
-                poly = folded.setdefault(k - j, [])
-                poly += [0] * (k + 1 - len(poly))  # rows come by ascending k
-                for d, b in enumerate(falling):
-                    poly[d] += c * b
-        falling = [a - k * b for a, b in zip([0, *falling], [*falling, 0])]
+                folded.setdefault(k - j, {})[k] = c
+    if not folded:
+        raise ValueError("the equation has no nonzero coefficient of F or its derivatives")
     lead = max(folded)
     if lead > 2:
         raise ValueError(f"the recurrence's leading shift {lead} exceeds 2")
@@ -338,7 +337,7 @@ def unroll_ode(ode: Sequence[Sequence[int]], N: int) -> list[int]:
     # f_i, i = n + s, from its table's point t and f's entry t + offset
     pad = max(0, lead - 2 - min(folded, default=lead))
     rows = [(_tabulate(poly, 2 - lead + s, N), pad + 2 - lead + s) for s, poly in folded.items()]
-    constants = [-c for c in constant[2 - lead:N + 2 - lead]]
+    constants = [-c for c in ode[0][2 - lead:N + 2 - lead]]
     constants += [0] * (N - len(constants))
     f = [0] * pad + [0, 1]  # f[pad + i] = [x^i] F = a_{i-1}, and zero below f_0
     t = 0
@@ -350,25 +349,16 @@ def unroll_ode(ode: Sequence[Sequence[int]], N: int) -> list[int]:
     return f[pad + 1:]
 
 
-def _horner(poly: Sequence[int], x: int) -> int:
-    """The polynomial ``poly``, lowest power first, at x by Horner's rule."""
-    value = 0
-    for c in reversed(poly):
-        value = value * x + c
-    return value
+def _tabulate(poly: dict[int, int], start: int, count: int) -> list[int]:
+    """sum of c i(i-1)...(i-k+1) over ``poly``'s {k: c}, at the ``count`` points start, start + 1, ...
 
-
-def _tabulate(poly: Sequence[int], start: int, count: int) -> list[int]:
-    """``poly``, lowest power first, at the ``count`` points start, start + 1, ...
-
-    Horner's rule runs at the first degree + 1 points only; their forward
-    differences give the rest exactly, each by one running sum per order.
+    The difference of order d of i(i-1)...(i-k+1) is k(k-1)...(k-d+1)
+    times the falling factorial of degree k - d (Graham, Knuth and
+    Patashnik, Concrete Mathematics, 2.6), so the coefficients give the
+    differences at start, and one running sum per order gives the values.
     """
-    column = [_horner(poly, x) for x in range(start, start + len(poly))]
-    heads: list[int] = []  # the differences of order 0..degree at start
-    while column:
-        heads.append(column[0])
-        column = [b - a for a, b in zip(column, column[1:])]
+    heads = [sum(c * perm(k, d) * prod(range(start, start - k + d, -1)) for k, c in poly.items())
+             for d in range(max(poly) + 1)]
     column = [heads.pop()] * (count - len(heads))
     for head in reversed(heads):
         column = list(accumulate(column, initial=head))

@@ -126,13 +126,17 @@ class TileRule(_RuleFields):
     and ``step`` (``start`` is None for a finite rule).  Construction,
     ``_replace`` included, canonicalises: sizes the tail covers are dropped
     and sizes that extend it downwards are folded into it, so rules compare
-    equal exactly when they allow the same side-counts.
+    equal exactly when they allow the same side-counts.  Sizes, ``start``
+    and ``step`` must be ints, as a symbol's coefficients must: anything
+    else raises TypeError.
     """
 
     __slots__ = ()
 
     def __new__(cls, sizes: Iterable[int] = (), start: Optional[int] = None, step: int = 1) -> TileRule:
         finite = set(sizes)
+        if not all(isinstance(v, int) for v in (*finite, step)) or not isinstance(start, (int, type(None))):
+            raise TypeError("tile side-counts and the tail step must be int")
         if not finite and start is None:
             raise InvalidTileSet("tile rule admits no side-count")
         if any(s < 3 for s in finite) or (start is not None and start < 3):

@@ -2,7 +2,6 @@
 tile-equation counter (route 4), and the two certificates, verify_inverse and
 verify_tautological."""
 
-from collections import Counter
 from math import comb, perm
 
 import pytest
@@ -186,18 +185,12 @@ class _Factor(int):
 
 
 class _Point(int):
-    """An int that logs every product it is a factor of, and stays a _Point through + and -."""
+    """An int that logs every product it is a factor of."""
 
     def __new__(cls, value, log):
         point = super().__new__(cls, value)
         point.log = log
         return point
-
-    def __add__(self, other):
-        return _Point(int(self) + other, self.log)
-
-    def __sub__(self, other):
-        return _Point(int(self) - other, self.log)
 
     def __mul__(self, other):
         self.log.append(None)
@@ -534,6 +527,11 @@ class TestUnrollOde:
         with pytest.raises(NonIntegerCoefficient, match=r"^a_1 = 1/2 is not an integer$"):
             unroll_ode(((-1,), (2,), (1, -3)), 5)
 
+    @pytest.mark.parametrize("ode", [(), ((1,),), ((), (0,))], ids=["empty", "constant-only", "zero-row"])
+    def test_equation_without_a_derivative_term_raises(self, ode):
+        with pytest.raises(ValueError, match=r"^the equation has no nonzero coefficient of F or its derivatives$"):
+            unroll_ode(ode, 3)
+
     def test_vanishing_leading_coefficient_raises(self):
         # x F' - 2F = 0 gives (m - 2) f_m = 0, which leaves f_2 free
         with pytest.raises(ZeroDivisionError):
@@ -543,21 +541,21 @@ class TestUnrollOde:
     @given(st.one_of(random_odes(), unit_leading_odes()), st.integers(0, 40))
     def test_fold_per_shift_equals_the_unroll_per_coefficient(self, ode, N):
         # up to 40 terms run each difference chain, of up to 3 orders, well
-        # past the points that Horner's rule starts it from, and the first
-        # terms of a shift below lead - 2 read f_i below f_0.  Most random
-        # equations stop at a non-integral a_1..a_3; those with L = +-1 run
-        # to N, so about 4 draws in 10 give nonzero terms past a_0
+        # past the differences it starts from, and the first terms of a
+        # shift below lead - 2 read f_i below f_0.  Most random equations
+        # stop at a non-integral a_1..a_3; those with L = +-1 run to N, so
+        # about 4 draws in 10 give nonzero terms past a_0
         assert _outcome(unroll_ode, ode, N) == _outcome(_unroll_by_coefficient, ode, N)
 
     @pytest.mark.parametrize("name", [entry.symbol.name for entry in catalog()])
     def test_each_shift_is_tabulated_once_and_each_term_takes_one_product_per_lower_shift(self, monkeypatch, name):
-        # shift s = k - j folds into a polynomial of degree max k over its
-        # c_{k,j}.  Its table starts from Horner's rule at degree + 1 points
-        # and runs on by forward differences, so a zero padded above that
-        # degree costs a point and a table rebuilt per term costs points per
-        # term.  Each point's value is a _Point, and so are the differences
-        # and running sums built from it, so every product of a table entry
-        # by a term is logged
+        # shift s = k - j folds into a polynomial of degree D = max k over its
+        # c_{k,j}.  Its table starts from its D + 1 forward differences and
+        # runs on by D running sums, D max(0, N - D) + D (D - 1) / 2
+        # additions for N terms, so a zero difference or a table built
+        # longer than it is read costs additions, and a table rebuilt per
+        # term costs tables.  Each table entry is a _Point, so every product
+        # of one by a term is logged
         sym, *_, ode = catalog_entry(name)
         degree = {}
         for k, row in enumerate(ode[1:]):
@@ -565,17 +563,23 @@ class TestUnrollOde:
                 if c:
                     degree[k - j] = k  # rows come by ascending k
         terms = revert_direct(sym, 40)
-        real = power_series._horner
+        real_tabulate, real_accumulate = power_series._tabulate, power_series.accumulate
         for N in (0, 3, 40):
-            points, products = [], []
+            tables, additions, products = [], [], []
 
-            def logged(poly, x):
-                points.append(id(poly))  # the folded polynomials share one dict, so their ids differ
-                return _Point(real(poly, x), products)
+            def tabulated(poly, start, count):
+                tables.append((max(poly), count))
+                return [_Point(v, products) for v in real_tabulate(poly, start, count)]
 
-            monkeypatch.setattr(power_series, "_horner", logged)
+            def summed(column, initial):
+                additions.append(len(column))  # one per entry after the initial one
+                return real_accumulate(column, initial=initial)
+
+            monkeypatch.setattr(power_series, "_tabulate", tabulated)
+            monkeypatch.setattr(power_series, "accumulate", summed)
             assert unroll_ode(ode, N) == terms[:N + 1]
-            assert sorted(Counter(points).values()) == sorted(d + 1 for d in degree.values())
+            assert sorted(tables) == sorted((d, N) for d in degree.values())
+            assert sum(additions) == sum(d * max(0, N - d) + d * (d - 1) // 2 for d in degree.values())
             assert len(products) == N * (len(degree) - 1)
 
 

@@ -101,6 +101,13 @@ class TestTileRule:
         with pytest.raises(InvalidTileSet):
             TileRule(start=3, step=0)
 
+    @pytest.mark.parametrize("fields", [
+        dict(sizes={3.5}), dict(sizes={3, 4.0}), dict(start=3.5), dict(start=3, step=1.5),
+    ], ids=["size", "integral-float-size", "start", "step"])
+    def test_rejects_non_int(self, fields):
+        with pytest.raises(TypeError, match=r"^tile side-counts and the tail step must be int$"):
+            TileRule(**fields)
+
     def test_allows(self):
         assert ANY_TILES.allows(3) and ANY_TILES.allows(17)
         assert TRIANGLES_ONLY.allows(3) and not TRIANGLES_ONLY.allows(4)
