@@ -96,7 +96,7 @@ def _read_config(path: str) -> dict[str, int]:
             number = int(value)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: {key} needs an integer, got {value!r}") from None
-        if number < 0 or (key == "default_count" and number < 1):
+        if number < 0 or (key == "default_count" and not 1 <= number <= sys.maxsize):
             raise ParseError(f"{path}:{lineno}: {key} out of range: {number}")
         values[key] = number
     return values
@@ -267,22 +267,35 @@ def cmd_bfile(args: SimpleNamespace) -> int:
     return 0
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        import argparse
+def _type_error(message: str) -> Exception:
+    import argparse
 
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    return argparse.ArgumentTypeError(message)
 
 
 def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
-        import argparse
-
-        raise argparse.ArgumentTypeError("must be >= 0")
+        raise _type_error("must be >= 0")
     return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise _type_error("must be a positive integer")
+    return _indexable(value)
+
+
+def _count(text: str) -> int:
+    return _indexable(_non_negative(text))
+
+
+def _indexable(count: int) -> int:
+    """Refuse a count above ``sys.maxsize``, which no list of terms can reach, before any work starts."""
+    if count > sys.maxsize:
+        raise _type_error(f"must be at most {sys.maxsize}")
+    return count
 
 
 _CONFIG = ("--config", dict(metavar="PATH", help="key=value settings file"))
@@ -316,7 +329,7 @@ _COMMANDS = {
     )),
     "bfile": ("export terms in b-file format", cmd_bfile, (
         ("name_or_symbol", dict(help="catalog name or symbol text")),
-        ("--count", dict(type=_non_negative, required=True, help="number of terms")),
+        ("--count", dict(type=_count, required=True, help="number of terms")),
         ("--out", dict(required=True, metavar="PATH", help="output file")),
     )),
 }

@@ -1,10 +1,10 @@
-"""Exact scalar arithmetic: generalized binomials and the one checked division.
+"""Exact scalar arithmetic: the one checked division.
 
 Python's built-in ``int`` is already an arbitrary-precision integer, so it
-is used directly as the one scalar type.  What this module adds is the
-binomial-coefficient convention the rest of the package depends on,
-:func:`exact_div`, the division that refuses to round, and the lifted
-digit limit under which a term of any length is written out in decimal.
+is used directly as the one scalar type, and :func:`math.comb` is the one
+binomial coefficient.  What this module adds is :func:`exact_div`, the
+division that refuses to round, and the lifted digit limit under which a
+term of any length is written out in decimal.
 The closed forms, the series division kernel and both reversion routes
 divide through :func:`exact_div`, so every non-integral quotient raises
 the same :class:`NonIntegerCoefficient`.
@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from math import comb, gcd
+from math import gcd
 from typing import Iterator
 
 __all__ = [
     "NonIntegerCoefficient",
-    "binomial",
     "exact_div",
 ]
 
@@ -31,25 +30,6 @@ class NonIntegerCoefficient(ArithmeticError):
     exact integer, so a failed division signals a formula or convention bug
     or a symbol whose inverse series is not integral.
     """
-
-
-def binomial(r: int, k: int) -> int:
-    """Generalized binomial coefficient C(r, k) for any integers r, k.
-
-    Convention:
-      * k < 0           -> 0
-      * k >= 0, any r   -> r(r-1)...(r-k+1) / k!
-
-    The falling-factorial form is an exact integer for every integer r,
-    including negative upper arguments, e.g. C(-1, 2) = (-1)(-2)/2 = 1.
-    For r < 0 this is evaluated as (-1)^k * C(k - r - 1, k).
-    """
-    if k < 0:
-        return 0
-    if r >= 0:
-        return comb(r, k)
-    sign = -1 if k % 2 else 1
-    return sign * comb(k - r - 1, k)
 
 
 def exact_div(value: int, divisor: int, index: int, name: str = "a") -> int:

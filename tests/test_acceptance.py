@@ -146,10 +146,10 @@ def test_criterion_6_divisibility_and_integrality():
 
 
 def test_criterion_7_boundary_anomaly_pinning():
-    """The odd-tile count of the 2-gon is the one genuinely ambiguous value:
-    a two-sided Newton-series convention can argue it equals -1, while series
-    reversion (and this package's binomial convention) force a_0 = 1.  The
-    implementation refuses to emit either number from the formula path."""
+    """The odd-tile sum is empty at n = 0 and gives 0, while series reversion
+    forces a_0 = 1 for the 2-gon.  The implementation refuses to emit a number
+    for it from the formula path; the even-tile sum, empty there too, returns
+    the 1 directly."""
     with criterion(7, "odd_term(0) raises; even_term(0) = 1 by bypass; reversion a_0 = 1"):
         with pytest.raises(DomainError):
             odd_term(0)

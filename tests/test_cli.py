@@ -726,6 +726,8 @@ class TestConfig:
     @pytest.mark.parametrize("line, message", [
         ("default_count 3", "expected key=value, got 'default_count 3'"),
         ("default_count = 0", "default_count out of range: 0"),
+        # above sys.maxsize: refused while the file is read, before any work starts
+        ("default_count = 99999999999999999999", "default_count out of range: 99999999999999999999"),
         ("chord_cap_p=-1", "chord_cap_p out of range: -1"),
     ])
     def test_malformed_line_exits_2(self, capsys, tmp_path, line, message):
@@ -792,6 +794,28 @@ class TestUsageErrors:
             cli.main(argv)
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["terms", "catalan"], ["terms", "catalan", "--method", "series"], ["verify", "catalan"],
+        ["from-tiles", "3,5"], ["bfile", "catalan", "--out", "b.txt"],
+    ], ids=" ".join)
+    def test_count_above_maxsize_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--count", "99999999999999999999"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"revsym {argv[0]}: error: argument --count: must be at most {sys.maxsize}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_count_is_sys_maxsize(self):
+        # the types alone: a run at this count would not end
+        for count_type in (cli._positive, cli._count):
+            assert count_type(str(sys.maxsize)) == sys.maxsize
+            with pytest.raises(argparse.ArgumentTypeError, match="must be at most"):
+                count_type(str(sys.maxsize + 1))
 
     def test_missing_subcommand_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

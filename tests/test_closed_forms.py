@@ -1,7 +1,10 @@
 """Closed binomial-sum evaluators against oracles and boundary conventions."""
 
+import math
+
 import pytest
 
+from revsym import closed_forms
 from revsym.closed_forms import (
     DomainError,
     catalan_term,
@@ -19,7 +22,6 @@ from revsym.symbols import (
     ODD_ONLY,
     TRIANGLES_ONLY,
 )
-from revsym.exact_arith import binomial, exact_div
 from revsym.power_series import lagrange_coefficients
 from revsym.symbols import catalog
 
@@ -135,60 +137,45 @@ class TestAgainstReversion:
                 entry.closed_form(-1)
 
 
-def _tf_sum(n, upper):
-    return sum(binomial(n + k, k) * binomial(n - k - 1, k - 1) for k in range(upper + 1))
+def _binomial(r, k):
+    """C(r, k), zero outside 0 <= k <= r: the factorial definition, with no revsym or math.comb code."""
+    if not 0 <= k <= r:
+        return 0
+    return math.factorial(r) // (math.factorial(k) * math.factorial(r - k))
 
 
-def _odd_sum(n, upper):
-    return sum(binomial(2 * n - 2 * k, n - 2 * k) * binomial(n - k - 1, k) for k in range(upper + 1))
+# the summand u(n, k) of each closed sum a_n = 1/(n+1) * sum_k u(n, k); catalan's form has no sum
+_SUMMANDS = {
+    triangle_free_term: lambda n, k: _binomial(n + k, k) * _binomial(n - k - 1, k - 1),
+    odd_term: lambda n, k: _binomial(2 * n - 2 * k, n - 2 * k) * _binomial(n - k - 1, k),
+    even_term: lambda n, k: _binomial(n + k, k) * _binomial(n // 2 - 1, k - 1) if n % 2 == 0 else 0,
+    schroeder_term: lambda n, k: _binomial(2 * n - k, n) * _binomial(n - 1, k),
+    motzkin_term: lambda n, k: _binomial(n + 1, k) * _binomial(k, 2 * k - n - 2),
+}
 
 
-def _even_sum(m, upper):
-    return sum(binomial(2 * m + k, k) * binomial(m - 1, k - 1) for k in range(upper + 1))
+class TestSupport:
+    """Each closed form sums its summand over the whole support of its binomials, and no further."""
 
+    @pytest.mark.parametrize("term", _SUMMANDS, ids=lambda term: term.__name__)
+    def test_sum_over_every_k_to_2n_plus_2(self, term):
+        # every k outside a form's own range adds zero here, so its range misses no term
+        for n in range(1, 61):
+            total = sum(_SUMMANDS[term](n, k) for k in range(2 * n + 3))
+            assert total % (n + 1) == 0, (term.__name__, n)
+            assert term(n) == total // (n + 1), (term.__name__, n)
 
-def _schroeder_sum(n, upper):
-    return sum(binomial(2 * n - k, n) * binomial(n - 1, k) for k in range(upper + 1))
+    @pytest.mark.parametrize("term", [*_SUMMANDS, catalan_term], ids=lambda term: term.__name__)
+    def test_every_binomial_evaluated_is_nonzero(self, term, monkeypatch):
+        # a range one step too wide raises math.comb's ValueError or evaluates a zero binomial
+        def nonzero_comb(r, k):
+            value = math.comb(r, k)
+            assert value != 0, (term.__name__, r, k)
+            return value
 
-
-def _motzkin_sum(n, upper):
-    return sum(binomial(n + 1, k) * binomial(k, 2 * k - n - 2) for k in range(upper + 1))
-
-
-class TestUpperLimitRobustness:
-    """Terms past each sum's stated ceiling contribute nothing.
-
-    For the odd, even, plain-dissection and chord sums this holds all the
-    way out to k = 2n: the extra terms all hit a vanishing binomial.  The
-    triangle-free sum is the exception: its extension stays zero only up
-    to k = n-1, because at k = n the factor C(n-k-1, k-1) = C(-1, n-1)
-    revives to (-1)^{n-1} under the generalized convention (at n = 2 the
-    extended sum would flip 3 to -3).  Its ceiling still has slack: any
-    off-by-one reading of ceil((n-1)/2) leaves the value unchanged.
-    """
-
-    def test_extension_to_2n_where_it_holds(self):
-        for n in range(1, 60):
-            assert _odd_sum(n, (n + 2) // 2) == _odd_sum(n, 2 * n)
-            assert _schroeder_sum(n, n + 1) == _schroeder_sum(n, 2 * n)
-            assert _motzkin_sum(n, n + 1) == _motzkin_sum(n, 2 * n)
-        for m in range(1, 30):
-            assert _even_sum(m, m) == _even_sum(m, 4 * m)
-
-    def test_triangle_free_extension_to_n_minus_one(self):
-        for n in range(1, 60):
-            assert _tf_sum(n, n // 2) == _tf_sum(n, n - 1)
-
-    def test_triangle_free_revives_at_k_equals_n(self):
-        # pins why 2n is NOT safe for this sum
-        assert _tf_sum(2, 1) == 3
-        assert _tf_sum(2, 2) == -3
-
-    def test_sums_reproduce_terms(self):
-        for n in range(1, 40):
-            assert triangle_free_term(n) == exact_div(_tf_sum(n, n // 2), n + 1, n)
-            assert odd_term(n) == exact_div(_odd_sum(n, (n + 2) // 2), n + 1, n)
-            assert schroeder_term(n) == exact_div(_schroeder_sum(n, n + 1), n + 1, n)
-            assert motzkin_term(n) == exact_div(_motzkin_sum(n, n + 1), n + 1, n)
-        for m in range(1, 20):
-            assert even_term(2 * m) == exact_div(_even_sum(m, m), 2 * m + 1, 2 * m)
+        monkeypatch.setattr(closed_forms, "comb", nonzero_comb)
+        for n in range(301):
+            try:
+                term(n)
+            except DomainError:
+                assert (term, n) == (odd_term, 0)

@@ -1,56 +1,11 @@
-"""Binomial convention and checked division."""
+"""Checked division."""
 
-import math
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from revsym.exact_arith import NonIntegerCoefficient, binomial, exact_div
-
-
-class TestBinomial:
-    def test_standard_value(self):
-        assert binomial(4, 2) == 6
-
-    def test_negative_lower_is_zero(self):
-        # needed so the k=0 term C(n-1, -1) of the triangle-free sum vanishes
-        assert binomial(3, -1) == 0
-        assert binomial(-5, -2) == 0
-
-    def test_generalized_upper(self):
-        assert binomial(-1, 2) == 1  # (-1)(-2)/2!
-        assert binomial(-1, 3) == -1
-        assert binomial(-2, 4) == 5
-
-    def test_empty_product(self):
-        assert binomial(0, 0) == 1
-        assert binomial(-7, 0) == 1
-
-    def test_upper_below_lower_is_zero(self):
-        for r in range(0, 12):
-            for k in range(r + 1, r + 6):
-                assert binomial(r, k) == 0
-
-    def test_factorial_cross_check(self):
-        # independent oracle: r!/(k!(r-k)!) for 0 <= k <= r <= 30
-        for r in range(31):
-            for k in range(r + 1):
-                expected = math.factorial(r) // (math.factorial(k) * math.factorial(r - k))
-                assert binomial(r, k) == expected
-
-    def test_falling_factorial_cross_check(self):
-        # independent oracle for negative upper arguments
-        for r in range(-12, 0):
-            for k in range(0, 10):
-                num = 1
-                for i in range(k):
-                    num *= r - i
-                assert binomial(r, k) * math.factorial(k) == num
-
-    @given(st.integers(-60, 60), st.integers(0, 40))
-    def test_pascal_recurrence(self, r, k):
-        assert binomial(r, k) == binomial(r - 1, k - 1) + binomial(r - 1, k)
+from revsym.exact_arith import NonIntegerCoefficient, exact_div
 
 
 class TestExactDiv:

@@ -89,3 +89,9 @@ def test_readme_library_block_runs_and_imports_only_public_names():
         except (ValueError, SyntaxError):
             continue
         assert eval(code, namespace) == expected, line
+
+
+def test_readme_states_the_number_of_public_names():
+    match = re.search(r"There are (\d+)\s+public names\.", README.read_text(encoding="utf-8"))
+    assert match, "README states no count of public names"
+    assert int(match.group(1)) == len(revsym.__all__)
