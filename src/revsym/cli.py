@@ -114,7 +114,7 @@ def _resolve(text: str) -> tuple[ReversiveSymbol, Optional[TileRule], Optional[C
                                  Optional[tuple[tuple[int, ...], ...]]]:
     """The sequence's ``(symbol, rule, closed_form, ode)``, from a catalog name or symbol text.
 
-    A name returns its catalog entry, a NamedTuple of exactly those fields;
+    A name returns its catalog entry, a namedtuple of exactly those fields;
     no rule (motzkin) means it counts chord diagrams.  Symbol text returns
     its parsed symbol with neither a rule, a closed form nor an equation.
     """

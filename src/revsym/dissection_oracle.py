@@ -56,8 +56,8 @@ def _crosses(a: int, b: int, c: int, d: int) -> bool:
 
 
 def _touches_or_crosses(a: int, b: int, c: int, d: int) -> bool:
-    """Chords {a,b}, {c,d} share an endpoint or cross in the interior."""
-    return a in (c, d) or b in (c, d) or _crosses(a, b, c, d)
+    """Chords {a,b}, {c,d} with a<b, c<d share an endpoint or cross: their ends interleave, ties included."""
+    return a <= c <= b <= d or c <= a <= d <= b
 
 
 def _keep_masks(

@@ -10,13 +10,15 @@ symbol from a tile-size rule, and the one-line text format used by the
 CLI.  It does no series arithmetic.
 
 The record types :class:`ReversiveSymbol`, :class:`TileRule` and
-:class:`CatalogEntry` are NamedTuples: immutable, hashable, and printed as
-their field lists.  The first two check and canonicalise their fields in
-``__new__``, and their ``_make``, hence ``_replace``, goes through it, so no
-path builds an unchecked record.  A record is a tuple, so it equals the
-plain tuple of its fields.  NamedTuples, not dataclasses, because importing
-:mod:`dataclasses` (and the :mod:`inspect` it pulls in) was about a third
-of the start-up of every command.
+:class:`CatalogEntry` subclass :func:`collections.namedtuple` classes:
+immutable, hashable, and printed as their field lists.  The first two
+check and canonicalise their fields in ``__new__``, and their ``_make``,
+hence ``_replace``, goes through it, so no path builds an unchecked
+record.  A record is a tuple, so it equals the plain tuple of its fields.
+Not dataclasses, because importing :mod:`dataclasses` (and the
+:mod:`inspect` it pulls in) was about a third of the start-up of every
+command; and not ``typing.NamedTuple``, whose field annotations no code
+reads.  Each docstring names its record's fields.
 
 A tile rule S (a set of permitted tile side-counts, each >= 3) turns into a
 symbol through the root-edge decomposition of a dissection: a tile with s
@@ -30,9 +32,9 @@ closed rational form whenever S is finite or finite plus an arithmetic tail.
 
 from __future__ import annotations
 
-import re
+from collections import namedtuple
 from itertools import zip_longest
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from . import closed_forms
 
@@ -77,13 +79,7 @@ def _int_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-class _SymbolFields(NamedTuple):
-    name: str
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
-
-
-class ReversiveSymbol(_SymbolFields):
+class ReversiveSymbol(namedtuple("ReversiveSymbol", "name numerator denominator")):
     """Named rational function alpha(F) = numerator/denominator.
 
     The two polynomials are int tuples, lowest degree first, trimmed of
@@ -113,13 +109,7 @@ class ReversiveSymbol(_SymbolFields):
         return cls(*iterable)
 
 
-class _RuleFields(NamedTuple):
-    sizes: tuple[int, ...]
-    start: Optional[int]
-    step: int
-
-
-class TileRule(_RuleFields):
+class TileRule(namedtuple("TileRule", "sizes start step")):
     """Permitted tile side-counts: finite sizes plus at most one arithmetic tail.
 
     The tail ``start, start+step, start+2*step, ...`` is stored as ``start``
@@ -205,7 +195,7 @@ def symbol_from_tile_rule(rule: TileRule) -> ReversiveSymbol:
     return ReversiveSymbol(f"tiles({rule.label()})", numerator, g_den)
 
 
-class CatalogEntry(NamedTuple):
+class CatalogEntry(namedtuple("CatalogEntry", "symbol rule closed_form ode")):
     """A shipped sequence and everything known about it.
 
     ``rule`` is the tile rule the sequence counts; None means it counts
@@ -223,10 +213,7 @@ class CatalogEntry(NamedTuple):
     proves each from the symbol.
     """
 
-    symbol: ReversiveSymbol
-    rule: Optional[TileRule]
-    closed_form: Callable[[int], int]
-    ode: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 # The six catalog entries.  Coefficient tuples are in increasing degree, so
@@ -303,7 +290,6 @@ def parse_symbol(text: str) -> ReversiveSymbol:
         raise ParseError(str(exc)) from None
 
 
-_SPEC_ENTRY = re.compile(r"(\d+)(\+(\d*))?")
 _RULE_KEYWORDS = {
     "any": ANY_TILES,
     "triangles": TRIANGLES_ONLY,
@@ -332,10 +318,9 @@ def parse_tile_spec(text: str) -> TileRule:
         part = part.strip()
         if not part:
             raise ParseError(f"empty entry in tile spec {text!r}")
-        match = _SPEC_ENTRY.fullmatch(part)
-        if match is None:
+        size, tail, tail_step = part.partition("+")
+        if not size.isdecimal() or tail_step and not tail_step.isdecimal():
             raise ParseError(f"bad tile size {part!r}")
-        size, tail, tail_step = match.groups()
         if tail and idx != len(parts) - 1:
             raise ParseError("'+' is only allowed on the last entry")
         try:

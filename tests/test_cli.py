@@ -825,12 +825,12 @@ class TestUsageErrors:
 
 # one case per message path: no command, root help, an unknown command,
 # unrecognized arguments after each kind of subcommand, each subcommand's
-# help, a bad value, and a flag that only another subcommand reads
+# help, a bad value, a bad choice, and a flag that only another subcommand reads
 _MESSAGE_CASES = [
     [], ["--help"], ["ter", "catalan"],
     ["list", "extra"], ["bfile", "catalan", "--count", "1", "--out", "X", "extra"],
     *([name, "--help"] for name in ("list", "terms", "verify", "from-tiles", "bfile")),
-    ["terms", "catalan", "--count", "0"], ["verify", "catalan", "--count", "x"],
+    ["terms", "catalan", "--count", "0"], ["verify", "catalan", "--count", "x"], ["terms", "catalan", "--method", "x"],
     ["bfile", "catalan", "--count", "1", "--out", "X", "--chord-cap-p", "3"],
     # lines that _read_argv leaves to argparse: a joined or shortened flag
     # with a bad value, a flag with no value, and help after a positional

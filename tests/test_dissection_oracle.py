@@ -300,6 +300,15 @@ def _chords_meet_by_coordinates(p, q):
 
 
 class TestChordDiagrams:
+    def test_clash_predicate_agrees_with_coordinates_in_both_argument_orders(self):
+        # the walk only asks about a chord and a lexicographically later one,
+        # so its counts alone never reach the predicate's second comparison
+        chords = list(combinations(range(10), 2))
+        for u in chords:
+            for v in chords:
+                if u != v:
+                    assert dissection_oracle._touches_or_crosses(*u, *v) == _chords_meet_by_coordinates(u, v), (u, v)
+
     @pytest.mark.parametrize("p", range(9))
     def test_matches_generation_by_combinations(self, p):
         chords = list(combinations(range(p), 2))

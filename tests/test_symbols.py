@@ -1,5 +1,8 @@
 """Symbol catalog, tile-rule synthesis, the text format, and the record types."""
 
+import re
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -274,14 +277,60 @@ class TestTileSpecParsing:
         with pytest.raises(InvalidTileSet):
             parse_tile_spec("2")
 
+    def test_reads_every_short_spec_as_the_regex_reader_does(self):
+        # every string of up to 4 characters over Unicode digits inside and
+        # outside \d, the separators and junk, plus sizes too long for int()
+        texts = ["".join(chars) for k in range(5) for chars in product("3\u0663\u00b3+_,x ", repeat=k)]
+        texts += ["3" * 5000, "3+" + "3" * 5000, "3" * 5000 + "+"]
+        outcomes = {text: (_outcome(parse_tile_spec, text), _outcome(_regex_spec_reader, text)) for text in texts}
+        assert {text: pair for text, pair in outcomes.items() if pair[0] != pair[1]} == {}
+        kinds = {type(ours) if isinstance(ours, TileRule) else ours[0] for ours, _ in outcomes.values()}
+        assert kinds == {TileRule, ParseError}
+
+
+def _outcome(parse, text):
+    """What parse gives for text: the rule, or the exception's type and text."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _regex_spec_reader(text):
+    r"""A tile-spec list reader on the regex (\d+)(\+(\d*))?, keywords aside: the reference for parse_tile_spec."""
+    spec = text.strip().lower()
+    if not spec:
+        raise ParseError("empty tile spec")
+    sizes, start, step = set(), None, 1
+    parts = spec.split(",")
+    for idx, part in enumerate(parts):
+        part = part.strip()
+        if not part:
+            raise ParseError(f"empty entry in tile spec {text!r}")
+        match = re.fullmatch(r"(\d+)(\+(\d*))?", part)
+        if match is None:
+            raise ParseError(f"bad tile size {part!r}")
+        size, tail, tail_step = match.groups()
+        if tail and idx != len(parts) - 1:
+            raise ParseError("'+' is only allowed on the last entry")
+        try:
+            if tail:
+                start, step = int(size), int(tail_step or 1)
+            else:
+                sizes.add(int(size))
+        except ValueError:
+            raise ParseError(f"bad tile size {part!r}") from None
+    return TileRule(sizes, start, step)
+
 
 SCHROEDER = catalog()[3]
 RECORDS = [ANY_TILES, SCHROEDER.symbol, SCHROEDER]
 
 
 class TestRecords:
-    """The three record types are NamedTuples that keep the dataclass contract:
-    immutable, printed as before, and checked by every constructor path."""
+    """The three record types subclass collections.namedtuple classes and keep
+    the dataclass contract: immutable, printed as before, and checked by every
+    constructor path."""
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_fields_cannot_be_assigned(self, record):
