@@ -2,9 +2,9 @@
 
 Subcommands: ``list``, ``terms``, ``verify``, ``from-tiles``, ``bfile``.
 Exit status: 0 success, 1 verification mismatch, 2 usage or parse error.
-Every refusal of a sequence, method or config file raises ``ParseError``.
-``main`` returns 3 if an oracle raises ``CapExceeded``, which no command does
-today: ``verify`` stops each oracle column at its cap and prints ``-`` past it.
+Every refusal of a sequence, method, tile size or config file raises
+``ParseError``; ``verify`` stops each oracle column at its cap and prints
+``-`` past it, so no oracle is asked beyond its cap.
 
 ``terms`` (by its default method) and ``bfile`` list a catalog entry by
 unrolling its differential equation from a_0 = 1 alone, in linear time,
@@ -36,14 +36,12 @@ from .closed_forms import DomainError
 from .dissection_oracle import (
     DEFAULT_CHORD_CAP,
     DEFAULT_DISSECTION_CAP,
-    CapExceeded,
     count_chord_diagrams,
     enumerate_counts,
 )
 from .exact_arith import NonIntegerCoefficient, _unlimited_digits
 from .power_series import count_by_series, lagrange_coefficients, revert_direct, unroll_ode
 from .symbols import (
-    InvalidTileSet,
     ParseError,
     ReversiveSymbol,
     TileRule,
@@ -234,12 +232,12 @@ def _check_sizes_fit(rule: TileRule, count: int) -> None:
     limit = count + 1
     for size in (*rule.sizes, rule.start or 0):
         if size > limit:
-            raise InvalidTileSet(
+            raise ParseError(
                 f"tile size {size} exceeds count+1 = {limit}: "
                 f"no dissection among the first {count} terms has such a tile"
             )
     if rule.step > limit:
-        raise InvalidTileSet(f"tail step {rule.step} exceeds count+1 = {limit}")
+        raise ParseError(f"tail step {rule.step} exceeds count+1 = {limit}")
 
 
 def cmd_from_tiles(args: SimpleNamespace) -> int:
@@ -413,10 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _fill_settings(args)
         return args.func(args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, InvalidTileSet, DomainError, NonIntegerCoefficient) as exc:
+    except (ParseError, DomainError, NonIntegerCoefficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -37,17 +37,12 @@ from typing import Callable
 from .symbols import TileRule
 
 __all__ = [
-    "CapExceeded",
     "enumerate_counts",
     "count_chord_diagrams",
 ]
 
 DEFAULT_DISSECTION_CAP = 12
 DEFAULT_CHORD_CAP = 16
-
-
-class CapExceeded(ValueError):
-    """An exhaustive enumeration was asked to run beyond its configured cap."""
 
 
 def _crosses(a: int, b: int, c: int, d: int) -> bool:
@@ -100,13 +95,13 @@ def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) 
     its root face's size s here; a_m sums the tallies whose first m is at
     most m and whose s - (n - m) the rule allows.  The undissected polygon
     counts iff its own side count is allowed, and a_0 = 1 by convention
-    since the 2-gon has no tiles to test.  n < 0 raises ValueError and
-    n > cap raises CapExceeded.
+    since the 2-gon has no tiles to test.  n < 0 and n > cap raise
+    ValueError.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the exhaustive cap {cap}")
+        raise ValueError(f"n = {n} exceeds the exhaustive cap {cap}")
     cands = [(i, j) for i in range(n + 2) for j in range(i + 2, n + 2) if (i, j) != (0, n + 1)]
     cands = sorted(cands, key=lambda d: (d[1], -d[0]))
     keep = _keep_masks(cands, _crosses)
@@ -146,12 +141,12 @@ def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:
 
     Disjoint means segment-disjoint: chords may neither share an endpoint
     nor cross in the interior.  The empty placement counts, so p = 0
-    gives 1.
+    gives 1.  p < 0 and p > cap raise ValueError.
     """
     if p < 0:
         raise ValueError("need p >= 0")
     if p > cap:
-        raise CapExceeded(f"p = {p} exceeds the exhaustive cap {cap}")
+        raise ValueError(f"p = {p} exceeds the exhaustive cap {cap}")
     cands = [(i, j) for i in range(p) for j in range(i + 1, p)]
     keep = _keep_masks(cands, _touches_or_crosses)
 

@@ -42,7 +42,6 @@ __all__ = [
     "ReversiveSymbol",
     "TileRule",
     "CatalogEntry",
-    "InvalidTileSet",
     "ParseError",
     "ANY_TILES",
     "TRIANGLES_ONLY",
@@ -57,12 +56,11 @@ __all__ = [
 ]
 
 
-class InvalidTileSet(ValueError):
-    """A tile rule that admits no side-count, or one below 3."""
-
-
 class ParseError(ValueError):
-    """Input the package cannot use: symbol text, spec, sequence name, method or config file."""
+    """Input the CLI refuses: symbol text, tile spec, tile size, sequence name, method or config file.
+
+    Only the text parsers and the CLI raise it; records and library functions raise plain ValueError.
+    """
 
 
 def _int_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -118,7 +116,8 @@ class TileRule(namedtuple("TileRule", "sizes start step")):
     and sizes that extend it downwards are folded into it, so rules compare
     equal exactly when they allow the same side-counts.  Sizes, ``start``
     and ``step`` must be ints, as a symbol's coefficients must: anything
-    else raises TypeError.
+    else raises TypeError.  A rule that admits no side-count, a side-count
+    below 3 or a step below 1 raises ValueError.
     """
 
     __slots__ = ()
@@ -128,11 +127,11 @@ class TileRule(namedtuple("TileRule", "sizes start step")):
         if not all(isinstance(v, int) for v in (*finite, step)) or not isinstance(start, (int, type(None))):
             raise TypeError("tile side-counts and the tail step must be int")
         if not finite and start is None:
-            raise InvalidTileSet("tile rule admits no side-count")
+            raise ValueError("tile rule admits no side-count")
         if any(s < 3 for s in finite) or (start is not None and start < 3):
-            raise InvalidTileSet("tile side-counts must be >= 3")
+            raise ValueError("tile side-counts must be >= 3")
         if step < 1:
-            raise InvalidTileSet("tail step must be >= 1")
+            raise ValueError("tail step must be >= 1")
         if start is None:
             step = 1
         else:
@@ -330,4 +329,7 @@ def parse_tile_spec(text: str) -> TileRule:
                 sizes.add(int(size))
         except ValueError:  # more digits than int() accepts
             raise ParseError(f"bad tile size {part!r}") from None
-    return TileRule(sizes, start, step)
+    try:
+        return TileRule(sizes, start, step)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

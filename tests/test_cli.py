@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from revsym import cli, power_series, symbols
 from revsym.closed_forms import DomainError
-from revsym.dissection_oracle import CapExceeded, count_chord_diagrams, enumerate_counts
+from revsym.dissection_oracle import count_chord_diagrams, enumerate_counts
 from revsym.exact_arith import NonIntegerCoefficient, exact_div
 from revsym.power_series import count_by_series, revert_direct
 from revsym.symbols import TileRule, catalog, format_symbol, parse_symbol, parse_tile_spec
@@ -355,14 +355,34 @@ class TestVerify:
         assert out.splitlines()[-1].startswith("ok:")
         assert elapsed < 3.0
 
-    def test_cap_exceeded_exits_3(self, capsys, monkeypatch):
-        def boom(*args, **kwargs):
-            raise CapExceeded("forced for the exit-status contract")
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from([entry.symbol.name for entry in catalog()]), count=st.integers(1, 14),
+           dissection_cap=st.integers(0, 6), chord_cap=st.integers(0, 8))
+    def test_no_oracle_is_asked_beyond_its_cap(self, name, count, dissection_cap, chord_cap):
+        # verify stops each oracle column at its cap, so an oracle's refusal past
+        # its cap never reaches main, which has no exit status for it
+        calls = []
 
-        monkeypatch.setattr(cli, "enumerate_counts", boom)
-        rc, _, err = run(capsys, "verify", "catalan", "--count", "4")
-        assert rc == 3
-        assert "forced" in err
+        def recording(route):
+            def wrapper(n, *args, **kwargs):
+                calls.append((route, n))
+                return route(n, *args, **kwargs)
+            return wrapper
+
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            for route in (enumerate_counts, count_chord_diagrams):
+                patch.setattr(cli, route.__name__, recording(route))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(["verify", name, "--count", str(count), "--exhaustive-cap-n", str(dissection_cap),
+                               "--chord-cap-p", str(chord_cap)])
+        assert (rc, err.getvalue()) == (0, "")
+        oracle, cap = (count_chord_diagrams, chord_cap) if name == "motzkin" else (enumerate_counts, dissection_cap)
+        top = min(count - 1, cap)
+        assert calls and {route for route, _ in calls} == {oracle}
+        assert all(n <= top for _, n in calls)
+        rows = out.getvalue().splitlines()[2:2 + count]
+        assert [row.split()[-1] for row in rows] == ["ok"] * (top + 1) + ["-"] * (count - 1 - top)
 
 
 class TestFromTiles:
@@ -448,11 +468,24 @@ class TestFromTiles:
         assert len(out.splitlines()) == 601
         assert elapsed < 12.0
 
-    def test_bad_spec_exits_2(self, capsys):
-        for spec in ("x", "2", "3+,5"):
-            rc, _, err = run(capsys, "from-tiles", spec, "--count", "4")
-            assert rc == 2, spec
-            assert "error:" in err
+    REFUSALS = [
+        (["2"], "tile side-counts must be >= 3"),
+        (["2,5"], "tile side-counts must be >= 3"),
+        (["1+"], "tile side-counts must be >= 3"),
+        (["3+0"], "tail step must be >= 1"),
+        (["4,9", "--count", "5"],
+         "tile size 9 exceeds count+1 = 6: no dissection among the first 5 terms has such a tile"),
+        (["3,9+", "--count", "5"],
+         "tile size 9 exceeds count+1 = 6: no dissection among the first 5 terms has such a tile"),
+        (["3+9", "--count", "5"], "tail step 9 exceeds count+1 = 6"),
+        (["3+,4"], "'+' is only allowed on the last entry"),
+        (["x", "--count", "4"], "bad tile size 'x'"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
+    def test_refusal_is_one_error_line_and_exit_2(self, capsys, argv, message):
+        # the record's ValueError and the size check's ParseError print alike
+        assert run(capsys, "from-tiles", *argv) == (2, "", f"error: {message}\n")
 
 
 GOLDEN_CATALAN_6 = b"0 1\n1 1\n2 2\n3 5\n4 14\n5 42\n"

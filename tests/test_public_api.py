@@ -68,6 +68,14 @@ def test_cli_exports_main_alone_and_declares_no_error_type():
     assert declared == []
 
 
+def test_the_public_error_types_are_the_three_main_maps_to_exit_2():
+    # a record or a library function refuses with the built-in ValueError; a
+    # new error type would need its own branch in main
+    errors = {name for name in revsym.__all__ if isinstance(getattr(revsym, name), type)
+              and issubclass(getattr(revsym, name), BaseException)}
+    assert errors == {"ParseError", "DomainError", "NonIntegerCoefficient"}
+
+
 def test_readme_library_block_runs_and_imports_only_public_names():
     block = _library_block()
     imported = {

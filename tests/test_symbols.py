@@ -14,7 +14,6 @@ from revsym.symbols import (
     ODD_ONLY,
     TRIANGLES_ONLY,
     CatalogEntry,
-    InvalidTileSet,
     ParseError,
     ReversiveSymbol,
     TileRule,
@@ -89,20 +88,25 @@ class TestSymbolInvariants:
             ReversiveSymbol("x", (0, 1.5), (1,))
 
 
+def _refusal(build):
+    """The exact type and the text of what build() raises."""
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    return excinfo.type, str(excinfo.value)
+
+
 class TestTileRule:
+    # a record refuses a bad value with the built-in ValueError, never with the CLI's ParseError
     def test_custom_requires_some_size(self):
-        with pytest.raises(InvalidTileSet):
-            TileRule()
+        assert _refusal(TileRule) == (ValueError, "tile rule admits no side-count")
 
     def test_custom_rejects_small_sizes(self):
-        with pytest.raises(InvalidTileSet):
-            TileRule({2, 4})
-        with pytest.raises(InvalidTileSet):
-            TileRule({4}, start=2)
+        assert _refusal(lambda: TileRule({2})) == (ValueError, "tile side-counts must be >= 3")
+        assert _refusal(lambda: TileRule({2, 4})) == (ValueError, "tile side-counts must be >= 3")
+        assert _refusal(lambda: TileRule({4}, start=2)) == (ValueError, "tile side-counts must be >= 3")
 
     def test_rejects_zero_step(self):
-        with pytest.raises(InvalidTileSet):
-            TileRule(start=3, step=0)
+        assert _refusal(lambda: TileRule(start=3, step=0)) == (ValueError, "tail step must be >= 1")
 
     @pytest.mark.parametrize("fields", [
         dict(sizes={3.5}), dict(sizes={3, 4.0}), dict(start=3.5), dict(start=3, step=1.5),
@@ -274,8 +278,8 @@ class TestTileSpecParsing:
             parse_tile_spec(text)
 
     def test_rejects_undersized(self):
-        with pytest.raises(InvalidTileSet):
-            parse_tile_spec("2")
+        # the reader turns the record's ValueError into the CLI's ParseError, text unchanged
+        assert _refusal(lambda: parse_tile_spec("2")) == (ParseError, "tile side-counts must be >= 3")
 
     def test_reads_every_short_spec_as_the_regex_reader_does(self):
         # every string of up to 4 characters over Unicode digits inside and
@@ -320,7 +324,10 @@ def _regex_spec_reader(text):
                 sizes.add(int(size))
         except ValueError:
             raise ParseError(f"bad tile size {part!r}") from None
-    return TileRule(sizes, start, step)
+    try:
+        return TileRule(sizes, start, step)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 SCHROEDER = catalog()[3]
@@ -345,17 +352,16 @@ class TestRecords:
             "ReversiveSymbol(name='schroeder', numerator=(0, 1, -2), denominator=(1, -1))")
         assert repr(SCHROEDER).startswith(f"CatalogEntry(symbol={SCHROEDER.symbol!r}, rule={ANY_TILES!r}, ")
 
-    @pytest.mark.parametrize("record, change, error, message", [
-        (ANY_TILES, {"start": 2}, InvalidTileSet, ">= 3"),
-        (ANY_TILES, {"step": 0}, InvalidTileSet, "step"),
-        (SCHROEDER.symbol, {"numerator": (1, 1)}, ValueError, "vanish at 0"),
-        (SCHROEDER.symbol, {"denominator": (2, -1)}, ValueError, "unit slope"),
+    @pytest.mark.parametrize("record, change, message", [
+        (ANY_TILES, {"start": 2}, "tile side-counts must be >= 3"),
+        (ANY_TILES, {"step": 0}, "tail step must be >= 1"),
+        (SCHROEDER.symbol, {"numerator": (1, 1)}, "symbol 'schroeder': numerator must vanish at 0"),
+        (SCHROEDER.symbol, {"denominator": (2, -1)}, "symbol 'schroeder': expansion must have unit slope"),
     ])
-    def test_replace_runs_the_constructor_checks(self, record, change, error, message):
-        with pytest.raises(error, match=message):
-            record._replace(**change)
-        with pytest.raises(error, match=message):
-            type(record)._make(change.get(field, value) for field, value in zip(record._fields, record))
+    def test_replace_runs_the_constructor_checks(self, record, change, message):
+        assert _refusal(lambda: record._replace(**change)) == (ValueError, message)
+        fields = [change.get(field, value) for field, value in zip(record._fields, record)]
+        assert _refusal(lambda: type(record)._make(fields)) == (ValueError, message)
 
     def test_valid_replace_equals_the_directly_built_record(self):
         # _replace canonicalises as the constructor does
