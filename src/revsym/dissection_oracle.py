@@ -18,8 +18,10 @@ defect in :mod:`power_series` can reach them:
   scale.
 * :func:`count_chord_diagrams` exhaustively counts placements of pairwise
   disjoint chords (no shared endpoints, no crossings) on labelled circle
-  points, the model behind the motzkin entry.  It walks the same way,
-  one mask of free chords per node.
+  points, the model behind the motzkin entry.  It takes chords by right
+  end too, but its node state is smaller: the bitmask of the points a
+  later chord may start at, one bit per circle point, and the last right
+  end.  It needs no candidate list and no crossing test.
 
 These two counters are all the module holds.  Their reference, the plain
 definition, lives in ``tests/test_dissection_oracle.py`` and shares no code
@@ -31,8 +33,6 @@ as diagonal sets, with no quotient by rotation or reflection.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .symbols import TileRule
 
@@ -48,24 +48,6 @@ DEFAULT_CHORD_CAP = 16
 def _crosses(a: int, b: int, c: int, d: int) -> bool:
     """Open-interior crossing of chords {a,b}, {c,d} with a<b, c<d."""
     return a < c < b < d or c < a < d < b
-
-
-def _touches_or_crosses(a: int, b: int, c: int, d: int) -> bool:
-    """Chords {a,b}, {c,d} with a<b, c<d share an endpoint or cross: their ends interleave, ties included."""
-    return a <= c <= b <= d or c <= a <= d <= b
-
-
-def _keep_masks(
-    cands: list[tuple[int, int]], clash: Callable[[int, int, int, int], bool]
-) -> list[int]:
-    """Per candidate, the bitmask of the later candidates it may be chosen with."""
-    masks = [0] * len(cands)
-    for x, (a, b) in enumerate(cands):
-        for y in range(x + 1, len(cands)):
-            c, d = cands[y]
-            if not clash(a, b, c, d):
-                masks[x] |= 1 << y
-    return masks
 
 
 def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) -> list[int]:
@@ -104,7 +86,11 @@ def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) 
         raise ValueError(f"n = {n} exceeds the exhaustive cap {cap}")
     cands = [(i, j) for i in range(n + 2) for j in range(i + 2, n + 2) if (i, j) != (0, n + 1)]
     cands = sorted(cands, key=lambda d: (d[1], -d[0]))
-    keep = _keep_masks(cands, _crosses)
+    keep = [0] * len(cands)  # per candidate, the later candidates it may be chosen with
+    for x, (a, b) in enumerate(cands):
+        for y in range(x + 1, len(cands)):
+            if not _crosses(a, b, *cands[y]):
+                keep[x] |= 1 << y
     inside = [(1 << b + 1) - (1 << a) for a, b in cands]
     outside = [~((1 << b) - (1 << a + 1)) for a, b in cands]
     bad = [not rule.allows(s) for s in range(n + 3)]
@@ -142,21 +128,37 @@ def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:
     Disjoint means segment-disjoint: chords may neither share an endpoint
     nor cross in the interior.  The empty placement counts, so p = 0
     gives 1.  p < 0 and p > cap raise ValueError.
+
+    A diagram's chords are taken by right end ascending.  A node holds its
+    last right end b and ``free``, the points a later chord may start at:
+    those neither an endpoint of a chosen chord nor strictly inside one.
+    In this order that start is the whole rule: a new chord (c, d) with
+    d > b ends beyond every chosen chord, so it touches or crosses one
+    exactly when c is an endpoint or lies strictly inside it.  Points
+    between b and d join ``free`` as d passes them, and choosing (c, d)
+    leaves the free points below c as the child's ``free``.  Every
+    non-empty diagram is one loop iteration, leaves included: one that no
+    later chord can extend, such as one with a chord to the last point,
+    is counted there without a call.
     """
     if p < 0:
         raise ValueError("need p >= 0")
     if p > cap:
         raise ValueError(f"p = {p} exceeds the exhaustive cap {cap}")
-    cands = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    keep = _keep_masks(cands, _touches_or_crosses)
+    last = p - 1
 
-    def rec(x: int) -> int:
+    def rec(free: int, b: int) -> int:
         count = 1
-        while x:
-            low = x & -x
-            x ^= low
-            child = x & keep[low.bit_length() - 1]
-            count += rec(child) if child else 1
+        for d in range(b + 1, last):
+            x = free
+            while x:
+                c = x.bit_length() - 1
+                x ^= 1 << c  # x is now the child's free set: the free points below c
+                count += rec(x, d) if x or d < last - 1 else 1
+            free |= 1 << d  # point d is free for every later right end
+        while free:  # chords to the last point: leaves, one iteration each
+            free &= free - 1
+            count += 1
         return count
 
-    return rec((1 << len(cands)) - 1)
+    return rec(0, -1)

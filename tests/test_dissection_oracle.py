@@ -1,5 +1,6 @@
 """Exhaustive enumeration against a test-local reference, tile extraction, chord oracle."""
 
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -299,26 +300,59 @@ def _chords_meet_by_coordinates(p, q):
     return orient(a, b, c) != orient(a, b, d) and orient(c, d, a) != orient(c, d, b)
 
 
-class TestChordDiagrams:
-    def test_clash_predicate_agrees_with_coordinates_in_both_argument_orders(self):
-        # the walk only asks about a chord and a lexicographically later one,
-        # so its counts alone never reach the predicate's second comparison
-        chords = list(combinations(range(10), 2))
-        for u in chords:
-            for v in chords:
-                if u != v:
-                    assert dissection_oracle._touches_or_crosses(*u, *v) == _chords_meet_by_coordinates(u, v), (u, v)
+def _chord_diagrams(p):
+    """Every placement of pairwise disjoint chords on p points, as a tuple of
+    chords in lexicographic order, by the coordinate test over combinations."""
+    chords = list(combinations(range(p), 2))
+    return [
+        chosen
+        for k in range(p // 2 + 1)
+        for chosen in combinations(chords, k)
+        if not any(_chords_meet_by_coordinates(u, v) for u, v in combinations(chosen, 2))
+    ]
 
+
+def _walk_calls(p):
+    """How often count_chord_diagrams(p) calls its recursive walk, counted by
+    a profile hook that matches the walk's code object."""
+    walk = next(c for c in dissection_oracle.count_chord_diagrams.__code__.co_consts
+                if getattr(c, "co_name", None) == "rec")
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is walk:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        count_chord_diagrams(p)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestChordDiagrams:
     @pytest.mark.parametrize("p", range(9))
     def test_matches_generation_by_combinations(self, p):
+        assert count_chord_diagrams(p) == len(_chord_diagrams(p))
+
+    @pytest.mark.parametrize("p, calls", enumerate([1, 1, 1, 1, 3, 6, 15, 36, 91]))
+    def test_one_call_per_diagram_a_later_chord_extends(self, p, calls):
+        # the root, plus each non-empty diagram that some chord with a larger
+        # right end extends; every other diagram, a chord to the last point
+        # among them, is one loop iteration and no call
         chords = list(combinations(range(p), 2))
-        expected = sum(
+        extended = sum(
             1
-            for k in range(p // 2 + 1)
-            for chosen in combinations(chords, k)
-            if not any(_chords_meet_by_coordinates(u, v) for u, v in combinations(chosen, 2))
+            for chosen in _chord_diagrams(p)
+            if chosen
+            and any(
+                v[1] > max(d for _, d in chosen) and not any(_chords_meet_by_coordinates(u, v) for u in chosen)
+                for v in chords
+            )
         )
-        assert count_chord_diagrams(p) == expected
+        assert _walk_calls(p) == 1 + extended == calls
 
     def test_matches_motzkin_to_default_cap(self):
         for p in range(DEFAULT_CHORD_CAP + 1):
