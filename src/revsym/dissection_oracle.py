@@ -14,14 +14,16 @@ defect in :mod:`power_series` can reach them:
   subtree at once, and every dissection counted is still generated.  The
   (m+2)-gon's candidates are a prefix of the same order, so the one walk
   counts every m <= n: each node is tallied by the first m whose polygon
-  it dissects and by its root face's size.  Exponential; capped at desk
-  scale.
+  it dissects and by its root face's size.  A node takes its children
+  from its last free candidate down; any order of siblings visits the
+  same nodes.  Exponential; capped at desk scale.
 * :func:`count_chord_diagrams` exhaustively counts placements of pairwise
   disjoint chords (no shared endpoints, no crossings) on labelled circle
   points, the model behind the motzkin entry.  It takes chords by right
   end too, but its node state is smaller: the bitmask of the points a
   later chord may start at, one bit per circle point, and the last right
-  end.  It needs no candidate list and no crossing test.
+  end.  It needs no candidate list and no crossing test, and a chord to
+  either of the last two points costs a loop iteration but no call.
 
 These two counters are all the module holds.  Their reference, the plain
 definition, lives in ``tests/test_dissection_oracle.py`` and shares no code
@@ -60,6 +62,11 @@ def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) 
     child through candidate i gets ``free & keep[i]``), and ``face``, the
     vertex bitmask of the root face, the one on edge (0, n+1), with its
     vertex count ``size``.
+
+    A node takes its children from its last free candidate down.  The
+    order of siblings is free: a child keeps only candidates later than
+    its own (``free & keep[i]``), so each node is still reached once,
+    from the same parent, whichever sibling goes first.
 
     Closed faces: in this order a new diagonal (a, b) lies inside no
     chosen one, so it splits the root face.  Its part on the a..b side
@@ -103,9 +110,8 @@ def enumerate_counts(n: int, rule: TileRule, cap: int = DEFAULT_DISSECTION_CAP) 
     def rec(free: int, face: int, size: int) -> None:
         x = free
         while x:
-            low = x & -x
-            i = low.bit_length() - 1
-            x ^= low
+            i = x.bit_length() - 1
+            x ^= 1 << i
             closed = (face & inside[i]).bit_count()
             if bad[closed]:
                 continue
@@ -136,10 +142,16 @@ def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:
     d > b ends beyond every chosen chord, so it touches or crosses one
     exactly when c is an endpoint or lies strictly inside it.  Points
     between b and d join ``free`` as d passes them, and choosing (c, d)
-    leaves the free points below c as the child's ``free``.  Every
-    non-empty diagram is one loop iteration, leaves included: one that no
-    later chord can extend, such as one with a chord to the last point,
-    is counted there without a call.
+    leaves the free points below c as the child's ``free``.
+
+    Only a diagram whose last right end is at most p - 3 costs a call.
+    Right end p - 2 is handled in the frame that reaches it: after a
+    chord (c, p - 2), the only chord that can follow is one to p - 1 from
+    a free point below c.  So such a diagram is one iteration of a loop,
+    and each of its extensions one iteration of a loop nested in it.  A
+    chord to p - 1 is one iteration of the leaf loop.  Every non-empty
+    diagram is thus exactly one loop iteration, never a share of a
+    ``bit_count()``, so every diagram counted is visited.
     """
     if p < 0:
         raise ValueError("need p >= 0")
@@ -149,13 +161,24 @@ def count_chord_diagrams(p: int, cap: int = DEFAULT_CHORD_CAP) -> int:
 
     def rec(free: int, b: int) -> int:
         count = 1
-        for d in range(b + 1, last):
+        for d in range(b + 1, last - 1):
             x = free
             while x:
                 c = x.bit_length() - 1
                 x ^= 1 << c  # x is now the child's free set: the free points below c
-                count += rec(x, d) if x or d < last - 1 else 1
+                count += rec(x, d)
             free |= 1 << d  # point d is free for every later right end
+        if last > 0:  # p >= 2, so there is a next-to-last point
+            x = free
+            while x:  # chords to the next-to-last point, one iteration each
+                c = x.bit_length() - 1
+                x ^= 1 << c
+                count += 1
+                y = x
+                while y:  # each then extended by a chord to the last point from below c
+                    y &= y - 1
+                    count += 1
+            free |= 1 << last - 1
         while free:  # chords to the last point: leaves, one iteration each
             free &= free - 1
             count += 1

@@ -3,8 +3,8 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 PASS/FAIL lines as they complete.  The final criterion drives the CLI's
 ``verify`` across the whole catalog at count 20 with default caps, which
-enumerates dissections up to the n = 12 cap and therefore takes 5.4 to
-5.8 s (three runs on Python 3.11.7, 2 vCPUs, shared host); everything else
+enumerates dissections up to the n = 12 cap and therefore takes 6.1 to
+7.8 s (six runs on Python 3.11.7, 2 vCPUs, shared host); everything else
 finishes in seconds.
 """
 

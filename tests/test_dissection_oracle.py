@@ -1,5 +1,6 @@
 """Exhaustive enumeration against a test-local reference, tile extraction, chord oracle."""
 
+import inspect
 import sys
 from collections import Counter
 from itertools import combinations
@@ -89,6 +90,30 @@ def tiles_of(n, diagonals):
     return sorted(faces)
 
 
+def _walk(counter):
+    """The code object of the counter's recursive walk, its nested ``rec``."""
+    return next(c for c in counter.__code__.co_consts if getattr(c, "co_name", None) == "rec")
+
+
+def _walk_calls(counter, *args):
+    """How often counter(*args) calls its recursive walk, counted by a
+    profile hook that matches the walk's code object."""
+    walk = _walk(counter)
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is walk:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        counter(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 class TestReferenceCrossing:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_agrees_with_crossing_by_coordinates(self, n):
@@ -175,6 +200,35 @@ class TestEnumeratorInvariants:
         monkeypatch.setattr(dissection_oracle, "_crosses", mutant)
         walk = [enumerate_counts(n, ANY_TILES)[n] for n in range(1, 6)]
         assert walk != [sum(1 for _ in iter_dissections(n)) for n in range(1, 6)]
+
+    @pytest.mark.parametrize("rule, calls", [
+        (ANY_TILES, [1, 1, 4, 17, 76, 353]),
+        (TRIANGLES_ONLY, [1, 1, 4, 14, 48, 165]),
+        (ODD_ONLY, [1, 1, 4, 14, 51, 193]),
+    ], ids=["any", "triangles", "odd"])
+    def test_one_call_per_node_a_later_candidate_extends(self, rule, calls):
+        # the root, plus each non-empty diagonal set whose faces other than
+        # the root face, the one on edge (0, n+1), the rule allows, and that
+        # some candidate after its last diagonal in (right end, -left end)
+        # order extends without crossing any of them; the order of siblings
+        # is free
+        def later(u, v):
+            return (u[1], -u[0]) > (v[1], -v[0])
+
+        extended = []
+        for n in range(1, 7):
+            extended.append(sum(
+                1
+                for chosen in iter_dissections(n)
+                if chosen
+                and all(rule.allows(len(face)) for face in tiles_of(n, chosen) if not {0, n + 1} <= set(face))
+                and any(
+                    all(later(v, u) and not _crossing_by_coordinates(v, u, n) for u in chosen)
+                    for v in _diagonals(n)
+                )
+            ))
+        walk = [_walk_calls(enumerate_counts, n, rule) for n in range(1, 7)]
+        assert walk == [1 + k for k in extended] == calls
 
 
 class TestEnumerateCounts:
@@ -312,24 +366,30 @@ def _chord_diagrams(p):
     ]
 
 
-def _walk_calls(p):
-    """How often count_chord_diagrams(p) calls its recursive walk, counted by
-    a profile hook that matches the walk's code object."""
-    walk = next(c for c in dissection_oracle.count_chord_diagrams.__code__.co_consts
-                if getattr(c, "co_name", None) == "rec")
-    calls = 0
+def _chord_tallies(p):
+    """How often count_chord_diagrams(p) runs a ``count +=`` statement of its
+    walk, counted by line events in the walk's frames: one per iteration of
+    a loop that adds to the count."""
+    walk = _walk(count_chord_diagrams)
+    source, first = inspect.getsourcelines(walk)
+    tallies = {first + k for k, line in enumerate(source) if line.lstrip().startswith("count +=")}
+    seen = 0
 
-    def hook(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is walk:
-            calls += 1
+    def local(frame, event, arg):
+        nonlocal seen
+        if event == "line" and frame.f_lineno in tallies:
+            seen += 1
+        return local
 
-    sys.setprofile(hook)
+    def tracer(frame, event, arg):
+        return local if frame.f_code is walk else None
+
+    sys.settrace(tracer)
     try:
         count_chord_diagrams(p)
     finally:
-        sys.setprofile(None)
-    return calls
+        sys.settrace(None)
+    return seen
 
 
 class TestChordDiagrams:
@@ -337,22 +397,19 @@ class TestChordDiagrams:
     def test_matches_generation_by_combinations(self, p):
         assert count_chord_diagrams(p) == len(_chord_diagrams(p))
 
-    @pytest.mark.parametrize("p, calls", enumerate([1, 1, 1, 1, 3, 6, 15, 36, 91]))
-    def test_one_call_per_diagram_a_later_chord_extends(self, p, calls):
-        # the root, plus each non-empty diagram that some chord with a larger
-        # right end extends; every other diagram, a chord to the last point
-        # among them, is one loop iteration and no call
-        chords = list(combinations(range(p), 2))
-        extended = sum(
-            1
-            for chosen in _chord_diagrams(p)
-            if chosen
-            and any(
-                v[1] > max(d for _, d in chosen) and not any(_chords_meet_by_coordinates(u, v) for u in chosen)
-                for v in chords
-            )
-        )
-        assert _walk_calls(p) == 1 + extended == calls
+    @pytest.mark.parametrize("p, calls", enumerate([1, 1, 1, 1, 2, 4, 9, 21, 51]))
+    def test_one_call_per_diagram_ending_before_the_next_to_last_point(self, p, calls):
+        # the root, plus each non-empty diagram whose last right end is at
+        # most p - 3; a diagram with a chord to one of the last two points is
+        # one loop iteration and no call
+        ending_early = sum(1 for chosen in _chord_diagrams(p) if chosen and max(d for _, d in chosen) <= p - 3)
+        assert _walk_calls(count_chord_diagrams, p) == 1 + ending_early == calls
+
+    @pytest.mark.parametrize("p", range(9))
+    def test_every_non_empty_diagram_is_one_loop_iteration(self, p):
+        # the walk visits each diagram it counts: a count of free points
+        # added at once, without a loop over them, reads fewer tallies
+        assert _chord_tallies(p) == len(_chord_diagrams(p)) - 1 == motzkin_term(p) - 1
 
     def test_matches_motzkin_to_default_cap(self):
         for p in range(DEFAULT_CHORD_CAP + 1):
