@@ -5,9 +5,12 @@ is used directly as the one scalar type, and :func:`math.comb` is the one
 binomial coefficient.  What this module adds is :func:`exact_div`, the
 division that refuses to round, and the lifted digit limit under which a
 term of any length is written out in decimal.
-The closed forms, the series division kernel and both reversion routes
-divide through :func:`exact_div`, so every non-integral quotient raises
-the same :class:`NonIntegerCoefficient`.
+Every scalar division goes through :func:`exact_div`: the closed forms'
+prefactors, Lagrange's 1/(n c^{n-1}), direct reversion's 1/c and the unroll's
+1/L(m), so every non-integral quotient raises the same
+:class:`NonIntegerCoefficient`.  The series quotient in
+:mod:`revsym.power_series` is by a series with constant term 1 and divides
+nothing.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ class NonIntegerCoefficient(ArithmeticError):
     """
 
 
-def exact_div(value: int, divisor: int, index: int, name: str = "a") -> int:
-    """<name>_<index> = value / divisor as an exact int.
+def exact_div(value: int, divisor: int, index: int) -> int:
+    """a_<index> = value / divisor as an exact int.
 
     Raises NonIntegerCoefficient, with the reduced value, where divisor does
     not divide value, and ZeroDivisionError for a zero divisor.
@@ -42,7 +45,7 @@ def exact_div(value: int, divisor: int, index: int, name: str = "a") -> int:
     if r != 0:
         g = gcd(value, divisor) if divisor > 0 else -gcd(value, divisor)
         with _unlimited_digits():
-            message = f"{name}_{index} = {value // g}/{divisor // g} is not an integer"
+            message = f"a_{index} = {value // g}/{divisor // g} is not an integer"
         raise NonIntegerCoefficient(message)
     return q
 

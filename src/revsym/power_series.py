@@ -3,15 +3,16 @@
 A series is a list of coefficients c_0..c_N; every kernel takes the degree
 n to truncate at and returns exactly n + 1 coefficients, so all identities
 hold modulo x^{n+1}.  There is no series class: the kernels are the
-truncated product :func:`_conv`, the exact quotient :func:`_div_raw` and
-the composition :func:`_compose_raw`.  Their cost follows the nonzero
-coefficients: a product or quotient runs over its second operand's span
-of nonzero coefficients only, and a composition multiplies once per gap
-between the outer polynomial's nonzero coefficients, by powers of the
-inner series.  A product of a list by itself is a square and takes each
-pair of coefficients once, about half the products.  No other module
-binds the kernels: the closed forms and both brute-force counters use no
-series kernel, so a kernel defect cannot reach those checks.
+truncated product :func:`_conv`, the quotient :func:`_div_raw` by a series
+with constant term 1, and the composition :func:`_compose_raw`.  Their
+cost follows the nonzero coefficients: a product or quotient runs over its
+second operand's span of nonzero coefficients only, and a composition
+multiplies once per gap between the outer polynomial's nonzero
+coefficients, by powers of the inner series.  A product of a list by
+itself from degree 0 is a square and takes each pair of coefficients
+once, about half the products.  No other module binds the kernels: the
+closed forms and both brute-force counters use no series kernel, so a
+kernel defect cannot reach those checks.
 
 Which powers to build by halving, k = k//2 + (k - k//2), and how far to
 build each, is decided in one place, :func:`_halving_plan`: a power is
@@ -20,10 +21,12 @@ is a square.  A composition builds one table for all its outers, each
 composed at its own degree, and :func:`revert_direct` keeps its rows by
 the same plan.
 
-Coefficients are Python ints.  The one division, :func:`_div_raw`, divides
-each step exactly by the divisor's constant term through
-:func:`revsym.exact_arith.exact_div`, which raises ``NonIntegerCoefficient``
-where the quotient would leave the integers, so nothing is ever rounded.
+Coefficients are Python ints.  A series quotient is by a series with
+constant term 1, so :func:`_div_raw` divides nothing and its quotient of
+integral series is integral.  Every scalar division, in the routes and the
+unroll, goes through :func:`revsym.exact_arith.exact_div`, which raises
+``NonIntegerCoefficient`` where the quotient would leave the integers, so
+nothing is ever rounded.
 
 Three routes and an unroll return the inverse-series coefficients
 a_0..a_N of a reversive symbol alpha = P/Q, or of a tile rule's symbol,
@@ -101,21 +104,22 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int, lo: int = 0) -> list[int]:
     without constant term costs only the degrees it reaches.  Degrees below
     lo are not computed and read 0, for a caller that reads only the top of
     the product (the truncated case of the middle product: Hanrot, Quercia
-    and Zimmermann 2004).  When a and b are the same list the product is a
-    square, whose terms a_i a_j and a_j a_i are equal: each unordered pair
-    i < j is taken once and doubled, beside the diagonal a_i^2, so a square
-    takes about half the products (Knuth, TAOCP vol. 2, 4.6.3).
+    and Zimmermann 2004).  When a and b are the same list and lo is 0 the
+    product is a square, whose terms a_i a_j and a_j a_i are equal: each
+    unordered pair i < j is taken once and doubled, beside the diagonal
+    a_i^2, so a square takes about half the products (Knuth, TAOCP vol. 2,
+    4.6.3).  A square from above degree 0, which no caller takes, goes
+    through the general loop.
     """
     out = [0] * (n + 1)
     first, last = _support(b)
-    if a is b:
+    if a is b and not lo:
         for i in range(first, min(last, n // 2) + 1):
             ai = a[i]
             if ai:
-                if 2 * i >= lo:
-                    out[2 * i] += ai * ai
+                out[2 * i] += ai * ai
                 twice = 2 * ai
-                for j in range(max(i + 1, lo - i), min(n - i, last) + 1):
+                for j in range(i + 1, min(n - i, last) + 1):
                     aj = a[j]
                     if aj:
                         out[i + j] += twice * aj
@@ -132,12 +136,16 @@ def _conv(a: Sequence[int], b: Sequence[int], n: int, lo: int = 0) -> list[int]:
 
 
 def _div_raw(p: Sequence[int], q: Sequence[int], n: int) -> list[int]:
-    """p/q mod x^{n+1} by the triangular recurrence, each step divided exactly by q[0].
+    """p/q mod x^{n+1} for a q with constant term 1, by the triangular recurrence.
 
-    The recurrence runs over q only up to its last nonzero coefficient.  A
-    zero q[0] raises ZeroDivisionError.
+    Both callers divide by constant term 1: Lagrange's scaled divisor
+    P(cu)/(c^2 u) starts at p_1/c = 1, and the counter's Jacobian at
+    Dg(0) - Ng(0) = 1.  So a step divides nothing, and integral p and q
+    give an integral quotient.  Any other constant term raises ValueError.
+    The recurrence runs over q only up to its last nonzero coefficient.
     """
-    q0 = q[0]
+    if q[0] != 1:
+        raise ValueError(f"the divisor's constant term is {q[0]}, not 1")
     last = _support(q)[1]
     out = [0] * (n + 1)
     for m in range(n + 1):
@@ -146,7 +154,7 @@ def _div_raw(p: Sequence[int], q: Sequence[int], n: int) -> list[int]:
             qk = q[k]
             if qk:
                 s -= qk * out[m - k]
-        out[m] = exact_div(s, q0, m, "quotient")
+        out[m] = s
     return out
 
 
@@ -387,9 +395,10 @@ def count_by_series(n_max: int, rule: TileRule) -> list[int]:
     degree n, and Ng' and Dg', which only J reads, at degree m - 1.  So
     each power of xA is built once per step, by one halving plan, only as
     far as the outers read it, and each even power is a square.  The step
-    ends in one exact division at degree m: J has constant term
-    Dg(0) - Ng(0) = 1.  The size sum is applied in its closed rational
-    form, so sizes with s-2 > n_max vanish under truncation either way.
+    ends in one quotient by J at degree m, which divides nothing: J has
+    constant term Dg(0) - Ng(0) = 1.  The size sum is applied in its
+    closed rational form, so sizes with s-2 > n_max vanish under
+    truncation either way.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")

@@ -25,8 +25,10 @@ class TestExactDiv:
     def test_indivisible_raises(self):
         with pytest.raises(NonIntegerCoefficient, match=r"^a_3 = 7/2 is not an integer$"):
             exact_div(7, 2, 3)
-        with pytest.raises(NonIntegerCoefficient, match=r"^quotient_0 = -1/3 is not an integer$"):
-            exact_div(2, -6, 0, "quotient")
+        with pytest.raises(NonIntegerCoefficient, match=r"^a_0 = -1/3 is not an integer$"):
+            exact_div(2, -6, 0)
+        with pytest.raises(TypeError):
+            exact_div(2, -6, 0, "quotient")  # every message names a term a_<index>
         # a 5,000-digit numerator, beyond the interpreter's default str() digit limit
         limit = sys.get_int_max_str_digits()
         with pytest.raises(NonIntegerCoefficient) as exc:

@@ -2,6 +2,7 @@
 tile-equation counter (route 4), and the two certificates, verify_inverse and
 verify_tautological."""
 
+import contextlib
 from math import comb, perm
 
 import pytest
@@ -46,8 +47,8 @@ def one(n):
 small_int = st.integers(min_value=-4, max_value=4)
 small_series = st.lists(small_int, min_size=1, max_size=6)
 small_inner = st.lists(small_int, max_size=5).map(lambda cs: [0, *cs])
-unit_series = small_series.filter(lambda s: s[0] in (1, -1))
-non_unit_constant = st.sampled_from([2, -2, 3, -3])
+monic_series = st.lists(small_int, max_size=5).map(lambda cs: [1, *cs])
+non_unit_constant = st.sampled_from([2, -1, 0])
 
 
 @st.composite
@@ -82,14 +83,16 @@ class TestArithmetic:
         assert _div_raw((1,), [1, -1, 0, 0], 3) == [1, 1, 1, 1]
 
     def test_reciprocal_constant(self):
-        with pytest.raises(NonIntegerCoefficient, match=r"^quotient_0 = 1/2 is not an integer$"):
+        assert _div_raw((3,), [1], 0) == [3]
+        with pytest.raises(ValueError, match=r"^the divisor's constant term is 2, not 1$"):
             _div_raw((1,), [2], 0)
 
     def test_reciprocal_nonunit_raises(self):
-        # no caller divides by a zero constant term: symbols have q_0 != 0,
-        # and the counter and Lagrange divide by constant term 1
-        with pytest.raises(ZeroDivisionError):
-            _div_raw([1], [0, 1], 2)
+        # the counter and Lagrange divide by constant term 1, so the kernel
+        # takes no other, not even a unit or a zero
+        for q0 in (-1, 0):
+            with pytest.raises(ValueError, match=rf"^the divisor's constant term is {q0}, not 1$"):
+                _div_raw([1], [q0, 1], 2)
 
     def test_compose_identity_inner(self):
         assert _compose_raw([[1, 1, 1]], [0, 1, 0], [2]) == [[1, 1, 1]]
@@ -128,33 +131,33 @@ class TestArithmetic:
         rhs = [a + b for a, b in zip(_conv(s, t, n), _conv(s, u, n))]
         assert lhs == rhs
 
-    @given(unit_series)
+    @given(monic_series)
     def test_reciprocal_involution(self, s):
         n = len(s) - 1
         assert _div_raw((1,), _div_raw((1,), s, n), n) == s
 
-    @given(unit_series)
+    @given(monic_series)
     def test_reciprocal_is_inverse(self, s):
         n = len(s) - 1
         assert _conv(s, _div_raw((1,), s, n), n) == one(n)
 
-    @given(st.lists(small_int, min_size=1, max_size=6), non_unit_constant, st.lists(small_int, max_size=5))
-    def test_division_undoes_product(self, p, q0, q_rest):
-        q = [q0, *q_rest]
+    @given(small_series, monic_series)
+    def test_division_undoes_product(self, p, q):
         n = len(p) - 1
         assert _div_raw(_conv(p, q, n), q, n) == p
 
-    @given(st.lists(small_int, min_size=1, max_size=6), non_unit_constant, st.lists(small_int, max_size=5),
-           st.data())
+    @given(small_series, non_unit_constant, st.lists(small_int, max_size=5), st.data())
     def test_division_that_is_not_exact_raises(self, p, q0, q_rest, data):
-        # (p*q + x^m) / q = p + x^m/q, whose first non-integral coefficient is 1/q0 at x^m
+        # a divisor whose constant term is not 1 is refused before any step,
+        # whether p*q / q is exact or (p*q + x^m) / q leaves the integers
         q = [q0, *q_rest]
         n = len(p) - 1
         m = data.draw(st.integers(min_value=0, max_value=n))
         dividend = _conv(p, q, n)
-        dividend[m] += 1
-        with pytest.raises(NonIntegerCoefficient, match=rf"^quotient_{m} = "):
-            _div_raw(dividend, q, n)
+        for extra in (0, 1):
+            dividend[m] += extra
+            with pytest.raises(ValueError, match=rf"^the divisor's constant term is {q0}, not 1$"):
+                _div_raw(dividend, q, n)
 
 
 def _sum_of_powers(outer, inner, n):
@@ -286,14 +289,24 @@ class TestConvLowerBound:
         assert _conv(s, s, n, lo) == _conv(s, list(s), n, lo)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(small_int, max_size=10), st.integers(0, 20), st.integers(0, 22))
-    def test_square_takes_each_unordered_pair_once(self, a, n, lo):
+    @given(st.lists(small_int, max_size=10), st.integers(0, 20))
+    def test_square_takes_each_unordered_pair_once(self, a, n):
+        log = []
+        factors = _factors(a, log)
+        _conv(factors, factors, n)
+        # a_i a_j and a_j a_i are one product, doubled, and a_i^2 is taken once
+        assert sorted(log) == [(i, j) for i, ai in enumerate(a) for j, aj in enumerate(a)
+                               if i <= j and ai and aj and i + j <= n]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_int, max_size=10), st.integers(0, 20), st.integers(1, 22))
+    def test_square_from_above_degree_0_takes_every_ordered_pair(self, a, n, lo):
+        # no caller squares from above degree 0, so such a square takes the general loop
         log = []
         factors = _factors(a, log)
         _conv(factors, factors, n, lo)
-        # a_i a_j and a_j a_i are one product, doubled, and a_i^2 is taken once
         assert sorted(log) == [(i, j) for i, ai in enumerate(a) for j, aj in enumerate(a)
-                               if i <= j and ai and aj and lo <= i + j <= n]
+                               if ai and aj and lo <= i + j <= n]
 
 
 class TestSparseKernels:
@@ -344,8 +357,8 @@ class TestSparseKernels:
         padded = [0] * pad + b + [0] * pad
         shifted = _conv(a, [0] * pad + b, n)
         assert _conv(a, padded, n) == shifted
-        if b[0] in (1, -1):
-            assert _div_raw(a, b + [0] * n, n) == _div_raw(a, b, n)
+        monic = [1, *b[1:]]
+        assert _div_raw(a, monic + [0] * n, n) == _div_raw(a, monic, n)
 
 
 @st.composite
@@ -390,7 +403,7 @@ class TestSparseSymbols:
 
 
 class TestSymbolSeries:
-    # P/Q as a series, by the one division; the certificates avoid it
+    # P/Q as a series, by the quotient kernel, for q_0 = 1; the certificates avoid it
     @pytest.mark.parametrize("name, k, expected", [
         ("schroeder", 4, [0, 1, -1, -1, -1]),
         ("catalan", 4, [0, 1, -1, 0, 0]),
@@ -405,9 +418,9 @@ class TestSymbolSeries:
             assert _div_raw(sym.numerator, sym.denominator, 6)[:2] == [0, 1], sym.name
 
     def test_non_integral_expansion_raises(self):
-        # (2F - F^2)/2 = F - F^2/2
+        # (2F - F^2)/2 = F - F^2/2: the kernel divides by no q_0 but 1
         sym = parse_symbol("(0,2,-1)/(2)")
-        with pytest.raises(NonIntegerCoefficient, match=r"^quotient_2 = -1/2 is not an integer$"):
+        with pytest.raises(ValueError, match=r"^the divisor's constant term is 2, not 1$"):
             _div_raw(sym.numerator, sym.denominator, 3)
 
 
@@ -753,6 +766,41 @@ class TestSparseRules:
         symbol = symbol_from_tile_rule(rule)
         assert revert_direct(symbol, n) == series, rule.label()
         assert lagrange_coefficients(symbol, n) == series, rule.label()
+
+
+def _divisor_constant_terms(route, *args):
+    """Run ``route(*args)`` with the quotient kernel wrapped; each divisor's constant term.
+
+    A non-integral term of the route is not the kernel's, so it is let pass.
+    """
+    constants = []
+    real = power_series._div_raw
+
+    def recording(p, q, n):
+        constants.append(q[0])
+        return real(p, q, n)
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.suppress(NonIntegerCoefficient):
+        patch.setattr(power_series, "_div_raw", recording)
+        route(*args)
+    return constants
+
+
+class TestUnitDivisors:
+    # both series quotients divide by constant term 1, so the kernel divides nothing
+    @settings(max_examples=200, deadline=None)
+    @given(random_symbols(), st.integers(0, 12))
+    def test_lagrange_divides_by_constant_term_1(self, sym, n):
+        # P(cu)/(c^2 u) starts at p_1/c = 1
+        assert _divisor_constant_terms(lagrange_coefficients, sym, n) == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([*ALL_RULES, *CUSTOM_RULES, *TAIL_RULES, parse_tile_spec("4,3+3"),
+                            parse_tile_spec("3,601")]) | sparse_tile_rules(),
+           st.integers(0, 40))
+    def test_counter_divides_by_constant_term_1(self, rule, n):
+        # one Jacobian per Newton step, with constant term Dg(0) - Ng(0) = 1
+        assert _divisor_constant_terms(count_by_series, n, rule) == [1] * n.bit_length()
 
 
 class TestVerifiers:
