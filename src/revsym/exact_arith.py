@@ -4,7 +4,10 @@ Python's built-in ``int`` is already an arbitrary-precision integer, so it
 is used directly as the one scalar type, and :func:`math.comb` is the one
 binomial coefficient.  What this module adds is :func:`exact_div`, the
 division that refuses to round, and the lifted digit limit under which a
-term of any length is written out in decimal.
+term of any length is written out in decimal.  The limit itself, which
+CPython has had since 3.10.7 (the package's floor), guards the parsing of
+input: an oversized number in a symbol, a tile spec, a config file or a
+count is refused before its conversion can take quadratic time.
 Every scalar division goes through :func:`exact_div`: the closed forms'
 prefactors, Lagrange's 1/(n c^{n-1}), direct reversion's 1/c and the unroll's
 1/L(m), so every non-integral quotient raises the same
@@ -55,14 +58,9 @@ def _unlimited_digits() -> Iterator[None]:
     """Lift the interpreter's int-to-str digit limit for the block, and restore it after.
 
     The limit guards the parsing of input; a term of any length may be
-    written out.  A Python without the limit (3.10 before 3.10.7) runs the
-    block as it is.
+    written out.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        yield
-        return
-    limit = get_limit()
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         yield

@@ -156,8 +156,8 @@ class TestTerms:
         assert err == "error: a_1 = 1/3 is not an integer\n"
 
     def test_non_integer_term_beyond_the_str_digit_limit_exits_2(self, capsys):
-        # a_2 = (2 p_2 + ...)/4 has about 3,000 digits as a reduced fraction,
-        # but its unreduced numerator passes the 4,300-digit limit on the way
+        # a_2 reduces to a 6,000-digit numerator over 2, past the 4,300-digit
+        # limit, so exact_div writes its message under the lifted limit
         rc, out, err = run(capsys, "terms", f"(0,2,{'9' * 2999}8,1)/(2)", "--count", "4")
         assert (rc, out) == (2, "")
         assert err.startswith("error: a_2 = ")
@@ -171,19 +171,6 @@ class TestTerms:
         assert elapsed < 6.0
         _, expected, _ = run(capsys, "terms", "schroeder", "--count", "201")
         assert out == expected
-
-    def test_terms_beyond_the_str_digit_limit_print(self, capsys):
-        # a_2 = 2 X^2 has 8,001 digits, more than the interpreter converts by default
-        limit = sys.get_int_max_str_digits()
-        rc, out, err = run(capsys, "terms", f"(0,1,-{'9' * 4000})/(1)", "--count", "3")
-        assert (rc, err) == (0, "")
-        assert sys.get_int_max_str_digits() == limit  # restored for in-process callers
-        sys.set_int_max_str_digits(0)
-        try:
-            expected = f"2 {2 * (10**4000 - 1) ** 2}"
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert out.splitlines()[2] == expected
 
     @pytest.mark.parametrize("argv", [
         ("terms", f"(0,1,-{'9' * 5000})/(1)"),
@@ -574,7 +561,8 @@ class TestDigitLimit:
         assert (rc, err) == (0, "")
         assert sys.get_int_max_str_digits() == limit
         listing = out if command == "terms" else out_path.read_text()
-        assert len(listing.splitlines()[2]) == len("2 ") + 8001
+        sys.set_int_max_str_digits(0)  # the fixture restores its saved limit
+        assert listing.splitlines()[2] == f"2 {2 * (10**4000 - 1) ** 2}"
 
     @pytest.mark.parametrize("argv, lines", [
         (("verify", "catalan", "--count", "4", "--exhaustive-cap-n", "3"),
@@ -613,15 +601,18 @@ class TestDigitLimit:
         assert lifted == [0, 0, 0, 0]  # lifted while the lines are made, once for all of them
         assert sys.get_int_max_str_digits() == limit
 
-    def test_same_bytes_on_a_python_without_the_limit(self, capsys, monkeypatch, tmp_path):
-        # Python 3.10 before 3.10.7 has neither function; str() then has no limit to lift
-        with_limit, without = tmp_path / "a.txt", tmp_path / "b.txt"
-        run(capsys, "bfile", "oddtiles", "--count", "300", "--out", str(with_limit))
-        monkeypatch.delattr(sys, "get_int_max_str_digits")
-        monkeypatch.delattr(sys, "set_int_max_str_digits")
-        rc, _, err = run(capsys, "bfile", "oddtiles", "--count", "300", "--out", str(without))
-        assert (rc, err) == (0, "")
-        assert without.read_bytes() == with_limit.read_bytes()
+    def test_left_lifted_for_a_caller_that_lifted_it(self, capsys):
+        # an in-process caller with no limit (0) still has none after the listing
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            rc, out, err = run(capsys, "terms", f"(0,1,-{'9' * 4000})/(1)", "--count", "3")
+            after = sys.get_int_max_str_digits()
+            expected = f"2 {2 * (10**4000 - 1) ** 2}"
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (rc, err, after) == (0, "", 0)
+        assert out.splitlines()[2] == expected
 
 
 class TestRoutes:

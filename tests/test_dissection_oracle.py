@@ -106,11 +106,12 @@ def _walk_calls(counter, *args):
         if event == "call" and frame.f_code is walk:
             calls += 1
 
+    found = sys.getprofile()
     sys.setprofile(hook)
     try:
         counter(*args)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(found)
     return calls
 
 
@@ -384,11 +385,12 @@ def _chord_tallies(p):
     def tracer(frame, event, arg):
         return local if frame.f_code is walk else None
 
+    found = sys.gettrace()
     sys.settrace(tracer)
     try:
         count_chord_diagrams(p)
     finally:
-        sys.settrace(None)
+        sys.settrace(found)
     return seen
 
 
@@ -410,6 +412,26 @@ class TestChordDiagrams:
         # the walk visits each diagram it counts: a count of free points
         # added at once, without a loop over them, reads fewer tallies
         assert _chord_tallies(p) == len(_chord_diagrams(p)) - 1 == motzkin_term(p) - 1
+
+    def test_hooks_restore_the_tracer_and_profiler_they_found(self):
+        # a tracer that runs the suite, coverage.py or a census, must see every later test
+        def trace(frame, event, arg):
+            return None
+
+        def profile(frame, event, arg):
+            pass
+
+        saved = sys.gettrace(), sys.getprofile()
+        sys.settrace(trace)
+        sys.setprofile(profile)
+        try:
+            _walk_calls(count_chord_diagrams, 4)
+            _chord_tallies(4)
+            found = sys.gettrace(), sys.getprofile()
+        finally:
+            sys.settrace(saved[0])
+            sys.setprofile(saved[1])
+        assert found == (trace, profile)
 
     def test_matches_motzkin_to_default_cap(self):
         for p in range(DEFAULT_CHORD_CAP + 1):

@@ -1,6 +1,7 @@
-"""Checked division."""
+"""Checked division, and the interpreter floor its digit limit needs."""
 
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,13 +37,6 @@ class TestExactDiv:
         assert sys.get_int_max_str_digits() == limit
         assert str(exc.value) == f"a_7 = -{'9' * 5000}/2 is not an integer"
 
-    def test_indivisible_raises_on_a_python_without_the_digit_limit(self, monkeypatch):
-        # Python 3.10 before 3.10.7 has neither function; str() then has no limit to lift
-        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
-        with pytest.raises(NonIntegerCoefficient, match=r"^a_3 = 7/2 is not an integer$"):
-            exact_div(7, 2, 3)
-
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(7, 0, 0)
@@ -50,3 +44,16 @@ class TestExactDiv:
     @given(st.integers(-10**12, 10**12), st.integers(-10**6, 10**6).filter(lambda b: b != 0))
     def test_round_trip(self, a, b):
         assert exact_div(a * b, b, 0) == a
+
+
+class TestInterpreterFloor:
+    def test_floor_has_the_int_str_digit_limit(self):
+        # _unlimited_digits calls sys.get_int_max_str_digits, and the input guard is
+        # that limit: CPython has both since 3.10.7; read as text, since 3.10 has no tomllib
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        lines = [line for line in pyproject.splitlines() if line.startswith("requires-python")]
+        assert len(lines) == 1, lines
+        spec = lines[0].split("=", 1)[1].strip().strip('"')
+        assert spec.startswith(">="), spec
+        floor = tuple(int(part) for part in spec[2:].split(",")[0].strip().split("."))
+        assert floor + (0,) * (3 - len(floor)) >= (3, 10, 7), spec
